@@ -14,6 +14,7 @@ The plot subcommand additionally accepts ``term@discipline`` series specs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -29,9 +30,26 @@ def _parse_query(text: str) -> corpus.TermQuery:
     return corpus.TermQuery.parse(parts[0], coterms=parts[1:])
 
 
-def _read_corpus(path: str, csv_format: bool, bin_width: int, anchor: Optional[int]):
-    reader = corpus.read_csv_records if csv_format else corpus.read_jsonl_records
-    return corpus.ingest(reader(path), bin_width=bin_width, anchor_year=anchor)
+def _read_corpus(args: argparse.Namespace) -> corpus.CorpusIndex:
+    reader = corpus.read_csv_records if args.csv else corpus.read_jsonl_records
+    return corpus.ingest(
+        reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year
+    )
+
+
+def _growth(
+    index: corpus.CorpusIndex,
+    query: corpus.TermQuery,
+    discipline: str,
+    args: argparse.Namespace,
+) -> trend.GrowthSeries:
+    return trend.growth_pipeline(
+        index,
+        query,
+        discipline,
+        smoothing_window=args.smoothing_window,
+        support_threshold=args.support_threshold,
+    )
 
 
 def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
@@ -79,7 +97,7 @@ def _add_trend_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     cfg = _config_dict(args)
     if args.format == "json":
         payload = {
@@ -102,17 +120,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         _write_output(_json_artifact(payload, cfg), args.out)
     else:
         buf = io.StringIO()
-        buf.write(f"# {_config_line(cfg)}\n")
-        buf.write("discipline,bin_start,documents\n")
-        for d in index.disciplines:
-            for b in index.bins:
-                buf.write(f"{d},{b.start_year},{index.doc_counts.get((d, b.start_year), 0)}\n")
+        rows = (
+            (d, b.start_year, index.doc_count(d, b))
+            for d in index.disciplines
+            for b in index.bins
+        )
+        header = ("discipline", "bin_start", "documents")
+        corpus.write_csv(buf, header, rows, _config_line(cfg))
         _write_output(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     dictionary = (
         rank.load_dictionary(args.dictionary, args.discipline)
         if args.dictionary
@@ -129,7 +149,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_mdelta(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     annotations = measure.load_annotations(args.annotations)
     disciplines = args.discipline or list(index.disciplines)
     dictionaries: dict[str, rank.Dictionary] = {}
@@ -159,15 +179,9 @@ def cmd_mdelta(args: argparse.Namespace) -> int:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     query = _parse_query(args.term)
-    growth = trend.growth_pipeline(
-        index,
-        query,
-        args.discipline,
-        smoothing_window=args.smoothing_window,
-        support_threshold=args.support_threshold,
-    )
+    growth = _growth(index, query, args.discipline, args)
     cfg = _config_dict(args)
     buf = io.StringIO()
     trend.write_series_csv(growth, buf, config_line=_config_line(cfg))
@@ -181,19 +195,10 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_migrate(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     query = _parse_query(args.term)
     disciplines = args.disciplines or list(index.disciplines)
-    series = {
-        d: trend.growth_pipeline(
-            index,
-            query,
-            d,
-            smoothing_window=args.smoothing_window,
-            support_threshold=args.support_threshold,
-        )
-        for d in disciplines
-    }
+    series = {d: _growth(index, query, d, args) for d in disciplines}
     report = migration.classify_roles(
         series, strong_threshold=args.strong_threshold, query_label=query.label()
     )
@@ -203,7 +208,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     query = _parse_query(args.term)
     series = diffusion.adoption_series(index, query, args.discipline)
     result = diffusion.fit(series)
@@ -221,10 +226,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj = diffusion.trajectory_closed_form(params, times)
     cfg = _config_dict(args)
     buf = io.StringIO()
-    buf.write(f"# {_config_line(cfg)}\n")
-    buf.write("t,p\n")
-    for t, p in zip(traj.times, traj.p):
-        buf.write(f"{t:.12g},{p:.12g}\n")
+    rows = ((f"{t:.12g}", f"{p:.12g}") for t, p in zip(traj.times, traj.p))
+    corpus.write_csv(buf, ("t", "p"), rows, _config_line(cfg))
     _write_output(buf.getvalue(), args.out)
     return 0
 
@@ -233,16 +236,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = synth.scenario_from_json(handle.read())
     seed = _resolve_seed(args, fallback=spec.seed)
-    if seed != spec.seed:
-        spec = synth.ScenarioSpec(
-            disciplines=spec.disciplines,
-            year_range=spec.year_range,
-            bin_width=spec.bin_width,
-            injected_query=spec.injected_query,
-            background=spec.background,
-            seed=seed,
-        )
-    records, truth = synth.generate(spec)
+    records, truth = synth.generate(dataclasses.replace(spec, seed=seed))
     buf = io.StringIO()
     corpus.write_jsonl_records(records, buf)
     _write_output(buf.getvalue(), args.out)
@@ -253,7 +247,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    index = _read_corpus(args.corpus, args.csv, args.bin_width, args.anchor_year)
+    index = _read_corpus(args)
     series = []
     labels = []
     for spec in args.series:
@@ -264,15 +258,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         else:
             raise TermflowError(f"series {spec!r} needs an @discipline suffix")
         query = _parse_query(term_text)
-        series.append(
-            trend.growth_pipeline(
-                index,
-                query,
-                disc,
-                smoothing_window=args.smoothing_window,
-                support_threshold=args.support_threshold,
-            )
-        )
+        series.append(_growth(index, query, disc, args))
         labels.append(f"{query.label()} / {disc}")
     cfg = _config_dict(args)
     svg = plotting.growth_chart_svg(series, labels, title=args.title, config=cfg)

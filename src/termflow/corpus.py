@@ -12,7 +12,9 @@ import csv
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import TermflowError
@@ -69,9 +71,6 @@ class TimeBin:
     def end_year(self) -> int:
         """Last calendar year covered by this bin (inclusive)."""
         return self.start_year + self.width_years - 1
-
-    def contains(self, year: int) -> bool:
-        return self.start_year <= year <= self.end_year
 
 
 @dataclass(frozen=True)
@@ -147,20 +146,8 @@ class CorpusIndex:
         repr=False, compare=False
     )
 
-    def bin_start_for_year(self, year: int) -> int:
-        return year - ((year - self.anchor_offset) % self.bin_width)
-
-    def bin_for_year(self, year: int) -> TimeBin:
-        return TimeBin(self.bin_start_for_year(year), self.bin_width)
-
-    def bin_starts(self) -> tuple[int, ...]:
-        return tuple(b.start_year for b in self.bins)
-
     def doc_count(self, discipline: str, time_bin: Union[TimeBin, int]) -> int:
         return self.doc_counts.get((discipline, _bin_start(time_bin)), 0)
-
-    def vocabulary(self) -> Iterator[str]:
-        return iter(self.postings)
 
 
 def _bin_start(time_bin: Union[TimeBin, int]) -> int:
@@ -209,42 +196,40 @@ def ingest(
         )
         staged.append((rec, toks))
 
-    if not staged:
-        return CorpusIndex(
-            bin_width=bin_width,
-            anchor_offset=(anchor_year % bin_width) if anchor_year is not None else 0,
-            disciplines=(),
-            bins=(),
-            doc_counts={},
-            postings={},
-            discipline_totals={},
-            n_documents=0,
-            doc_ids=frozenset(),
-            cell_tokens={},
-        )
+    if anchor_year is None:
+        min_year = min((rec.year for rec, _ in staged), default=0)
+        anchor_year = min_year - (min_year % bin_width)
+    offset = anchor_year % bin_width
 
-    min_year = min(rec.year for rec, _ in staged)
-    anchor = anchor_year if anchor_year is not None else min_year - (min_year % bin_width)
-    offset = anchor % bin_width
-
-    doc_counts: dict[Cell, int] = {}
-    postings: dict[str, dict[Cell, int]] = {}
-    discipline_totals: dict[str, int] = {}
     cell_tokens: dict[Cell, list[tuple[str, ...]]] = {}
-
     for rec, toks in staged:
         start = rec.year - ((rec.year - offset) % bin_width)
-        cell = (rec.discipline, start)
-        doc_counts[cell] = doc_counts.get(cell, 0) + 1
-        discipline_totals[rec.discipline] = discipline_totals.get(rec.discipline, 0) + 1
-        cell_tokens.setdefault(cell, []).append(toks)
-        for tok in set(toks):
-            per_cell = postings.setdefault(tok, {})
-            per_cell[cell] = per_cell.get(cell, 0) + 1
+        cell_tokens.setdefault((rec.discipline, start), []).append(toks)
+    return _assemble(bin_width, offset, cell_tokens, seen_ids)
 
-    starts = sorted({cell[1] for cell in doc_counts})
-    bins = tuple(
-        TimeBin(s, bin_width) for s in range(starts[0], starts[-1] + 1, bin_width)
+
+def _assemble(
+    bin_width: int,
+    offset: int,
+    cell_tokens: dict[Cell, list[tuple[str, ...]]],
+    doc_ids: set[str],
+) -> CorpusIndex:
+    """Derive every count of an index from the token sequences of its cells."""
+    doc_counts: dict[Cell, int] = {}
+    discipline_totals: dict[str, int] = {}
+    postings: dict[str, dict[Cell, int]] = {}
+    for cell, docs in cell_tokens.items():
+        doc_counts[cell] = len(docs)
+        discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(docs)
+        # binary counting: each document contributes a term at most once
+        for tok, n in Counter(chain.from_iterable(map(set, docs))).items():
+            postings.setdefault(tok, {})[cell] = n
+
+    starts = sorted({start for _, start in cell_tokens})
+    bins = (
+        tuple(TimeBin(s, bin_width) for s in range(starts[0], starts[-1] + 1, bin_width))
+        if starts
+        else ()
     )
     return CorpusIndex(
         bin_width=bin_width,
@@ -254,14 +239,14 @@ def ingest(
         doc_counts=doc_counts,
         postings=postings,
         discipline_totals=discipline_totals,
-        n_documents=len(staged),
-        doc_ids=frozenset(seen_ids),
+        n_documents=len(doc_ids),
+        doc_ids=frozenset(doc_ids),
         cell_tokens={cell: tuple(docs) for cell, docs in cell_tokens.items()},
     )
 
 
 def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
-    """Merge partition indexes by cell-wise addition.
+    """Merge partition indexes into the index of their combined documents.
 
     Partitions must share the bin grid (width and anchor parity); document
     ids must be disjoint across partitions.
@@ -280,40 +265,12 @@ def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
             raise DuplicateId(f"duplicate document id {sorted(overlap)[0]!r} across partitions")
         merged_ids |= p.doc_ids
 
-    doc_counts: dict[Cell, int] = {}
-    postings: dict[str, dict[Cell, int]] = {}
-    discipline_totals: dict[str, int] = {}
     cell_tokens: dict[Cell, list[tuple[str, ...]]] = {}
     for p in parts:
-        for cell, count in p.doc_counts.items():
-            doc_counts[cell] = doc_counts.get(cell, 0) + count
-        for term, cells in p.postings.items():
-            tgt = postings.setdefault(term, {})
-            for cell, count in cells.items():
-                tgt[cell] = tgt.get(cell, 0) + count
-        for disc, total in p.discipline_totals.items():
-            discipline_totals[disc] = discipline_totals.get(disc, 0) + total
         for cell, docs in p.cell_tokens.items():
             cell_tokens.setdefault(cell, []).extend(docs)
-
-    width = widths.pop()
-    offset = offsets.pop() if offsets else 0
-    if not doc_counts:
-        bins: tuple[TimeBin, ...] = ()
-    else:
-        starts = sorted({cell[1] for cell in doc_counts})
-        bins = tuple(TimeBin(s, width) for s in range(starts[0], starts[-1] + 1, width))
-    return CorpusIndex(
-        bin_width=width,
-        anchor_offset=offset,
-        disciplines=tuple(sorted(discipline_totals)),
-        bins=bins,
-        doc_counts=doc_counts,
-        postings=postings,
-        discipline_totals=discipline_totals,
-        n_documents=sum(p.n_documents for p in parts),
-        doc_ids=frozenset(merged_ids),
-        cell_tokens={cell: tuple(docs) for cell, docs in cell_tokens.items()},
+    return _assemble(
+        widths.pop(), offsets.pop() if offsets else 0, cell_tokens, merged_ids
     )
 
 
@@ -432,6 +389,39 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
     finally:
         if owned:
             handle.close()
+
+
+class _RowEnds:
+    r"""File object for csv.writer that writes each row's "\r\n" ending as "\n".
+
+    csv.writer hands every whole row to a single ``write`` call.
+    """
+
+    def __init__(self, handle: IO[str]) -> None:
+        self._handle = handle
+
+    def write(self, row: str) -> int:
+        return self._handle.write(row[:-2] + "\n")
+
+
+def write_csv(
+    handle: IO[str],
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    config_line: Optional[str] = None,
+) -> None:
+    r"""Write ``header`` and ``rows`` as CSV with minimal RFC 4180 quoting.
+
+    ``config_line``, if given, goes first as a raw ``# ...`` comment line.
+    Rows end in "\n". The writer itself is told "\r\n" so that it quotes
+    every field holding "\r" or "\n"; with a "\n" terminator Python 3.11
+    leaves a field with a bare "\r" unquoted, which readers split.
+    """
+    if config_line is not None:
+        handle.write(f"# {config_line}\n")
+    writer = csv.writer(_RowEnds(handle), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_jsonl_records(records: Iterable[DocumentRecord], handle: IO[str]) -> None:

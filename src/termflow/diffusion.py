@@ -16,14 +16,16 @@ bin; timestamps are bin start years, so the growth constant is per year.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, TermQuery, count_matches
+from .corpus import CorpusIndex, TermQuery
 from .errors import TermflowError
+from .trend import frequency_series
 
 
 class OutOfRangeP(TermflowError):
@@ -148,15 +150,11 @@ def adoption_series(
     index: CorpusIndex, query: TermQuery, discipline: str
 ) -> AdoptionTrajectory:
     """Cumulative distinct matching documents per bin, as an adopter proxy."""
-    times = []
-    cumulative = []
-    running = 0
-    for b in index.bins:
-        if index.doc_count(discipline, b):
-            running += count_matches(index, query, discipline, b)
-        times.append(float(b.start_year))
-        cumulative.append(float(running))
-    return AdoptionTrajectory(times=tuple(times), p=tuple(cumulative))
+    freq = frequency_series(index, query, discipline)
+    return AdoptionTrajectory(
+        times=tuple(float(b.start_year) for b in freq.bins),
+        p=tuple(float(n) for n in itertools.accumulate(freq.n)),
+    )
 
 
 @dataclass(frozen=True)
@@ -189,8 +187,9 @@ def _predict(
     return p_m / (1.0 + a * np.exp(exponent))
 
 
-def _rmse(pred: np.ndarray, obs: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((pred - obs) ** 2)))
+def _rmse(pred: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Root-mean-square residual along the last (time) axis."""
+    return np.sqrt(np.mean((pred - obs) ** 2, axis=-1))
 
 
 def fit(
@@ -227,39 +226,33 @@ def fit(
     p_anchor = obs[anchor_i]
     p_max = obs.max()
 
-    def solve_p0(c: float, p_m: float) -> Optional[float]:
-        if p_anchor >= p_m:
-            return None
-        a = (p_m / p_anchor - 1.0) * math.exp(min(c * t_anchor, _EXP_CLAMP))
-        p_0 = p_m / (1.0 + a)
-        if not (0 < p_0 < p_m and math.isfinite(p_0)):
-            return None
-        return p_0
-
     c_candidates = np.geomspace(c_bounds[0], c_bounds[1], c_grid)
     pm_candidates = np.geomspace(p_max * 1.001, p_max * pm_max_factor, pm_grid)
 
-    best: Optional[tuple[float, float, float]] = None
-    best_err = math.inf
-    for c in c_candidates:
-        for p_m in pm_candidates:
-            p_0 = solve_p0(float(c), float(p_m))
-            if p_0 is None:
-                continue
-            err = _rmse(_predict(float(c), float(p_m), p_0, shifted), obs)
-            if err < best_err:
-                best_err = err
-                best = (float(c), float(p_m), p_0)
-    if best is None:
+    # Scan every (c, p_m) pair at once, c major, so that argmin keeps the
+    # first best candidate: p_0 is solved from the first positive
+    # observation, and each candidate logistic is scored by its RMSE.
+    anchor_factor = np.array(
+        [math.exp(min(c * t_anchor, _EXP_CLAMP)) for c in c_candidates]
+    )[:, None]
+    p0_grid = pm_candidates / (1.0 + (pm_candidates / p_anchor - 1.0) * anchor_factor)
+    admissible = (0 < p0_grid) & (p0_grid < pm_candidates)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pred = _predict(
+            c_candidates[:, None, None], pm_candidates[:, None], p0_grid[..., None], shifted
+        )
+        grid_err = np.where(admissible, _rmse(pred, obs), math.inf)
+    i, j = np.unravel_index(np.argmin(grid_err), grid_err.shape)
+    best_err = float(grid_err[i, j])
+    if best_err == math.inf:
         raise NoGrowthSignal("no admissible logistic candidate found")
-
-    vec = list(best)
+    vec = [float(c_candidates[i]), float(pm_candidates[j]), float(p0_grid[i, j])]
 
     def objective(v: Sequence[float]) -> float:
         c, p_m, p_0 = v
         if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
             return math.inf
-        return _rmse(_predict(c, p_m, p_0, shifted), obs)
+        return float(_rmse(_predict(c, p_m, p_0, shifted), obs))
 
     step = 0.5
     while step > tol:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
+from .corpus import write_csv
 from .errors import TermflowError
 
 
@@ -152,11 +153,10 @@ def write_reports_csv(
     handle: IO[str],
     config_line: Optional[str] = None,
 ) -> None:
-    if config_line is not None:
-        handle.write(f"# {config_line}\n")
-    handle.write("discipline,m_top,m_bottom,m_delta,label,smoothed\n")
-    for r in reports:
-        handle.write(
-            f"{r.discipline},{r.m_top:.12g},{r.m_bottom:.12g},"
-            f"{r.m_delta:.12g},{r.label},{1 if r.smoothed else 0}\n"
-        )
+    rows = (
+        (r.discipline, f"{r.m_top:.12g}", f"{r.m_bottom:.12g}", f"{r.m_delta:.12g}",
+         r.label, 1 if r.smoothed else 0)
+        for r in reports
+    )
+    header = ("discipline", "m_top", "m_bottom", "m_delta", "label", "smoothed")
+    write_csv(handle, header, rows, config_line)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
-from .corpus import CorpusIndex, UnknownDiscipline
+from .corpus import CorpusIndex, UnknownDiscipline, write_csv
 from .errors import TermflowError
 
 
@@ -212,10 +212,8 @@ def write_ranking_csv(
     handle: IO[str],
     config_line: Optional[str] = None,
 ) -> None:
-    if config_line is not None:
-        handle.write(f"# {config_line}\n")
-    handle.write("term,k,lambda,percentile,method\n")
-    for r in ranking:
-        handle.write(
-            f"{r.term},{r.observed_k},{r.lam:.12g},{r.percentile:.12g},{r.method}\n"
-        )
+    rows = (
+        (r.term, r.observed_k, f"{r.lam:.12g}", f"{r.percentile:.12g}", r.method)
+        for r in ranking
+    )
+    write_csv(handle, ("term", "k", "lambda", "percentile", "method"), rows, config_line)

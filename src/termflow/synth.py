@@ -131,45 +131,50 @@ def injection_probability(
 
 def _emit_documents(
     rng: np.random.Generator,
-    label: str,
-    bin_starts: Sequence[int],
-    year_range: tuple[int, int],
-    bin_width: int,
-    docs_per_bin: int,
-    background: BackgroundVocabulary,
-    injected_tokens: Sequence[str],
-    prob_by_bin: dict[int, float],
+    spec: ScenarioSpec,
+    disc: DisciplineSpec,
+    injections: dict[int, list[tuple[str, float]]],
 ) -> list[DocumentRecord]:
+    """Background documents per bin, each followed by its injected texts.
+
+    ``injections`` maps a bin start to ``(text, probability)`` pairs; every
+    listed pair draws one uniform per document, in list order, and a
+    document whose draw falls below the probability gets ``text`` appended.
+    """
+    docs_per_bin, background = disc.docs_per_bin, spec.background
     vocab = np.array(background.tokens())
     cdf = np.cumsum(background.weights())
-    injected_text = " ".join(injected_tokens)
     records: list[DocumentRecord] = []
-    for start in bin_starts:
+    for start in spec.bin_starts():
         if docs_per_bin == 0:
             continue
-        span = min(bin_width, year_range[1] - start + 1)
+        span = min(spec.bin_width, spec.year_range[1] - start + 1)
         years = start + rng.integers(0, span, size=docs_per_bin)
         # inverse-CDF sampling beats rng.choice(p=...) by a wide margin
         draws = np.searchsorted(cdf, rng.random((docs_per_bin, background.tokens_per_doc)))
         token_ix = np.minimum(draws, len(vocab) - 1)
-        q = prob_by_bin.get(start, 0.0)
-        injected_mask = (
-            rng.random(docs_per_bin) < q if q > 0 else np.zeros(docs_per_bin, bool)
-        )
+        bin_injections = [
+            (text, rng.random(docs_per_bin) < q) for text, q in injections.get(start, ())
+        ]
         for j in range(docs_per_bin):
             body = " ".join(vocab[token_ix[j]])
-            if injected_mask[j]:
-                body = body + " " + injected_text
+            for text, mask in bin_injections:
+                if mask[j]:
+                    body = body + " " + text
             records.append(
                 DocumentRecord(
-                    id=f"{label}-{start}-{j:05d}",
-                    discipline=label,
+                    id=f"{disc.label}-{start}-{j:05d}",
+                    discipline=disc.label,
                     year=int(years[j]),
                     title="",
                     abstract=body,
                 )
             )
     return records
+
+
+def _injected_text(query: TermQuery) -> str:
+    return " ".join(list(query.term) + sorted(query.required_coterms))
 
 
 def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
@@ -180,12 +185,6 @@ def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
     generation order cannot change the corpus.
     """
     bin_starts = spec.bin_starts()
-    injected_tokens: list[str] = []
-    if spec.injected_query is not None:
-        injected_tokens = list(spec.injected_query.term) + sorted(
-            spec.injected_query.required_coterms
-        )
-
     records: list[DocumentRecord] = []
     truths: dict[str, DisciplineTruth] = {}
     for disc_i, disc in enumerate(spec.disciplines):
@@ -198,19 +197,12 @@ def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
                 for start in bin_starts
             }
             inflection = disc.onset_year + inflection_time(disc.diffusion)
-        records.extend(
-            _emit_documents(
-                rng,
-                disc.label,
-                bin_starts,
-                spec.year_range,
-                spec.bin_width,
-                disc.docs_per_bin,
-                spec.background,
-                injected_tokens,
-                prob_by_bin,
-            )
-        )
+        injections = {
+            start: [(_injected_text(spec.injected_query), q)]
+            for start, q in prob_by_bin.items()
+            if q > 0
+        }
+        records.extend(_emit_documents(rng, spec, disc, injections))
         truths[disc.label] = DisciplineTruth(
             onset_year=disc.onset_year if disc.diffusion is not None else None,
             inflection_year=inflection,
@@ -291,39 +283,15 @@ def generate_succession(
     )
     bin_starts = base.bin_starts()
     probs = succession_probabilities(stages, bin_starts)
-
-    rng = np.random.default_rng([seed, 0])
-    vocab = np.array(background.tokens())
-    weights = background.weights()
-    cdf = np.cumsum(weights)
-    stage_tokens = [
-        " ".join(list(s.query.term) + sorted(s.query.required_coterms)) for s in stages
-    ]
-    labels = [s.query.label() for s in stages]
-
-    records: list[DocumentRecord] = []
-    for bin_i, start in enumerate(bin_starts):
-        span = min(bin_width, year_range[1] - start + 1)
-        years = start + rng.integers(0, span, size=docs_per_bin)
-        draws = np.searchsorted(cdf, rng.random((docs_per_bin, background.tokens_per_doc)))
-        token_ix = np.minimum(draws, len(vocab) - 1)
-        masks = [
-            rng.random(docs_per_bin) < probs[label][bin_i] for label in labels
+    injections = {
+        start: [
+            (_injected_text(s.query), probs[s.query.label()][bin_i]) for s in stages
         ]
-        for j in range(docs_per_bin):
-            body = " ".join(vocab[token_ix[j]])
-            for stage_i in range(len(stages)):
-                if masks[stage_i][j]:
-                    body = body + " " + stage_tokens[stage_i]
-            records.append(
-                DocumentRecord(
-                    id=f"{discipline}-{start}-{j:05d}",
-                    discipline=discipline,
-                    year=int(years[j]),
-                    title="",
-                    abstract=body,
-                )
-            )
+        for bin_i, start in enumerate(bin_starts)
+    }
+    records = _emit_documents(
+        np.random.default_rng([seed, 0]), base, base.disciplines[0], injections
+    )
     return records, SuccessionTruth(bin_starts=tuple(bin_starts), probs=probs)
 
 

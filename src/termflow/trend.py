@@ -12,7 +12,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import IO, Optional, Sequence
 
-from .corpus import CorpusIndex, TermQuery, TimeBin, UnknownDiscipline, count_matches
+from .corpus import (
+    CorpusIndex,
+    TermQuery,
+    TimeBin,
+    UnknownDiscipline,
+    count_matches,
+    write_csv,
+)
 from .errors import TermflowError
 
 
@@ -213,19 +220,16 @@ def write_series_csv(
     def fmt(x: Optional[float]) -> str:
         return "" if x is None else f"{x:.12g}"
 
-    if config_line is not None:
-        handle.write(f"# {config_line}\n")
-    handle.write("bin_start,n,N,f,r,smoothed_r,mask_reason\n")
     freq = growth.freq
-    for i, b in enumerate(freq.bins):
-        if i == 0:
-            r = s = None
-            reason = ""
-        else:
-            r = growth.r[i - 1]
-            s = growth.smoothed_r[i - 1]
-            reason = growth.mask[i - 1] or ""
-        handle.write(
-            f"{b.start_year},{freq.n[i]},{freq.N[i]},{fmt(freq.f[i])},"
-            f"{fmt(r)},{fmt(s)},{reason}\n"
-        )
+    # the first bin has no transition into it; csv writes None as an empty field
+    rows = zip(
+        (b.start_year for b in freq.bins),
+        freq.n,
+        freq.N,
+        map(fmt, freq.f),
+        map(fmt, (None,) + growth.r),
+        map(fmt, (None,) + growth.smoothed_r),
+        (None,) + growth.mask,
+    )
+    header = ("bin_start", "n", "N", "f", "r", "smoothed_r", "mask_reason")
+    write_csv(handle, header, rows, config_line)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -5,9 +6,11 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from termflow.cli import main
-from termflow.corpus import TermQuery, write_jsonl_records
+from termflow.corpus import DocumentRecord, TermQuery, write_jsonl_records
 from termflow.diffusion import DiffusionParams
 from termflow.plotting import EmptySeriesSet, growth_chart_svg
 from termflow.synth import (
@@ -84,7 +87,7 @@ def test_mdelta_report(corpus_path, capsys, tmp_path):
 
     index = corpus_mod.ingest(corpus_mod.read_jsonl_records(corpus_path))
     rows = ["term,discipline,technical"]
-    for term in sorted(index.vocabulary()):
+    for term in sorted(index.postings):
         rows.append(f"{term},math,1")
         rows.append(f"{term},education,{1 if term == 'chaos' else 0}")
     ann_path = tmp_path / "ann.csv"
@@ -225,6 +228,68 @@ def test_domain_error_exit_code_and_message(corpus_path, capsys):
     assert code == 1
     assert err.startswith("error code=corpus.UnknownDiscipline")
     assert "\n" not in err.strip()
+
+
+def test_fit_unknown_discipline_exit_code_and_message(corpus_path, capsys):
+    code, _, err = run_cli(
+        ["fit", "--corpus", corpus_path, "--term", "chaos", "--discipline", "nosuch"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error code=corpus.UnknownDiscipline")
+    assert "\n" not in err.strip()
+
+
+def _csv_body(path) -> list[list[str]]:
+    """Rows of a CSV artifact after its ``# config`` line."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        assert handle.readline().startswith("# config ")
+        return list(csv.reader(handle))
+
+
+@settings(max_examples=60, deadline=None)
+@example(label="math, applied")
+@example(label='the "hard" sciences')
+@example(label="line\nbreak")
+@example(label="carriage\rreturn")
+@example(label="both\r\nends ")
+@given(
+    label=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+    .filter(lambda s: s.strip() and s != "other")
+)
+def test_discipline_label_round_trips_through_csv(label, tmp_path_factory):
+    work = tmp_path_factory.mktemp("label")
+    records = [
+        DocumentRecord(f"d{i}", disc, 1990 + i % 2, "", text)
+        for i, (disc, text) in enumerate(
+            [(label, "alpha beta"), (label, "beta"), ("other", "alpha gamma")]
+        )
+    ]
+    corpus_file = work / "corpus.jsonl"
+    with open(corpus_file, "w", encoding="utf-8") as handle:
+        write_jsonl_records(records, handle)
+    ann_file = work / "ann.csv"
+    with open(ann_file, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["term", "discipline", "technical"])
+        for term in ("alpha", "beta", "gamma"):
+            for disc in (label, "other"):
+                writer.writerow([term, disc, 1])
+
+    ingest_out = work / "ingest.csv"
+    assert main(["ingest", "--corpus", str(corpus_file), "--out", str(ingest_out)]) == 0
+    assert _csv_body(ingest_out) == [["discipline", "bin_start", "documents"]] + [
+        [disc, "1990", str(n)] for disc, n in sorted([(label, 2), ("other", 1)])
+    ]
+
+    mdelta_out = work / "mdelta.csv"
+    argv = ["mdelta", "--corpus", str(corpus_file), "--annotations", str(ann_file),
+            "--smooth", "--out", str(mdelta_out)]
+    assert main(argv) == 0
+    rows = _csv_body(mdelta_out)
+    assert rows[0] == ["discipline", "m_top", "m_bottom", "m_delta", "label", "smoothed"]
+    assert sorted(r[0] for r in rows[1:]) == sorted([label, "other"])
+    assert all(len(r) == 6 for r in rows)
 
 
 def test_missing_file_exit_code(capsys):

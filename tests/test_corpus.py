@@ -123,8 +123,9 @@ def test_malformed_records():
 
 def test_bins_anchor_even_and_partition(small_index):
     assert [b.start_year for b in small_index.bins] == [1974, 1976]
-    assert small_index.bin_for_year(1975) == TimeBin(1974, 2)
-    assert small_index.bin_for_year(1976) == TimeBin(1976, 2)
+    # 1975 joins 1974's bin, 1977 joins 1976's
+    assert small_index.doc_count("math", 1974) == 2
+    assert small_index.doc_count("math", TimeBin(1976, 2)) == 2
 
 
 def test_odd_min_year_rounds_down():
@@ -142,7 +143,7 @@ def test_doc_counts_sum_to_total(small_index):
 
 
 def test_count_never_exceeds_cell_total(small_index):
-    for term in list(small_index.vocabulary()):
+    for term in list(small_index.postings):
         q = TermQuery(term=(term,))
         for disc in small_index.disciplines:
             for b in small_index.bins:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -159,9 +161,6 @@ def test_generate_succession_jsonl_pinned(seed):
 
 def _regenerate() -> None:
     """Rewrite ``tests/golden`` from the current code and print the synth hashes."""
-    import os
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         os.chdir(workdir)
