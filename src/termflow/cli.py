@@ -17,12 +17,38 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional
 
 from . import corpus, diffusion, measure, migration, plotting, rank, synth, trend
 from .errors import TermflowError
+
+
+class InvalidSeed(TermflowError):
+    pass
+
+
+def _checked(convert, accept, requirement: str):
+    """An argparse type: ``convert`` the text, then refuse what ``accept`` rejects."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    # argparse names the type in its message when ``convert`` itself fails
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_odd_positive_int = _checked(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
+_positive_finite = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+# NaN fails the comparison; inf is allowed and keeps every term on the exact branch
+_non_negative = _checked(float, lambda v: v >= 0, "a number >= 0")
 
 
 def _parse_query(text: str) -> corpus.TermQuery:
@@ -55,7 +81,10 @@ def _growth(
 def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
     env = os.environ.get("TERMFLOW_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InvalidSeed(f"TERMFLOW_SEED must be an integer, got {env!r}") from None
     if getattr(args, "seed", None) is not None:
         return args.seed
     return fallback
@@ -87,12 +116,14 @@ def _json_artifact(payload: dict, cfg: dict) -> str:
 def _add_corpus_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="JSONL corpus path or - for stdin")
     p.add_argument("--csv", action="store_true", help="corpus is CSV, not JSONL")
-    p.add_argument("--bin-width", type=int, default=2)
+    p.add_argument("--bin-width", type=_positive_int, default=2)
     p.add_argument("--anchor-year", type=int, default=None)
 
 
 def _add_trend_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--smoothing-window", type=int, default=trend.DEFAULT_SMOOTHING_WINDOW)
+    p.add_argument(
+        "--smoothing-window", type=_odd_positive_int, default=trend.DEFAULT_SMOOTHING_WINDOW
+    )
     p.add_argument("--support-threshold", type=int, default=trend.DEFAULT_SUPPORT_THRESHOLD)
 
 
@@ -283,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     p.add_argument("--discipline", required=True)
     p.add_argument("--dictionary", default=None, help="term list used as a filter")
-    p.add_argument("--normal-threshold", type=float, default=rank.NORMAL_SWITCH_LAMBDA)
+    p.add_argument("--normal-threshold", type=_non_negative, default=rank.NORMAL_SWITCH_LAMBDA)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_rank)
 
@@ -327,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pm", type=float, required=True)
     p.add_argument("--p0", type=float, required=True)
     p.add_argument("--t-end", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--dt", type=_positive_finite, default=1.0)
     p.add_argument("--euler", action="store_true", help="integrate instead of closed form")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)

@@ -9,6 +9,7 @@ immutable; everything downstream is a pure read.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 import sys
@@ -16,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import TermflowError
 
@@ -33,6 +36,10 @@ class UnknownDiscipline(TermflowError):
 
 
 class UnknownBin(TermflowError):
+    pass
+
+
+class InvalidQuery(TermflowError, ValueError):
     pass
 
 
@@ -98,10 +105,10 @@ class TermQuery:
 
     def __post_init__(self) -> None:
         if not self.term:
-            raise ValueError("query term must have at least one token")
+            raise InvalidQuery("query term must have at least one token")
         for tok in list(self.term) + list(self.required_coterms):
             if tokenize(tok) != [tok]:
-                raise ValueError(f"query token {tok!r} is not normalized")
+                raise InvalidQuery(f"query token {tok!r} is not normalized")
 
     @classmethod
     def parse(cls, term_text: str, coterms: Iterable[str] = ()) -> "TermQuery":
@@ -109,7 +116,7 @@ class TermQuery:
         term = tuple(tokenize(term_text))
         required = frozenset(t for c in coterms for t in tokenize(c))
         if not term:
-            raise ValueError(f"no tokens survive normalization of {term_text!r}")
+            raise InvalidQuery(f"no tokens survive normalization of {term_text!r}")
         return cls(term=term, required_coterms=required)
 
     def label(self) -> str:
@@ -148,6 +155,32 @@ class CorpusIndex:
 
     def doc_count(self, discipline: str, time_bin: Union[TimeBin, int]) -> int:
         return self.doc_counts.get((discipline, _bin_start(time_bin)), 0)
+
+    @functools.cached_property
+    def term_counts(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Sorted terms, and a read-only int32 matrix of their document counts.
+
+        Row i counts the documents of each discipline (columns in
+        ``disciplines`` order) that contain term i. Built from ``postings``
+        on first use.
+        """
+        terms = tuple(sorted(self.postings))
+        column = {d: j for j, d in enumerate(self.disciplines)}
+        cell_column = {cell: column[cell[0]] for cell in self.doc_counts}
+        per_term = list(map(self.postings.__getitem__, terms))
+        lengths = np.fromiter(map(len, per_term), np.intp, len(terms))
+        n_entries = int(lengths.sum())
+        columns = np.fromiter(
+            map(cell_column.__getitem__, chain.from_iterable(per_term)), np.int32, n_entries
+        )
+        counts = np.fromiter(
+            chain.from_iterable(cells.values() for cells in per_term), np.int32, n_entries
+        )
+        table = np.zeros((len(terms), len(self.disciplines)), np.int32)
+        rows = np.repeat(np.arange(len(terms), dtype=np.int32), lengths)
+        np.add.at(table, (rows, columns), counts)
+        table.flags.writeable = False
+        return terms, table
 
 
 def _bin_start(time_bin: Union[TimeBin, int]) -> int:
@@ -191,9 +224,8 @@ def ingest(
         if rec.id in seen_ids:
             raise DuplicateId(f"duplicate document id {rec.id!r}")
         seen_ids.add(rec.id)
-        toks = tuple(
-            canon.setdefault(t, t) for t in tokenize(rec.title + " " + rec.abstract)
-        )
+        toks = tokenize(rec.title + " " + rec.abstract)
+        toks = tuple(map(canon.setdefault, toks, toks))
         staged.append((rec, toks))
 
     if anchor_year is None:

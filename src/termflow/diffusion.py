@@ -50,6 +50,12 @@ class DegenerateSeries(TermflowError):
 
 _EXP_CLAMP = 700.0
 
+# Objective evaluations the coordinate refinement of ``fit`` may spend. On a
+# step-shaped series each multiplicative move keeps finding a smaller strict
+# improvement (p_0 -> 0, c -> inf) and the refinement would not end. Fits of
+# synth adoption series take at most about 76k evaluations.
+_REFINE_EVALUATIONS = 120_000
+
 
 @dataclass(frozen=True)
 class DiffusionParams:
@@ -207,7 +213,8 @@ def fit(
     candidate the initial adopter count is solved from the first positive
     observation. The best candidate is then refined one coordinate at a
     time with multiplicative steps until the relative step falls below
-    ``tol``.
+    ``tol``, or until a fixed budget of objective evaluations is spent; the
+    best point found is returned either way.
     """
     times = np.asarray(trajectory.times, dtype=float)
     obs = np.asarray(trajectory.p, dtype=float)
@@ -255,11 +262,13 @@ def fit(
         return float(_rmse(_predict(c, p_m, p_0, shifted), obs))
 
     step = 0.5
-    while step > tol:
+    budget = _REFINE_EVALUATIONS
+    while step > tol and budget > 0:
         improved = False
         for idx in range(3):
             for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                while True:
+                while budget > 0:
+                    budget -= 1
                     cand = list(vec)
                     cand[idx] *= factor
                     err = objective(cand)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
@@ -57,20 +58,34 @@ class AnnotationSet:
 
 
 def load_annotations(path: str) -> AnnotationSet:
-    """Read a CSV with header term,discipline,technical (technical in {0,1})."""
+    """Read a CSV with header term,discipline,technical (technical in {0,1}).
+
+    Rows are read as ``csv.DictReader`` would: columns in any header order,
+    blank rows skipped (they do not count as lines), short rows padded with
+    None.
+    """
     flags: dict[tuple[str, str], bool] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        expected = {"term", "discipline", "technical"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or set(header) != {"term", "discipline", "technical"}:
             raise MalformedAnnotation("header must be exactly term,discipline,technical")
-        for lineno, row in enumerate(reader, start=2):
-            value = (row["technical"] or "").strip()
+        # the last of repeated header names wins, as in DictReader's dict
+        column = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(
+            column["term"], column["discipline"], column["technical"]
+        )
+        width = len(header)
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            term, discipline, value = pick(row)
+            value = (value or "").strip()
             if value not in ("0", "1"):
                 raise MalformedAnnotation(
                     f"line {lineno}: technical must be 0 or 1, got {value!r}"
                 )
-            flags[(row["term"], row["discipline"])] = value == "1"
+            flags[(term, discipline)] = value == "1"
     return AnnotationSet(flags=flags)
 
 

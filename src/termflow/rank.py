@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .corpus import CorpusIndex, UnknownDiscipline, write_csv
 from .errors import TermflowError
 
@@ -146,19 +148,7 @@ def poisson_percentile(
     cells = index.postings.get(term, {})
     k = sum(c for (disc, _), c in cells.items() if disc == target_discipline)
     bg_hits = sum(c for (disc, _), c in cells.items() if disc != target_discipline)
-    bg_docs = sum(
-        n for disc, n in index.discipline_totals.items() if disc != target_discipline
-    )
-    n_target = index.discipline_totals[target_discipline]
-
-    mu = bg_hits / bg_docs
-    lam = mu * n_target
-    if lam > normal_switch:
-        pct = normal_percentile(k, lam)
-        method = "normal"
-    else:
-        pct = poisson_cdf(k, lam)
-        method = "poisson"
+    lam, pct, method = _percentile(index, target_discipline, k, bg_hits, normal_switch)
     return PoissonRank(
         term=term,
         target_discipline=target_discipline,
@@ -167,6 +157,24 @@ def poisson_percentile(
         percentile=pct,
         method=method,
     )
+
+
+def _percentile(
+    index: CorpusIndex,
+    target_discipline: str,
+    k: int,
+    bg_hits: int,
+    normal_switch: float,
+) -> tuple[float, float, str]:
+    """(lambda, percentile, method) of a term in ``k`` target documents and
+    ``bg_hits`` documents of the other disciplines."""
+    bg_docs = sum(
+        n for disc, n in index.discipline_totals.items() if disc != target_discipline
+    )
+    lam = (bg_hits / bg_docs) * index.discipline_totals[target_discipline]
+    if lam > normal_switch:
+        return lam, normal_percentile(k, lam), "normal"
+    return lam, poisson_cdf(k, lam), "poisson"
 
 
 def rank_terms(
@@ -180,23 +188,43 @@ def rank_terms(
     Ties break by observed count descending, then lexicographically, so the
     output is reproducible byte-for-byte. With a dictionary, only member
     terms are ranked (so top/bottom selections are dictionary-filtered).
+    Terms share their percentile computation when they share the target
+    count and the background hits, so each distinct pair is evaluated once.
     """
     if dictionary is not None and not dictionary.terms:
         raise EmptyDictionary("dictionary has no terms; cannot filter")
     if target_discipline not in index.discipline_totals:
         raise UnknownDiscipline(f"unknown discipline {target_discipline!r}")
 
-    ranked = []
-    for term, cells in index.postings.items():
-        if dictionary is not None and term not in dictionary.terms:
-            continue
-        if not any(disc == target_discipline for disc, _ in cells):
-            continue
-        ranked.append(
-            poisson_percentile(index, term, target_discipline, normal_switch)
+    terms, table = index.term_counts
+    k = table[:, index.disciplines.index(target_discipline)]
+    keep = k > 0
+    if dictionary is not None:
+        keep &= np.fromiter(map(dictionary.terms.__contains__, terms), bool, len(terms))
+    rows = np.flatnonzero(keep)
+    if rows.size == 0:
+        return []
+    if len(index.disciplines) < 2:
+        raise SingleDisciplineCorpus(
+            "percentile ranking needs at least two disciplines"
         )
-    ranked.sort(key=lambda r: (-r.percentile, -r.observed_k, r.term))
-    return ranked
+
+    k = k[rows].astype(np.int64)
+    bg_hits = table[rows].sum(axis=1, dtype=np.int64) - k
+    span = int(bg_hits.max()) + 1
+    pairs, pair_of_row = np.unique(k * span + bg_hits, return_inverse=True)
+    stats = [
+        _percentile(index, target_discipline, pair // span, pair % span, normal_switch)
+        for pair in pairs.tolist()
+    ]
+    percentile = np.array([pct for _, pct, _ in stats])[pair_of_row]
+    order = np.lexsort((rows, -k, -percentile))
+    return [
+        PoissonRank(terms[row], target_discipline, observed_k, *stats[pair])
+        for row, observed_k, pair in zip(
+            rows[order].tolist(), k[order].tolist(), pair_of_row[order].tolist()
+        )
+    ]
 
 
 def top_terms(ranking: Sequence[PoissonRank], k: int = 10) -> list[str]:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -302,6 +303,58 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--corpus"])
     assert exc.value.code == 2
+
+
+CORPUS, SPEC = object(), object()
+
+
+@pytest.mark.parametrize(
+    "env, argv, expected",
+    [
+        ({}, ["trend", "--corpus", CORPUS, "--term", "+", "--discipline", "math"], 1),
+        ({}, ["simulate", "--c", "0.6", "--pm", "100", "--p0", "50", "--dt", "0"], 2),
+        ({}, ["trend", "--corpus", CORPUS, "--term", "chaos", "--discipline", "math",
+              "--smoothing-window", "2"], 2),
+        ({}, ["ingest", "--corpus", CORPUS, "--bin-width", "0"], 2),
+        ({"TERMFLOW_SEED": "x"}, ["synth", "--spec", SPEC], 1),
+        ({}, ["rank", "--corpus", CORPUS, "--discipline", "math",
+              "--normal-threshold", "-1"], 2),
+        ({}, ["rank", "--corpus", CORPUS, "--discipline", "math",
+              "--normal-threshold", "nan"], 2),
+    ],
+    ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
+         "negative-threshold", "nan-threshold"],
+)
+def test_invalid_input_follows_cli_contract(
+    env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
+):
+    spec_path = tmp_path / "s.json"
+    spec_path.write_text(json.dumps(
+        {"disciplines": [{"label": "math", "docs_per_bin": 2}], "year_range": [1990, 1993]}
+    ))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [corpus_path if a is CORPUS else str(spec_path) if a is SPEC else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    if code == 1:
+        assert re.fullmatch(r'error code=\S+ msg=".*"\n', err)
+    assert code == expected
+
+
+def test_infinite_normal_threshold_ranks_every_term_exactly(corpus_path, capsys):
+    code, out, _ = run_cli(
+        ["rank", "--corpus", corpus_path, "--discipline", "math",
+         "--normal-threshold", "inf"],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()[1:]))
+    assert {r[4] for r in rows[1:]} == {"poisson"}
 
 
 def test_console_entry_point(corpus_path, tmp_path):

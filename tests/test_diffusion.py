@@ -1,4 +1,6 @@
 import math
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +191,30 @@ def test_fit_generate_round_trip(c, p_m, p0_frac):
     result = fit(trajectory_closed_form(params, times))
     assert result.params.c == pytest.approx(c, rel=0.01)
     assert result.params.p_m == pytest.approx(p_m, rel=0.01)
+
+
+def _interrupt(signum, frame):
+    raise TimeoutError("fit did not return")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_fit_returns_on_step_series():
+    # one early burst and no later growth: each refinement move finds a smaller
+    # strict improvement (p_0 -> 0, c -> inf), so only the budget ends the fit
+    traj = AdoptionTrajectory(
+        times=tuple(float(t) for t in range(1970, 1983, 2)), p=(0.0,) + (2.0,) * 6
+    )
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        result = fit(traj)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 5.0
+    assert math.isfinite(result.rmse)
 
 
 def test_fit_noisy_median_error():

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -227,3 +228,53 @@ def test_load_annotations_rejects_bad_flag(tmp_path):
     path.write_text("term,discipline,technical\nchaos,math,maybe\n")
     with pytest.raises(MalformedAnnotation):
         load_annotations(str(path))
+
+
+def dictreader_annotations(path):
+    """Reference reader: csv.DictReader, one dict per row."""
+    flags = {}
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        expected = {"term", "discipline", "technical"}
+        if reader.fieldnames is None or set(reader.fieldnames) != expected:
+            raise MalformedAnnotation("header must be exactly term,discipline,technical")
+        for lineno, row in enumerate(reader, start=2):
+            value = (row["technical"] or "").strip()
+            if value not in ("0", "1"):
+                raise MalformedAnnotation(
+                    f"line {lineno}: technical must be 0 or 1, got {value!r}"
+                )
+            flags[(row["term"], row["discipline"])] = value == "1"
+    return AnnotationSet(flags=flags)
+
+
+_FIELD = st.text(alphabet='ab ,"\n\r01', max_size=4)
+
+
+@st.composite
+def annotation_files(draw):
+    header = draw(st.permutations(["term", "discipline", "technical"]))
+    header += draw(st.lists(st.sampled_from(["term", "technical", "note"]), max_size=1))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(["0", "1", " 1 ", ""]) | _FIELD, max_size=len(header) + 1),
+            max_size=8,
+        )
+    )
+    return [header] + rows
+
+
+def _outcome(load, path):
+    try:
+        return load(path).flags
+    except MalformedAnnotation as exc:
+        return str(exc)
+
+
+@given(annotation_files())
+@settings(max_examples=150, deadline=None)
+def test_load_annotations_reads_like_dictreader(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("ann") / "ann.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    assert _outcome(load_annotations, str(path)) == _outcome(dictreader_annotations, str(path))

@@ -199,6 +199,60 @@ def test_empty_dictionary_rejected():
         rank_terms(index, "math", Dictionary("math", frozenset()))
 
 
+def test_rank_single_discipline_raises_only_when_terms_remain():
+    index = ingest([make_doc("only", 1990, "word list")])
+    with pytest.raises(SingleDisciplineCorpus):
+        rank_terms(index, "only")
+    assert rank_terms(index, "only", Dictionary("only", frozenset({"absent"}))) == []
+
+
+VOCAB = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+
+
+@st.composite
+def small_corpora(draw):
+    labels = draw(
+        st.lists(st.sampled_from(("a", "b", "c", "d")), min_size=1, max_size=4, unique=True)
+    )
+    docs = [
+        make_doc(label, draw(st.integers(1990, 1995)), " ".join(words))
+        for label in labels
+        for words in draw(
+            st.lists(st.lists(st.sampled_from(VOCAB), max_size=4), min_size=1, max_size=12)
+        )
+    ]
+    return labels, ingest(docs)
+
+
+@given(small_corpora(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_rank_terms_matches_per_term_oracle(corpus, data):
+    labels, index = corpus
+    target = data.draw(st.sampled_from(labels))
+    dictionary = data.draw(
+        st.none()
+        | st.frozensets(st.sampled_from(VOCAB + ("absent",)), min_size=1).map(
+            lambda terms: Dictionary(target, terms)
+        )
+    )
+    seen = [
+        term
+        for term, cells in index.postings.items()
+        if any(disc == target for disc, _ in cells)
+        and (dictionary is None or term in dictionary.terms)
+    ]
+    for switch in (0.0, 50.0, math.inf):
+        if seen and len(labels) < 2:
+            with pytest.raises(SingleDisciplineCorpus):
+                rank_terms(index, target, dictionary, switch)
+            continue
+        expected = sorted(
+            (poisson_percentile(index, term, target, switch) for term in seen),
+            key=lambda r: (-r.percentile, -r.observed_k, r.term),
+        )
+        assert rank_terms(index, target, dictionary, switch) == expected
+
+
 def test_load_dictionary(tmp_path):
     path = tmp_path / "dict.txt"
     path.write_text("# comment\nchaos\nentropy  # technical\n\nQuark\n")
