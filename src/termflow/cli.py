@@ -47,6 +47,7 @@ def _checked(convert, accept, requirement: str):
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _odd_positive_int = _checked(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_non_negative_finite = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 # NaN fails the comparison; inf is allowed and keeps every term on the exact branch
 _non_negative = _checked(float, lambda v: v >= 0, "a number >= 0")
 
@@ -91,14 +92,19 @@ def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
 
 
 def _config_dict(args: argparse.Namespace, **extra) -> dict:
+    """The run configuration; a non-finite float becomes its string form
+    (``"inf"``), so the config is strict JSON."""
     skip = {"func", "out"}
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     cfg.update(extra)
-    return cfg
+    return {
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in cfg.items()
+    }
 
 
 def _config_line(cfg: dict) -> str:
-    return "config " + json.dumps(cfg, sort_keys=True)
+    return "config " + json.dumps(cfg, sort_keys=True, allow_nan=False)
 
 
 def _write_output(text: str, out: str) -> None:
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--pm", type=float, required=True)
     p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--t-end", type=float, default=20.0)
+    p.add_argument("--t-end", type=_non_negative_finite, default=20.0)
     p.add_argument("--dt", type=_positive_finite, default=1.0)
     p.add_argument("--euler", action="store_true", help="integrate instead of closed form")
     p.add_argument("--out", default="-")

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import re
 import sys
-from collections import Counter
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -49,6 +52,11 @@ YEAR_MAX = 3000
 
 # Runs of letters/digits; underscore is a separator like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The same rule on ASCII text, as a str.translate table: token characters map
+# to their lowercase form, every other character to a space.
+_ASCII_TABLE = "".join(
+    c.lower() if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128))
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -59,7 +67,10 @@ def tokenize(text: str) -> list[str]:
     applied: discipline-specific term variants must stay distinct. Token
     order is preserved so phrase queries can check adjacency.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
+    if text.isascii():
+        tokens = text.translate(_ASCII_TABLE).split()
+    else:
+        tokens = _TOKEN_RE.findall(text.lower())
     return [t for t in tokens if len(t) > 1 or t.isdigit()]
 
 
@@ -82,13 +93,30 @@ class TimeBin:
 
 @dataclass(frozen=True)
 class DocumentRecord:
-    """One bibliographic item; title/abstract may be empty strings."""
+    """One bibliographic item; title/abstract may be empty strings.
+
+    Construction validates the fields and raises :class:`MalformedRecord`.
+    """
 
     id: str
     discipline: str
     year: int
     title: str
     abstract: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise MalformedRecord(f"record id must be a non-empty string, got {self.id!r}")
+        if not isinstance(self.discipline, str) or not self.discipline.strip():
+            raise MalformedRecord(f"record {self.id!r} has an empty discipline")
+        if isinstance(self.year, bool) or not isinstance(self.year, int):
+            raise MalformedRecord(f"record {self.id!r} has unparsable year {self.year!r}")
+        if not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise MalformedRecord(
+                f"record {self.id!r} year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
+            )
+        if not isinstance(self.title, str) or not isinstance(self.abstract, str):
+            raise MalformedRecord(f"record {self.id!r} title/abstract must be strings")
 
 
 @dataclass(frozen=True)
@@ -130,14 +158,22 @@ class TermQuery:
 Cell = tuple[str, int]  # (discipline, bin start year)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusIndex:
     """Immutable per-discipline, per-time-bin term occurrence index.
 
-    ``postings`` maps each term to the number of distinct documents
-    containing it per cell; ``doc_counts`` holds the total documents per
-    cell. Per-document token sequences are retained so phrase and co-term
-    queries can be evaluated after the build.
+    ``doc_counts`` holds the total documents per cell. Terms and cells are
+    numbered by their positions in the sorted ``vocabulary`` and ``cells``,
+    and every array is read-only:
+
+    - postings, in CSR form by term: the documents of cell
+      ``posting_cells[j]`` that contain term t number ``posting_counts[j]``
+      for ``term_offsets[t] <= j < term_offsets[t + 1]``, cells ascending;
+    - ``tokens``, the int32 term ids of every document in order, documents
+      grouped by cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
+      and cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``,
+      so phrase and co-term queries can be evaluated after the build;
+    - ``doc_ids``, the sorted document ids.
     """
 
     bin_width: int
@@ -145,61 +181,71 @@ class CorpusIndex:
     disciplines: tuple[str, ...]
     bins: tuple[TimeBin, ...]
     doc_counts: Mapping[Cell, int]
-    postings: Mapping[str, Mapping[Cell, int]]
     discipline_totals: Mapping[str, int]
     n_documents: int
-    doc_ids: frozenset = field(repr=False)
-    cell_tokens: Mapping[Cell, tuple[tuple[str, ...], ...]] = field(
-        repr=False, compare=False
-    )
+    vocabulary: tuple[str, ...] = field(repr=False)
+    cells: tuple[Cell, ...] = field(repr=False)
+    term_offsets: np.ndarray = field(repr=False)
+    posting_cells: np.ndarray = field(repr=False)
+    posting_counts: np.ndarray = field(repr=False)
+    tokens: np.ndarray = field(repr=False)
+    doc_offsets: np.ndarray = field(repr=False)
+    cell_offsets: np.ndarray = field(repr=False)
+    doc_ids: np.ndarray = field(repr=False)
 
     def doc_count(self, discipline: str, time_bin: Union[TimeBin, int]) -> int:
         return self.doc_counts.get((discipline, _bin_start(time_bin)), 0)
+
+    def term_id(self, term: str) -> int:
+        """Position of ``term`` in ``vocabulary``, or -1 if no document has it."""
+        i = bisect_left(self.vocabulary, term)
+        return i if i < len(self.vocabulary) and self.vocabulary[i] == term else -1
+
+    def cell_id(self, cell: Cell) -> int:
+        """Position of ``cell`` in ``cells``, or -1 if it holds no documents."""
+        i = bisect_left(self.cells, cell)
+        return i if i < len(self.cells) and self.cells[i] == cell else -1
+
+    def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """Cell ids (ascending) and document counts of the cells holding ``term``."""
+        t = self.term_id(term)
+        lo, hi = (self.term_offsets[t], self.term_offsets[t + 1]) if t >= 0 else (0, 0)
+        return self.posting_cells[lo:hi], self.posting_counts[lo:hi]
+
+    @functools.cached_property
+    def postings(self) -> Mapping[str, Mapping[Cell, int]]:
+        """Read-only ``{term: {cell: documents}}`` view of the CSR postings.
+
+        Built on first use; the analyses read the arrays instead.
+        """
+        bounds = self.term_offsets.tolist()
+        items = list(
+            zip(map(self.cells.__getitem__, self.posting_cells.tolist()),
+                self.posting_counts.tolist())
+        )
+        return MappingProxyType({
+            term: MappingProxyType(dict(items[lo:hi]))
+            for term, lo, hi in zip(self.vocabulary, bounds, bounds[1:])
+        })
 
     @functools.cached_property
     def term_counts(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted terms, and a read-only int32 matrix of their document counts.
 
         Row i counts the documents of each discipline (columns in
-        ``disciplines`` order) that contain term i. Built from ``postings``
+        ``disciplines`` order) that contain term i. Built from the postings
         on first use.
         """
-        terms = tuple(sorted(self.postings))
-        column = {d: j for j, d in enumerate(self.disciplines)}
-        cell_column = {cell: column[cell[0]] for cell in self.doc_counts}
-        per_term = list(map(self.postings.__getitem__, terms))
-        lengths = np.fromiter(map(len, per_term), np.intp, len(terms))
-        n_entries = int(lengths.sum())
-        columns = np.fromiter(
-            map(cell_column.__getitem__, chain.from_iterable(per_term)), np.int32, n_entries
-        )
-        counts = np.fromiter(
-            chain.from_iterable(cells.values() for cells in per_term), np.int32, n_entries
-        )
-        table = np.zeros((len(terms), len(self.disciplines)), np.int32)
-        rows = np.repeat(np.arange(len(terms), dtype=np.int32), lengths)
-        np.add.at(table, (rows, columns), counts)
+        column = np.array([self.disciplines.index(d) for d, _ in self.cells], np.intp)
+        rows = np.repeat(np.arange(len(self.vocabulary)), np.diff(self.term_offsets))
+        table = np.zeros((len(self.vocabulary), len(self.disciplines)), np.int32)
+        np.add.at(table, (rows, column[self.posting_cells]), self.posting_counts)
         table.flags.writeable = False
-        return terms, table
+        return self.vocabulary, table
 
 
 def _bin_start(time_bin: Union[TimeBin, int]) -> int:
     return time_bin.start_year if isinstance(time_bin, TimeBin) else int(time_bin)
-
-
-def _validate_record(rec: DocumentRecord) -> None:
-    if not isinstance(rec.id, str) or not rec.id:
-        raise MalformedRecord(f"record id must be a non-empty string, got {rec.id!r}")
-    if not isinstance(rec.discipline, str) or not rec.discipline.strip():
-        raise MalformedRecord(f"record {rec.id!r} has an empty discipline")
-    if isinstance(rec.year, bool) or not isinstance(rec.year, int):
-        raise MalformedRecord(f"record {rec.id!r} has unparsable year {rec.year!r}")
-    if not YEAR_MIN <= rec.year <= YEAR_MAX:
-        raise MalformedRecord(
-            f"record {rec.id!r} year {rec.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
-        )
-    if not isinstance(rec.title, str) or not isinstance(rec.abstract, str):
-        raise MalformedRecord(f"record {rec.id!r} title/abstract must be strings")
 
 
 def ingest(
@@ -217,47 +263,124 @@ def ingest(
         raise ValueError("bin_width must be >= 1")
 
     seen_ids: set[str] = set()
-    staged: list[tuple[DocumentRecord, tuple[str, ...]]] = []
-    canon: dict[str, str] = {}
+    # term ids in order of first appearance; sorted once at the end
+    term_ids = defaultdict(itertools.count().__next__)
+    # (discipline, year) -> token ids and per-document token counts
+    by_year: defaultdict[tuple[str, int], tuple[array, array]] = defaultdict(
+        lambda: (array("i"), array("q"))
+    )
     for rec in records:
-        _validate_record(rec)
         if rec.id in seen_ids:
             raise DuplicateId(f"duplicate document id {rec.id!r}")
         seen_ids.add(rec.id)
         toks = tokenize(rec.title + " " + rec.abstract)
-        toks = tuple(map(canon.setdefault, toks, toks))
-        staged.append((rec, toks))
+        tokens, lengths = by_year[rec.discipline, rec.year]
+        tokens.extend(map(term_ids.__getitem__, toks))
+        lengths.append(len(toks))
 
     if anchor_year is None:
-        min_year = min((rec.year for rec, _ in staged), default=0)
+        min_year = min((year for _, year in by_year), default=0)
         anchor_year = min_year - (min_year % bin_width)
     offset = anchor_year % bin_width
 
-    cell_tokens: dict[Cell, list[tuple[str, ...]]] = {}
-    for rec, toks in staged:
-        start = rec.year - ((rec.year - offset) % bin_width)
-        cell_tokens.setdefault((rec.discipline, start), []).append(toks)
-    return _assemble(bin_width, offset, cell_tokens, seen_ids)
+    cell_of = {
+        (disc, year): (disc, year - ((year - offset) % bin_width)) for disc, year in by_year
+    }
+    keys = sorted(by_year, key=lambda key: (cell_of[key], key[1]))
+    cells = tuple(sorted(set(cell_of.values())))
+    cell_id = {cell: i for i, cell in enumerate(cells)}
+    terms = list(term_ids)
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    sorted_id = np.empty(len(terms), np.int32)
+    sorted_id[order] = np.arange(len(terms), dtype=np.int32)
+    tokens = _concat([np.frombuffer(by_year[key][0], np.int32) for key in keys], np.int32)
+    lengths = _concat([np.frombuffer(by_year[key][1], np.int64) for key in keys], np.int64)
+    doc_cell = np.repeat(
+        np.array([cell_id[cell_of[key]] for key in keys], np.int32),
+        [len(by_year[key][1]) for key in keys],
+    )
+    return _build(
+        bin_width,
+        offset,
+        tuple(map(terms.__getitem__, order)),
+        cells,
+        doc_cell,
+        lengths,
+        sorted_id[tokens],
+        np.array(sorted(seen_ids), dtype=object),
+    )
 
 
-def _assemble(
+def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(lengths) + 1, np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values starts in ``values``."""
+    starts = np.empty(len(values), bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _build(
     bin_width: int,
     offset: int,
-    cell_tokens: dict[Cell, list[tuple[str, ...]]],
-    doc_ids: set[str],
+    vocabulary: tuple[str, ...],
+    cells: tuple[Cell, ...],
+    doc_cell: np.ndarray,
+    lengths: np.ndarray,
+    tokens: np.ndarray,
+    doc_ids: np.ndarray,
 ) -> CorpusIndex:
-    """Derive every count of an index from the token sequences of its cells."""
-    doc_counts: dict[Cell, int] = {}
-    discipline_totals: dict[str, int] = {}
-    postings: dict[str, dict[Cell, int]] = {}
-    for cell, docs in cell_tokens.items():
-        doc_counts[cell] = len(docs)
-        discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(docs)
-        # binary counting: each document contributes a term at most once
-        for tok, n in Counter(chain.from_iterable(map(set, docs))).items():
-            postings.setdefault(tok, {})[cell] = n
+    """Derive every count of an index from its documents, grouped by cell.
 
-    starts = sorted({start for _, start in cell_tokens})
+    Document d is in cell ``doc_cell[d]`` (non-decreasing) and holds the
+    term ids ``tokens[sum(lengths[:d]):sum(lengths[:d + 1])]``;
+    ``vocabulary`` and ``cells`` are sorted, and ``doc_ids`` is the sorted
+    id array.
+    """
+    n_docs, n_cells = len(doc_cell), len(cells)
+    # binary counting: one key per (term, document), each kept once
+    keys = tokens.astype(np.int64)
+    keys *= max(n_docs, 1)
+    keys += np.repeat(np.arange(n_docs, dtype=np.int32), lengths)
+    keys.sort()
+    keys = keys[_run_starts(keys)]
+    term, doc = np.divmod(keys, max(n_docs, 1))
+    del keys
+    # (term, cell) ascends: documents ascend within a term and are grouped by cell
+    cell = doc_cell[doc]
+    del doc
+    first = _run_starts(term * n_cells + cell)
+    posting_cells = cell[first]
+    posting_counts = np.diff(np.append(np.flatnonzero(first), len(first))).astype(np.int32)
+    term_offsets = np.searchsorted(term[first], np.arange(len(vocabulary) + 1))
+
+    per_cell = np.bincount(doc_cell, minlength=n_cells).tolist()
+    doc_counts = dict(zip(cells, per_cell))
+    discipline_totals: dict[str, int] = {}
+    for (disc, _), n in doc_counts.items():
+        discipline_totals[disc] = discipline_totals.get(disc, 0) + n
+
+    arrays = dict(
+        term_offsets=term_offsets,
+        posting_cells=posting_cells,
+        posting_counts=posting_counts,
+        tokens=tokens,
+        doc_offsets=_offsets(lengths),
+        cell_offsets=_offsets(np.array(per_cell, np.int64)),
+        doc_ids=doc_ids,
+    )
+    for a in arrays.values():
+        a.flags.writeable = False
+    starts = sorted({start for _, start in cells})
     bins = (
         tuple(TimeBin(s, bin_width) for s in range(starts[0], starts[-1] + 1, bin_width))
         if starts
@@ -266,14 +389,14 @@ def _assemble(
     return CorpusIndex(
         bin_width=bin_width,
         anchor_offset=offset,
-        disciplines=tuple(sorted(discipline_totals)),
+        disciplines=tuple(discipline_totals),
         bins=bins,
         doc_counts=doc_counts,
-        postings=postings,
         discipline_totals=discipline_totals,
-        n_documents=len(doc_ids),
-        doc_ids=frozenset(doc_ids),
-        cell_tokens={cell: tuple(docs) for cell, docs in cell_tokens.items()},
+        n_documents=n_docs,
+        vocabulary=vocabulary,
+        cells=cells,
+        **arrays,
     )
 
 
@@ -290,30 +413,39 @@ def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
     if len(widths) > 1 or len(offsets) > 1:
         raise ValueError("partition indexes are on incompatible bin grids")
 
-    merged_ids: set[str] = set()
-    for p in parts:
-        overlap = merged_ids & p.doc_ids
-        if overlap:
-            raise DuplicateId(f"duplicate document id {sorted(overlap)[0]!r} across partitions")
-        merged_ids |= p.doc_ids
+    doc_ids = np.sort(np.concatenate([p.doc_ids for p in parts]))
+    repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
+    if repeated.size:
+        raise DuplicateId(f"duplicate document id {repeated[0]!r} across partitions")
 
-    cell_tokens: dict[Cell, list[tuple[str, ...]]] = {}
-    for p in parts:
-        for cell, docs in p.cell_tokens.items():
-            cell_tokens.setdefault(cell, []).extend(docs)
-    return _assemble(
-        widths.pop(), offsets.pop() if offsets else 0, cell_tokens, merged_ids
+    vocabulary = tuple(sorted(set().union(*(p.vocabulary for p in parts))))
+    term_id = {t: i for i, t in enumerate(vocabulary)}
+    cells = tuple(sorted(set().union(*(p.cells for p in parts))))
+    # part term id -> merged term id
+    remaps = [
+        np.fromiter(map(term_id.__getitem__, p.vocabulary), np.int32, len(p.vocabulary))
+        for p in parts
+    ]
+    doc_cell, lengths, tokens = [], [], []
+    for c, cell in enumerate(cells):
+        for part, remap in zip(parts, remaps):
+            j = part.cell_id(cell)
+            if j < 0:
+                continue
+            first, last = part.cell_offsets[j : j + 2]
+            doc_cell.append(np.full(last - first, c, np.int32))
+            lengths.append(np.diff(part.doc_offsets[first : last + 1]))
+            tokens.append(remap[part.tokens[part.doc_offsets[first] : part.doc_offsets[last]]])
+    return _build(
+        widths.pop(),
+        offsets.pop() if offsets else 0,
+        vocabulary,
+        cells,
+        _concat(doc_cell, np.int32),
+        _concat(lengths, np.int64),
+        _concat(tokens, np.int32),
+        doc_ids,
     )
-
-
-def _has_phrase(tokens: tuple[str, ...], phrase: tuple[str, ...]) -> bool:
-    n = len(phrase)
-    if n == 1:
-        return phrase[0] in tokens
-    for i in range(len(tokens) - n + 1):
-        if tokens[i : i + n] == phrase:
-            return True
-    return False
 
 
 def count_matches(
@@ -328,21 +460,38 @@ def count_matches(
     start = _bin_start(time_bin)
     if not any(b.start_year == start for b in index.bins):
         raise UnknownBin(f"no bin starting at year {start}")
-    cell = (discipline, start)
+    cell = index.cell_id((discipline, start))
+    if cell < 0:
+        return 0
 
     if len(query.term) == 1 and not query.required_coterms:
-        return index.postings.get(query.term[0], {}).get(cell, 0)
+        cells, counts = index.term_postings(query.term[0])
+        j = int(np.searchsorted(cells, cell))
+        return int(counts[j]) if j < len(cells) and cells[j] == cell else 0
 
-    count = 0
-    for tokens in index.cell_tokens.get(cell, ()):
-        token_set = set(tokens)
-        if not query.required_coterms <= token_set:
-            continue
-        if not all(t in token_set for t in query.term):
-            continue
-        if _has_phrase(tokens, query.term):
-            count += 1
-    return count
+    phrase = [index.term_id(t) for t in query.term]
+    coterms = [index.term_id(t) for t in query.required_coterms]
+    if min(phrase + coterms) < 0:
+        return 0
+    # the cell's slice of the token stream, and its document bounds within it
+    first, last = index.cell_offsets[cell : cell + 2]
+    bounds = index.doc_offsets[first : last + 1] - index.doc_offsets[first]
+    stream = index.tokens[index.doc_offsets[first] : index.doc_offsets[last]]
+
+    span = len(stream) - len(phrase) + 1
+    if span <= 0:
+        return 0
+    at = stream[:span] == phrase[0]
+    for i, t in enumerate(phrase[1:], start=1):
+        at &= stream[i : i + span] == t
+    pos = np.flatnonzero(at)
+    doc = np.searchsorted(bounds, pos, side="right") - 1
+    # a phrase counts only where it ends inside the document it starts in
+    docs = np.unique(doc[pos + len(phrase) <= bounds[doc + 1]])
+    for t in coterms:
+        holding = np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1
+        docs = docs[np.isin(docs, holding)]
+    return len(docs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +534,7 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
                 raise MalformedRecord(f"line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise MalformedRecord(f"line {lineno}: expected a JSON object")
-            rec = _record_from_mapping(obj, f"line {lineno}")
-            _validate_record(rec)
-            yield rec
+            yield _record_from_mapping(obj, f"line {lineno}")
     finally:
         if owned:
             handle.close()
@@ -409,15 +556,13 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
                 raise MalformedRecord(
                     f"line {lineno}: unparsable year {row.get('year')!r}"
                 ) from exc
-            rec = DocumentRecord(
+            yield DocumentRecord(
                 id=row["id"],
                 discipline=row["discipline"],
                 year=year,
                 title=row["title"] or "",
                 abstract=row["abstract"] or "",
             )
-            _validate_record(rec)
-            yield rec
     finally:
         if owned:
             handle.close()

@@ -86,7 +86,7 @@ def growth_chart_svg(
     ]
     if config is not None:
         out.append(
-            "<metadata>" + _escape(json.dumps(config, sort_keys=True)) + "</metadata>"
+            "<metadata>" + _escape(json.dumps(config, sort_keys=True, allow_nan=False)) + "</metadata>"
         )
     out.append('<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>')
     out.append(

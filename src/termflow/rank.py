@@ -145,9 +145,10 @@ def poisson_percentile(
             "percentile ranking needs at least two disciplines"
         )
 
-    cells = index.postings.get(term, {})
-    k = sum(c for (disc, _), c in cells.items() if disc == target_discipline)
-    bg_hits = sum(c for (disc, _), c in cells.items() if disc != target_discipline)
+    cell_ids, counts = index.term_postings(term)
+    cells = list(zip(map(index.cells.__getitem__, cell_ids.tolist()), counts.tolist()))
+    k = sum(c for (disc, _), c in cells if disc == target_discipline)
+    bg_hits = sum(c for (disc, _), c in cells if disc != target_discipline)
     lam, pct, method = _percentile(index, target_discipline, k, bg_hits, normal_switch)
     return PoissonRank(
         term=term,

@@ -321,9 +321,14 @@ CORPUS, SPEC = object(), object()
               "--normal-threshold", "-1"], 2),
         ({}, ["rank", "--corpus", CORPUS, "--discipline", "math",
               "--normal-threshold", "nan"], 2),
+        ({}, ["simulate", "--c", "0.6", "--pm", "100", "--p0", "50", "--t-end", "nan"], 2),
+        ({}, ["simulate", "--c", "0.6", "--pm", "100", "--p0", "50", "--t-end", "inf",
+              "--euler"], 2),
+        ({}, ["simulate", "--c", "0.6", "--pm", "100", "--p0", "50", "--t-end", "-3"], 2),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
-         "negative-threshold", "nan-threshold"],
+         "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
+         "negative-t-end"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -355,6 +360,26 @@ def test_infinite_normal_threshold_ranks_every_term_exactly(corpus_path, capsys)
     assert code == 0
     rows = list(csv.reader(out.splitlines()[1:]))
     assert {r[4] for r in rows[1:]} == {"poisson"}
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    config = out.splitlines()[0].removeprefix("# config ")
+    assert json.loads(config, parse_constant=refuse)["normal_threshold"] == "inf"
+
+
+def test_bad_corpus_line_gives_one_error_line(tmp_path, capsys):
+    record = {"id": "a1", "discipline": "math", "year": 1990, "title": "", "abstract": "chaos"}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps(record) + "\n" + json.dumps(dict(record, id="a2", year=99999)) + "\n"
+    )
+    code, out, err = run_cli(["ingest", "--corpus", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        'error code=corpus.MalformedRecord '
+        'msg="record \'a2\' year 99999 outside [1000, 3000]"\n'
+    )
 
 
 def test_console_entry_point(corpus_path, tmp_path):

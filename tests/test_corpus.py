@@ -1,10 +1,13 @@
 import io
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termflow import corpus
 from termflow.corpus import (
     DocumentRecord,
     DuplicateId,
@@ -48,6 +51,30 @@ def test_tokenize_drops_single_letters_keeps_digits():
 
 def test_tokenize_underscore_is_separator():
     assert tokenize("cold_fusion") == ["cold", "fusion"]
+
+
+def _regex_tokens(text):
+    return [t for t in re.findall(r"[^\W_]+", text.lower()) if len(t) > 1 or t.isdigit()]
+
+
+def test_ascii_table_keeps_exactly_the_token_characters():
+    for code in range(128):
+        char = chr(code)
+        is_token = re.fullmatch(r"[^\W_]", char) is not None
+        assert corpus._ASCII_TABLE[code] == (char.lower() if is_token else " "), repr(char)
+
+
+@given(
+    st.one_of(
+        st.text(st.characters(max_codepoint=127)),
+        st.lists(
+            st.sampled_from(list("aZ9 _-.\t") + ["ab", "Cd", "x7", "é", "É", "²", "ß", "İ"])
+        ).map("".join),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_tokenize_matches_the_regex_rule(text):
+    assert tokenize(text) == _regex_tokens(text)
 
 
 def test_binary_occurrence(small_index):
@@ -262,3 +289,93 @@ def test_query_normalization_enforced():
     assert q.term == ("cold", "fusion")
     assert q.required_coterms == frozenset({"plasma"})
     assert q.label() == "cold fusion+plasma"
+
+
+# Corpora of 1-3 disciplines over a few words, so tokens repeat, phrases
+# overlap ("aa aa aa") and some documents have no tokens at all.
+_WORDS = ("aa", "bb", "cc", "42")
+_corpora = st.lists(
+    st.tuples(
+        st.sampled_from(("x", "y", "z")),
+        st.integers(min_value=1990, max_value=1996),
+        st.lists(st.sampled_from(_WORDS + ("!",)), max_size=8),
+    ),
+    min_size=1,
+    max_size=24,
+).map(
+    lambda docs: [
+        DocumentRecord(f"d{i}", disc, year, "", " ".join(words))
+        for i, (disc, year, words) in enumerate(docs)
+    ]
+)
+_queries = st.tuples(
+    st.lists(st.sampled_from(_WORDS + ("zz",)), min_size=1, max_size=3),
+    st.frozensets(st.sampled_from(_WORDS + ("zz",)), max_size=2),
+)
+
+
+def _reference_count(records, query, discipline, time_bin):
+    """Documents of the cell matching ``query``, by a scan of each document."""
+    count = 0
+    for rec in records:
+        if rec.discipline != discipline or not (
+            time_bin.start_year <= rec.year <= time_bin.end_year
+        ):
+            continue
+        tokens = tuple(tokenize(rec.title + " " + rec.abstract))
+        if not query.required_coterms <= set(tokens):
+            continue
+        n = len(query.term)
+        if any(tokens[i : i + n] == query.term for i in range(len(tokens) - n + 1)):
+            count += 1
+    return count
+
+
+def _three_kinds(phrase, coterms):
+    """One-token, phrase and phrase+co-term queries from one generated draw."""
+    return [
+        TermQuery(term=tuple(phrase[:1])),
+        TermQuery(term=tuple(phrase)),
+        TermQuery(term=tuple(phrase), required_coterms=coterms),
+    ]
+
+
+@given(_corpora, _queries, st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_count_matches_equals_a_document_scan(records, query_parts, bin_width):
+    index = ingest(records, bin_width=bin_width)
+    for query in _three_kinds(*query_parts):
+        for disc in index.disciplines:
+            for b in index.bins:
+                assert count_matches(index, query, disc, b) == _reference_count(
+                    records, query, disc, b
+                ), (query, disc, b)
+
+
+@given(_corpora, st.data(), _queries)
+@settings(max_examples=100, deadline=None)
+def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_parts):
+    n_parts = data.draw(st.integers(min_value=1, max_value=4))
+    part_of = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_parts - 1),
+            min_size=len(records),
+            max_size=len(records),
+        )
+    )
+    merged = merge_indexes(
+        [ingest([r for r, p in zip(records, part_of) if p == i]) for i in range(n_parts)]
+    )
+    whole = ingest(records)
+    assert merged.doc_counts == whole.doc_counts
+    assert merged.bins == whole.bins
+    assert merged.n_documents == whole.n_documents
+    assert merged.postings == whole.postings
+    assert merged.term_counts[0] == whole.term_counts[0]
+    assert np.array_equal(merged.term_counts[1], whole.term_counts[1])
+    for query in _three_kinds(*query_parts):
+        for disc in whole.disciplines:
+            for b in whole.bins:
+                assert count_matches(merged, query, disc, b) == count_matches(
+                    whole, query, disc, b
+                )

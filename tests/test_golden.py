@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from termflow.cli import main
-from termflow.corpus import TermQuery, write_jsonl_records
+from termflow.corpus import CorpusIndex, TermQuery, write_jsonl_records
 from termflow.diffusion import DiffusionParams
 from termflow.synth import (
     BackgroundVocabulary,
@@ -82,6 +82,19 @@ def test_artifacts_match_golden(argv, artifacts, tmp_path, monkeypatch):
     _run_case(argv, tmp_path)
     for name in artifacts:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv", [c[1] for c in CASES if "--corpus" in c[1]],
+    ids=[c[0] for c in CASES if "--corpus" in c[1]],
+)
+def test_subcommands_never_build_the_postings_view(argv, tmp_path, monkeypatch):
+    def refuse(index):
+        raise AssertionError("CorpusIndex.postings was built")
+
+    monkeypatch.setattr(CorpusIndex, "postings", property(refuse))
+    monkeypatch.chdir(tmp_path)
+    _run_case(argv, tmp_path)
 
 
 def _jsonl_sha256(records) -> str:
