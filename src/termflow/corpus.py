@@ -475,8 +475,9 @@ def count_matches(
         return 0
     # the cell's slice of the token stream, and its document bounds within it
     first, last = index.cell_offsets[cell : cell + 2]
-    bounds = index.doc_offsets[first : last + 1] - index.doc_offsets[first]
-    stream = index.tokens[index.doc_offsets[first] : index.doc_offsets[last]]
+    base = index.doc_offsets[first]
+    bounds = index.doc_offsets[first : last + 1] - base
+    stream = index.tokens[base : index.doc_offsets[last]]
 
     span = len(stream) - len(phrase) + 1
     if span <= 0:
@@ -486,12 +487,14 @@ def count_matches(
         at &= stream[i : i + span] == t
     pos = np.flatnonzero(at)
     doc = np.searchsorted(bounds, pos, side="right") - 1
+    matched = np.zeros(last - first, bool)
     # a phrase counts only where it ends inside the document it starts in
-    docs = np.unique(doc[pos + len(phrase) <= bounds[doc + 1]])
+    matched[doc[pos + len(phrase) <= bounds[doc + 1]]] = True
     for t in coterms:
-        holding = np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1
-        docs = docs[np.isin(docs, holding)]
-    return len(docs)
+        holding = np.zeros_like(matched)
+        holding[np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1] = True
+        matched &= holding
+    return int(np.count_nonzero(matched))
 
 
 # ---------------------------------------------------------------------------

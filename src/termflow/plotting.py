@@ -85,9 +85,8 @@ def growth_chart_svg(
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     ]
     if config is not None:
-        out.append(
-            "<metadata>" + _escape(json.dumps(config, sort_keys=True, allow_nan=False)) + "</metadata>"
-        )
+        metadata = json.dumps(config, sort_keys=True, allow_nan=False)
+        out.append("<metadata>" + _escape(metadata) + "</metadata>")
     out.append('<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>')
     out.append(
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termflow import corpus
@@ -341,6 +341,11 @@ def _three_kinds(phrase, coterms):
 
 
 @given(_corpora, _queries, st.integers(min_value=1, max_value=3))
+@example(  # the phrase would span two adjacent documents of one cell
+    [DocumentRecord("d0", "x", 1990, "", "cc aa"), DocumentRecord("d1", "x", 1990, "bb", "")],
+    (["aa", "bb"], frozenset()),
+    1,
+)
 @settings(max_examples=150, deadline=None)
 def test_count_matches_equals_a_document_scan(records, query_parts, bin_width):
     index = ingest(records, bin_width=bin_width)
