@@ -4,7 +4,7 @@ Each case runs the CLI from a fixed working directory holding copies of the
 inputs, so the paths recorded in each artifact's ``config`` are relative and
 stable, and compares the written files byte for byte with ``tests/golden/``.
 The synthetic generators are pinned too, by the sha256 of their JSONL output
-for seeds 0-9.
+for seeds 0-9, and for one scenario over a wide background vocabulary.
 
 Regenerate the golden files (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -133,6 +133,24 @@ def _succession(seed: int):
     )
 
 
+def _wide_scenario() -> ScenarioSpec:
+    """1,200 background terms, so names reach four digits (``bg1000``), at
+    48 tokens per document."""
+    return ScenarioSpec(
+        disciplines=(
+            DisciplineSpec("physics", 20, 1980, DiffusionParams(0.5, 1000.0, 40.0)),
+            DisciplineSpec("biology", 15),
+        ),
+        year_range=(1976, 1991),
+        bin_width=2,
+        injected_query=TermQuery.parse("phase transition", ["lattice"]),
+        background=BackgroundVocabulary(size=1200, exponent=0.9, tokens_per_doc=48),
+        seed=7,
+    )
+
+
+WIDE_GENERATE_SHA256 = "67872e16ac3d01b55512d2da84a40d258d6e4c1eb4d6ecd32a7f6b1ba9e357d8"
+
 GENERATE_SHA256 = {
     0: "858761e1bb780f3aaa3628933977441cc9463e62938299146bf8da1a37fc132e",
     1: "adb26a08a015b55d7c7b8ce3dd184b5a1c1fcee9f6ba9b0433f3918ea934717b",
@@ -172,6 +190,11 @@ def test_generate_succession_jsonl_pinned(seed):
     assert _jsonl_sha256(records) == SUCCESSION_SHA256[seed]
 
 
+def test_generate_wide_background_jsonl_pinned():
+    records, _ = generate(_wide_scenario())
+    assert _jsonl_sha256(records) == WIDE_GENERATE_SHA256
+
+
 def _regenerate() -> None:
     """Rewrite ``tests/golden`` from the current code and print the synth hashes."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -184,6 +207,7 @@ def _regenerate() -> None:
     for seed in range(10):
         print("generate", seed, _jsonl_sha256(generate(_scenario(seed))[0]))
         print("succession", seed, _jsonl_sha256(_succession(seed)[0]))
+    print("generate wide", _jsonl_sha256(generate(_wide_scenario())[0]))
 
 
 if __name__ == "__main__":
