@@ -48,6 +48,7 @@ _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _odd_positive_int = _checked(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 _positive_finite = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _non_negative_finite = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
 # NaN fails the comparison; inf is allowed and keeps every term on the exact branch
 _non_negative = _checked(float, lambda v: v >= 0, "a number >= 0")
 
@@ -259,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.euler:
         traj = diffusion.trajectory_euler(params, args.t_end, args.dt)
     else:
-        times = [i * args.dt for i in range(int(round(args.t_end / args.dt)) + 1)]
+        times = [i * args.dt for i in range(diffusion.step_count(args.t_end, args.dt) + 1)]
         traj = diffusion.trajectory_closed_form(params, times)
     cfg = _config_dict(args)
     buf = io.StringIO()
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trend_options(p)
     p.add_argument("--term", required=True)
     p.add_argument("--disciplines", nargs="*", default=None)
-    p.add_argument("--strong-threshold", type=float, default=None)
+    p.add_argument("--strong-threshold", type=_finite, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_migrate)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,6 +126,18 @@ def trajectory_closed_form(
     )
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of size ``dt`` from t = 0 to ``t_end``, rounded to the nearest."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidStep(f"step size must be > 0, got {dt!r}")
+    if t_end < 0:
+        raise InvalidStep("t_end must be >= 0")
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise InvalidStep(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
+    return int(round(steps))
+
+
 def trajectory_euler(
     params: DiffusionParams, t_end: float, dt: float
 ) -> AdoptionTrajectory:
@@ -134,15 +146,11 @@ def trajectory_euler(
     A verification oracle for the closed form; global error is first order
     in the step size.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidStep(f"step size must be > 0, got {dt!r}")
-    if t_end < 0:
-        raise InvalidStep("t_end must be >= 0")
+    steps = step_count(t_end, dt)
     times = [0.0]
     values = [float(params.p_0)]
     p = float(params.p_0)
     t = 0.0
-    steps = int(round(t_end / dt))
     for _ in range(steps):
         p = p + dt * (params.c / params.p_m) * p * (params.p_m - p)
         p = min(max(p, 0.0), params.p_m)
@@ -196,6 +204,36 @@ def _predict(
 def _rmse(pred: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Root-mean-square residual along the last (time) axis."""
     return np.sqrt(np.mean((pred - obs) ** 2, axis=-1))
+
+
+def _objective(
+    shifted: np.ndarray, obs: np.ndarray
+) -> Callable[[Sequence[float]], float]:
+    """The refinement objective: RMSE of the logistic ``(c, p_m, p_0)``
+    against ``obs``, or inf outside 0 < p_0 < p_m, c > 0.
+
+    Equal bit for bit to ``float(_rmse(_predict(c, p_m, p_0, shifted), obs))``:
+    the same operations in the same order, each rounded once, but written
+    into one scratch array, because on series this short the cost of each
+    numpy call (temporaries, ``np.clip``, ``np.mean``) outweighs its work.
+    """
+    d = np.empty_like(obs)
+
+    def objective(v: Sequence[float]) -> float:
+        c, p_m, p_0 = v
+        if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
+            return math.inf
+        np.multiply(shifted, -c, out=d)
+        np.maximum(d, -_EXP_CLAMP, out=d)
+        np.minimum(d, _EXP_CLAMP, out=d)
+        np.exp(d, out=d)
+        np.multiply(d, (p_m - p_0) / p_0, out=d)
+        np.add(d, 1.0, out=d)
+        np.divide(p_m, d, out=d)
+        np.subtract(d, obs, out=d)
+        return math.sqrt(np.add.reduce(d * d) / d.size)
+
+    return objective
 
 
 def fit(
@@ -254,12 +292,7 @@ def fit(
     if best_err == math.inf:
         raise NoGrowthSignal("no admissible logistic candidate found")
     vec = [float(c_candidates[i]), float(pm_candidates[j]), float(p0_grid[i, j])]
-
-    def objective(v: Sequence[float]) -> float:
-        c, p_m, p_0 = v
-        if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
-            return math.inf
-        return float(_rmse(_predict(c, p_m, p_0, shifted), obs))
+    objective = _objective(shifted, obs)
 
     step = 0.5
     budget = _REFINE_EVALUATIONS

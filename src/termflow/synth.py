@@ -134,30 +134,37 @@ def _emit_documents(
     spec: ScenarioSpec,
     disc: DisciplineSpec,
     injections: dict[int, list[tuple[str, float]]],
+    vocab: list[str],
+    cdf: np.ndarray,
 ) -> list[DocumentRecord]:
     """Background documents per bin, each followed by its injected texts.
 
     ``injections`` maps a bin start to ``(text, probability)`` pairs; every
     listed pair draws one uniform per document, in list order, and a
     document whose draw falls below the probability gets ``text`` appended.
+    ``vocab`` and ``cdf`` are the background's tokens and cumulative weights.
+
+    Each bin draws, in this order: the documents' years, one uniform per
+    (document, token) as a docs x tokens matrix, then one uniform vector per
+    injection pair in list order. The corpus bytes of a seed depend on that
+    order.
     """
-    docs_per_bin, background = disc.docs_per_bin, spec.background
-    vocab = np.array(background.tokens())
-    cdf = np.cumsum(background.weights())
+    docs_per_bin, tokens_per_doc = disc.docs_per_bin, spec.background.tokens_per_doc
     records: list[DocumentRecord] = []
     for start in spec.bin_starts():
         if docs_per_bin == 0:
             continue
         span = min(spec.bin_width, spec.year_range[1] - start + 1)
-        years = start + rng.integers(0, span, size=docs_per_bin)
+        years = (start + rng.integers(0, span, size=docs_per_bin)).tolist()
         # inverse-CDF sampling beats rng.choice(p=...) by a wide margin
-        draws = np.searchsorted(cdf, rng.random((docs_per_bin, background.tokens_per_doc)))
-        token_ix = np.minimum(draws, len(vocab) - 1)
+        draws = np.searchsorted(cdf, rng.random((docs_per_bin, tokens_per_doc)))
+        rows = np.minimum(draws, len(vocab) - 1).tolist()
         bin_injections = [
-            (text, rng.random(docs_per_bin) < q) for text, q in injections.get(start, ())
+            (text, (rng.random(docs_per_bin) < q).tolist())
+            for text, q in injections.get(start, ())
         ]
-        for j in range(docs_per_bin):
-            body = " ".join(vocab[token_ix[j]])
+        for j, (year, row) in enumerate(zip(years, rows)):
+            body = " ".join(map(vocab.__getitem__, row))
             for text, mask in bin_injections:
                 if mask[j]:
                     body = body + " " + text
@@ -165,7 +172,7 @@ def _emit_documents(
                 DocumentRecord(
                     id=f"{disc.label}-{start}-{j:05d}",
                     discipline=disc.label,
-                    year=int(years[j]),
+                    year=year,
                     title="",
                     abstract=body,
                 )
@@ -185,6 +192,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
     generation order cannot change the corpus.
     """
     bin_starts = spec.bin_starts()
+    vocab, cdf = spec.background.tokens(), np.cumsum(spec.background.weights())
     records: list[DocumentRecord] = []
     truths: dict[str, DisciplineTruth] = {}
     for disc_i, disc in enumerate(spec.disciplines):
@@ -202,7 +210,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
             for start, q in prob_by_bin.items()
             if q > 0
         }
-        records.extend(_emit_documents(rng, spec, disc, injections))
+        records.extend(_emit_documents(rng, spec, disc, injections, vocab, cdf))
         truths[disc.label] = DisciplineTruth(
             onset_year=disc.onset_year if disc.diffusion is not None else None,
             inflection_year=inflection,
@@ -289,9 +297,9 @@ def generate_succession(
         ]
         for bin_i, start in enumerate(bin_starts)
     }
-    records = _emit_documents(
-        np.random.default_rng([seed, 0]), base, base.disciplines[0], injections
-    )
+    rng = np.random.default_rng([seed, 0])
+    vocab, cdf = background.tokens(), np.cumsum(background.weights())
+    records = _emit_documents(rng, base, base.disciplines[0], injections, vocab, cdf)
     return records, SuccessionTruth(bin_starts=tuple(bin_starts), probs=probs)
 
 

@@ -325,10 +325,22 @@ CORPUS, SPEC = object(), object()
         ({}, ["simulate", "--c", "0.6", "--pm", "100", "--p0", "50", "--t-end", "inf",
               "--euler"], 2),
         ({}, ["simulate", "--c", "0.6", "--pm", "100", "--p0", "50", "--t-end", "-3"], 2),
+        ({}, ["simulate", "--c", "1", "--pm", "10", "--p0", "1", "--t-end", "1e300",
+              "--dt", "1e-300"], 1),
+        ({}, ["simulate", "--c", "1", "--pm", "10", "--p0", "1", "--t-end", "1e300",
+              "--dt", "1e-300", "--euler"], 1),
+        ({}, ["migrate", "--corpus", CORPUS, "--term", "chaos",
+              "--strong-threshold", "inf"], 2),
+        ({}, ["migrate", "--corpus", CORPUS, "--term", "chaos",
+              "--strong-threshold=-inf"], 2),
+        ({}, ["migrate", "--corpus", CORPUS, "--term", "chaos",
+              "--strong-threshold", "nan"], 2),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
-         "negative-t-end"],
+         "negative-t-end", "overflowing-steps", "overflowing-steps-euler",
+         "inf-strong-threshold", "negative-inf-strong-threshold",
+         "nan-strong-threshold"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch

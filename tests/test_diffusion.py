@@ -1,10 +1,11 @@
+import itertools
 import math
 import signal
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termflow.corpus import TermQuery, ingest
@@ -16,6 +17,9 @@ from termflow.diffusion import (
     InvalidStep,
     NoGrowthSignal,
     OutOfRangeP,
+    _objective,
+    _predict,
+    _rmse,
     adoption_rate,
     adoption_series,
     fit,
@@ -191,6 +195,52 @@ def test_fit_generate_round_trip(c, p_m, p0_frac):
     result = fit(trajectory_closed_form(params, times))
     assert result.params.c == pytest.approx(c, rel=0.01)
     assert result.params.p_m == pytest.approx(p_m, rel=0.01)
+
+
+def _reference_objective(v, shifted, obs):
+    """The refinement objective written with ``_predict`` and ``_rmse``."""
+    c, p_m, p_0 = v
+    if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
+        return math.inf
+    return float(_rmse(_predict(c, p_m, p_0, shifted), obs))
+
+
+@st.composite
+def _shifted_series(draw):
+    """5-40 points: numpy sums fewer than 8 elements in one loop, more pairwise."""
+    gaps = draw(st.lists(st.floats(0.5, 20.0), min_size=4, max_size=39))
+    times = np.array([0.0, *itertools.accumulate(gaps)]) + draw(st.floats(1900.0, 2100.0))
+    obs = draw(st.lists(st.floats(0.0, 1e6), min_size=times.size, max_size=times.size))
+    return times - times[0], np.array(obs)
+
+
+@st.composite
+def _candidate(draw):
+    # c >= 1e3 puts c * t beyond the +-700 exponent clamp after the first gap;
+    # c <= 0, p_m <= 0 and p_0 outside (0, p_m) are inadmissible
+    c = draw(st.one_of(st.floats(-1.0, 5.0), st.floats(1e3, 1e5)))
+    p_m = draw(st.floats(-10.0, 1e7))
+    p_0 = draw(st.one_of(st.floats(-1.0, 1e7), st.floats(0.0, 1.0).map(lambda f: f * p_m)))
+    return c, p_m, p_0
+
+
+@given(_shifted_series(), st.lists(_candidate(), min_size=1, max_size=4))
+@example(
+    (np.arange(5) * 2.0, np.array([0.0, 3.0, 9.0, 20.0, 31.0])),
+    [(1e4, 10.0, 1e-295), (1e4, 40.0, 3.0), (0.6, 40.0, 40.0), (0.6, 40.0, 0.0),
+     (0.0, 40.0, 3.0)],
+)
+@example(
+    (np.arange(40) * 1.5, np.arange(40) ** 2 * 1.0), [(600.0, 1e4, 1e-3), (0.2, 1e4, 7.0)]
+)
+@settings(max_examples=300, deadline=None)
+def test_refinement_objective_equals_the_reference_bit_for_bit(series, candidates):
+    shifted, obs = series
+    objective = _objective(shifted, obs)
+    with np.errstate(over="ignore"):
+        for v in candidates:
+            got, want = objective(v), _reference_objective(v, shifted, obs)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), v
 
 
 def _interrupt(signum, frame):
