@@ -127,7 +127,11 @@ def trajectory_closed_form(
 
 
 def step_count(t_end: float, dt: float) -> int:
-    """Steps of size ``dt`` from t = 0 to ``t_end``, rounded to the nearest."""
+    """Steps of size ``dt`` from t = 0 to ``t_end``, rounded to the nearest.
+
+    Raises :class:`InvalidStep` unless ``dt`` is finite and > 0, ``t_end``
+    is >= 0 and ``t_end / dt`` is finite.
+    """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidStep(f"step size must be > 0, got {dt!r}")
     if t_end < 0:
@@ -206,16 +210,13 @@ def _rmse(pred: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean((pred - obs) ** 2, axis=-1))
 
 
-def _objective(
-    shifted: np.ndarray, obs: np.ndarray
-) -> Callable[[Sequence[float]], float]:
-    """The refinement objective: RMSE of the logistic ``(c, p_m, p_0)``
-    against ``obs``, or inf outside 0 < p_0 < p_m, c > 0.
+def _objective(shifted: np.ndarray, obs: np.ndarray) -> Callable[[Sequence[float]], float]:
+    """``fit``'s refinement objective: the RMSE of the logistic ``(c, p_m, p_0)``
+    against ``obs``, or inf unless c > 0, p_m > 0 and 0 < p_0 < p_m.
 
-    Equal bit for bit to ``float(_rmse(_predict(c, p_m, p_0, shifted), obs))``:
-    the same operations in the same order, each rounded once, but written
-    into one scratch array, because on series this short the cost of each
-    numpy call (temporaries, ``np.clip``, ``np.mean``) outweighs its work.
+    It equals ``float(_rmse(_predict(c, p_m, p_0, shifted), obs))`` bit for bit:
+    the same operations in the same order, in one scratch array, because on
+    series this short numpy's per-call overhead outweighs the arithmetic.
     """
     d = np.empty_like(obs)
 
