@@ -57,6 +57,7 @@ from .plotting import growth_chart_svg
 from .rank import (
     Dictionary,
     PoissonRank,
+    Ranking,
     bottom_terms,
     load_dictionary,
     normal_percentile,

@@ -8,9 +8,12 @@ terms occurring everywhere at the background rate land mid-band.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
@@ -178,12 +181,55 @@ def _percentile(
     return lam, poisson_cdf(k, lam), "poisson"
 
 
+@dataclass(frozen=True, eq=False)
+class Ranking(Sequence[PoissonRank]):
+    """Ranked terms as aligned read-only columns: position i, best first, is
+    ``terms[rows[i]]`` with ``k[i]``, ``lam[i]`` and ``percentile[i]``. Its
+    method is "normal" exactly where ``lam > normal_switch``, as in
+    ``_percentile``. Indexing and iteration build each :class:`PoissonRank`.
+    """
+
+    target_discipline: str
+    terms: Sequence[str]
+    rows: np.ndarray
+    k: np.ndarray
+    lam: np.ndarray
+    percentile: np.ndarray
+    normal_switch: float
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> PoissonRank:
+        i = operator.index(i)
+        return self._row(
+            self.terms[self.rows[i]], int(self.k[i]), float(self.lam[i]), float(self.percentile[i])
+        )
+
+    def __iter__(self):
+        return itertools.starmap(self._row, self._values())
+
+    def term_list(self, start: Optional[int] = None, stop: Optional[int] = None) -> list[str]:
+        """The terms of positions ``start:stop``, in rank order."""
+        return list(map(self.terms.__getitem__, self.rows[start:stop].tolist()))
+
+    def method(self, lam: float) -> str:
+        return "normal" if lam > self.normal_switch else "poisson"
+
+    def _values(self):
+        """(term, k, lam, percentile) of each position, as Python values."""
+        return zip(self.term_list(), self.k.tolist(), self.lam.tolist(), self.percentile.tolist())
+
+    def _row(self, term: str, k: int, lam: float, percentile: float) -> PoissonRank:
+        return PoissonRank(term, self.target_discipline, k, lam, percentile, self.method(lam))
+
+
 def rank_terms(
     index: CorpusIndex,
     target_discipline: str,
     dictionary: Optional[Dictionary] = None,
     normal_switch: float = NORMAL_SWITCH_LAMBDA,
-) -> list[PoissonRank]:
+) -> Ranking:
     """All terms seen in the target, ranked by percentile descending.
 
     Ties break by observed count descending, then lexicographically, so the
@@ -203,46 +249,42 @@ def rank_terms(
     if dictionary is not None:
         keep &= np.fromiter(map(dictionary.terms.__contains__, terms), bool, len(terms))
     rows = np.flatnonzero(keep)
-    if rows.size == 0:
-        return []
-    if len(index.disciplines) < 2:
+    if rows.size and len(index.disciplines) < 2:
         raise SingleDisciplineCorpus(
             "percentile ranking needs at least two disciplines"
         )
 
     k = k[rows].astype(np.int64)
     bg_hits = table[rows].sum(axis=1, dtype=np.int64) - k
-    span = int(bg_hits.max()) + 1
+    span = int(bg_hits.max(initial=0)) + 1
     pairs, pair_of_row = np.unique(k * span + bg_hits, return_inverse=True)
     stats = [
-        _percentile(index, target_discipline, pair // span, pair % span, normal_switch)
+        _percentile(index, target_discipline, pair // span, pair % span, normal_switch)[:2]
         for pair in pairs.tolist()
     ]
-    percentile = np.array([pct for _, pct, _ in stats])[pair_of_row]
+    lam, percentile = np.array(stats, float).reshape(-1, 2)[pair_of_row].T
     order = np.lexsort((rows, -k, -percentile))
-    return [
-        PoissonRank(terms[row], target_discipline, observed_k, *stats[pair])
-        for row, observed_k, pair in zip(
-            rows[order].tolist(), k[order].tolist(), pair_of_row[order].tolist()
-        )
-    ]
+    columns = [rows[order], k[order], lam[order], percentile[order]]
+    for column in columns:
+        column.flags.writeable = False
+    return Ranking(target_discipline, terms, *columns, normal_switch)
 
 
-def top_terms(ranking: Sequence[PoissonRank], k: int = 10) -> list[str]:
-    return [r.term for r in ranking[:k]]
+def top_terms(ranking: Ranking, k: int = 10) -> list[str]:
+    return ranking.term_list(stop=k)
 
 
-def bottom_terms(ranking: Sequence[PoissonRank], k: int = 10) -> list[str]:
-    return [r.term for r in ranking[-k:]] if ranking else []
+def bottom_terms(ranking: Ranking, k: int = 10) -> list[str]:
+    return ranking.term_list(start=-k)
 
 
 def write_ranking_csv(
-    ranking: Iterable[PoissonRank],
+    ranking: Ranking,
     handle: IO[str],
     config_line: Optional[str] = None,
 ) -> None:
     rows = (
-        (r.term, r.observed_k, f"{r.lam:.12g}", f"{r.percentile:.12g}", r.method)
-        for r in ranking
+        (term, k, f"{lam:.12g}", f"{percentile:.12g}", ranking.method(lam))
+        for term, k, lam, percentile in ranking._values()
     )
     write_csv(handle, ("term", "k", "lambda", "percentile", "method"), rows, config_line)

@@ -1,10 +1,11 @@
+import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from termflow.corpus import TermQuery, ingest
+from termflow.corpus import TermQuery, ingest, write_csv
 from termflow.rank import (
     Dictionary,
     EmptyDictionary,
@@ -203,7 +204,7 @@ def test_rank_single_discipline_raises_only_when_terms_remain():
     index = ingest([make_doc("only", 1990, "word list")])
     with pytest.raises(SingleDisciplineCorpus):
         rank_terms(index, "only")
-    assert rank_terms(index, "only", Dictionary("only", frozenset({"absent"}))) == []
+    assert list(rank_terms(index, "only", Dictionary("only", frozenset({"absent"})))) == []
 
 
 VOCAB = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
@@ -250,7 +251,42 @@ def test_rank_terms_matches_per_term_oracle(corpus, data):
             (poisson_percentile(index, term, target, switch) for term in seen),
             key=lambda r: (-r.percentile, -r.observed_k, r.term),
         )
-        assert rank_terms(index, target, dictionary, switch) == expected
+        assert list(rank_terms(index, target, dictionary, switch)) == expected
+
+
+def reference_ranking_csv(rows, config_line):
+    """The per-object ranking writer, kept as the reference for the columnar one."""
+    buf = io.StringIO()
+    write_csv(
+        buf,
+        ("term", "k", "lambda", "percentile", "method"),
+        ((r.term, r.observed_k, f"{r.lam:.12g}", f"{r.percentile:.12g}", r.method) for r in rows),
+        config_line,
+    )
+    return buf.getvalue()
+
+
+@given(small_corpora(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ranking_columns_agree_with_its_rows(corpus, data):
+    labels, index = corpus
+    assume(len(labels) >= 2)
+    target = data.draw(st.sampled_from(labels))
+    switch = data.draw(st.sampled_from((0.0, 1.0, 50.0, math.inf)))
+    ranking = rank_terms(index, target, normal_switch=switch)
+    rows = list(ranking)
+    assert len(ranking) == len(rows)
+    for k in range(1, len(rows) + 3):
+        assert top_terms(ranking, k) == [r.term for r in rows[:k]]
+        assert bottom_terms(ranking, k) == [r.term for r in rows[-k:]]
+    buf = io.StringIO()
+    write_ranking_csv(ranking, buf, config_line="config {}")
+    assert buf.getvalue() == reference_ranking_csv(rows, "config {}")
+    for i in range(-len(rows), len(rows)):
+        assert ranking[i] == rows[i]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            ranking[i]
 
 
 def test_load_dictionary(tmp_path):
@@ -261,8 +297,6 @@ def test_load_dictionary(tmp_path):
 
 
 def test_ranking_csv_shape(tmp_path):
-    import io
-
     index = _two_discipline_index()
     buf = io.StringIO()
     write_ranking_csv(rank_terms(index, "math"), buf, config_line="config {}")
