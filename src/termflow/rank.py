@@ -49,7 +49,8 @@ def poisson_cdf(k: int, lam: float) -> float:
 
     Uses the running-product recurrence term_i = term_{i-1} * lam / i for
     moderate rates and a log-domain accumulation once exp(-lam) would
-    underflow.
+    underflow. For k > lam it returns 1 - P(X > k): the tail sums with full
+    relative accuracy, so the result is monotone up to one ulp of 1.
     """
     if not math.isfinite(lam) or lam < 0:
         raise NegativeLambda(f"lambda must be finite and >= 0, got {lam!r}")
@@ -60,14 +61,20 @@ def poisson_cdf(k: int, lam: float) -> float:
         return 1.0
 
     if lam <= _LOG_DOMAIN_LAMBDA:
-        term = math.exp(-lam)
-        total = term
+        term = total = math.exp(-lam)
         for i in range(1, k + 1):
             term *= lam / i
             total += term
-            if i > lam and term < total * 1e-18:
+            if term == 0.0:  # past the mode, so every later term is 0 too
                 break
-        return min(total, 1.0)
+        if k <= lam:
+            return min(total, 1.0)
+        tail = 0.0
+        for i in itertools.count(k + 1):
+            term *= lam / i
+            tail += term
+            if term <= tail * 1e-18:
+                return 1.0 - tail
 
     log_lam = math.log(lam)
     log_term = -lam

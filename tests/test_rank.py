@@ -2,7 +2,7 @@ import io
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from termflow.corpus import TermQuery, ingest, write_csv
@@ -72,6 +72,9 @@ def test_cdf_rejects_negative():
     st.integers(min_value=0, max_value=120),
     st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
 )
+@example(83, 29.693657567419976)
+@example(108, 42.94976576943221)
+@example(99, 39.442779176166006)
 @settings(max_examples=80, deadline=None)
 def test_cdf_bounds_and_monotonicity(k, lam):
     value = poisson_cdf(k, lam)
