@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--discipline", action="append", default=None)
     p.add_argument("--dictionary", action="append", default=None, metavar="DISC=PATH")
-    p.add_argument("--list-length", type=int, default=10)
+    p.add_argument("--list-length", type=_positive_int, default=10)
     p.add_argument("--smooth", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_mdelta)

@@ -56,6 +56,10 @@ _EXP_CLAMP = 700.0
 # synth adoption series take at most about 76k evaluations.
 _REFINE_EVALUATIONS = 120_000
 
+# Most steps a trajectory may take: trajectories are lists, so a finite but
+# huge count (1e12 / 1e-6 = 10**18) would exhaust memory.
+_MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class DiffusionParams:
@@ -130,15 +134,15 @@ def step_count(t_end: float, dt: float) -> int:
     """Steps of size ``dt`` from t = 0 to ``t_end``, rounded to the nearest.
 
     Raises :class:`InvalidStep` unless ``dt`` is finite and > 0, ``t_end``
-    is >= 0 and ``t_end / dt`` is finite.
+    is >= 0 and ``t_end / dt`` is at most ``_MAX_STEPS``.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidStep(f"step size must be > 0, got {dt!r}")
     if t_end < 0:
         raise InvalidStep("t_end must be >= 0")
     steps = t_end / dt
-    if not math.isfinite(steps):
-        raise InvalidStep(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
+    if not steps <= _MAX_STEPS:
+        raise InvalidStep(f"t_end / dt must be <= {_MAX_STEPS} steps, got {t_end!r} / {dt!r}")
     return int(round(steps))
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -306,6 +307,7 @@ def test_usage_error_exit_code():
 
 
 CORPUS, SPEC = object(), object()
+GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
 
 
 @pytest.mark.parametrize(
@@ -335,12 +337,21 @@ CORPUS, SPEC = object(), object()
               "--strong-threshold=-inf"], 2),
         ({}, ["migrate", "--corpus", CORPUS, "--term", "chaos",
               "--strong-threshold", "nan"], 2),
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", GOLDEN_ANNOTATIONS, "--smooth",
+              "--list-length=-3"], 2),
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", GOLDEN_ANNOTATIONS,
+              "--list-length", "0"], 2),
+        ({}, ["simulate", "--c", "1", "--pm", "10", "--p0", "1", "--t-end", "1e12",
+              "--dt", "1e-6"], 1),
+        ({}, ["simulate", "--c", "1", "--pm", "10", "--p0", "1", "--t-end", "1e12",
+              "--dt", "1e-6", "--euler"], 1),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
          "negative-t-end", "overflowing-steps", "overflowing-steps-euler",
          "inf-strong-threshold", "negative-inf-strong-threshold",
-         "nan-strong-threshold"],
+         "nan-strong-threshold", "negative-list-length", "zero-list-length",
+         "huge-steps", "huge-steps-euler"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
