@@ -166,13 +166,10 @@ class CorpusIndex:
     numbered by their positions in the sorted ``vocabulary`` and ``cells``,
     and every array is read-only:
 
-    - postings, in CSR form by term: the documents of cell
-      ``posting_cells[j]`` that contain term t number ``posting_counts[j]``
-      for ``term_offsets[t] <= j < term_offsets[t + 1]``, cells ascending;
     - ``tokens``, the int32 term ids of every document in order, documents
       grouped by cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
-      and cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``,
-      so phrase and co-term queries can be evaluated after the build;
+      and cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``;
+      every count and query is evaluated from this stream;
     - ``doc_ids``, the sorted document ids.
     """
 
@@ -185,9 +182,6 @@ class CorpusIndex:
     n_documents: int
     vocabulary: tuple[str, ...] = field(repr=False)
     cells: tuple[Cell, ...] = field(repr=False)
-    term_offsets: np.ndarray = field(repr=False)
-    posting_cells: np.ndarray = field(repr=False)
-    posting_counts: np.ndarray = field(repr=False)
     tokens: np.ndarray = field(repr=False)
     doc_offsets: np.ndarray = field(repr=False)
     cell_offsets: np.ndarray = field(repr=False)
@@ -206,40 +200,43 @@ class CorpusIndex:
         i = bisect_left(self.cells, cell)
         return i if i < len(self.cells) and self.cells[i] == cell else -1
 
-    def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """Cell ids (ascending) and document counts of the cells holding ``term``."""
-        t = self.term_id(term)
-        lo, hi = (self.term_offsets[t], self.term_offsets[t + 1]) if t >= 0 else (0, 0)
-        return self.posting_cells[lo:hi], self.posting_counts[lo:hi]
+    def _cell_term_counts(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct term ids of cell ``c``, ascending, and how many documents hold each."""
+        first, last = self.cell_offsets[c : c + 2]
+        n_docs = last - first
+        # binary counting: one key per (term, document), each kept once
+        keys = self.tokens[self.doc_offsets[first] : self.doc_offsets[last]].astype(np.int64)
+        keys *= n_docs
+        keys += np.repeat(np.arange(n_docs), np.diff(self.doc_offsets[first : last + 1]))
+        keys.sort()
+        terms = keys[_run_starts(keys)] // n_docs
+        first_of = _run_starts(terms)
+        return terms[first_of], np.diff(np.append(np.flatnonzero(first_of), len(terms)))
 
     @functools.cached_property
     def postings(self) -> Mapping[str, Mapping[Cell, int]]:
-        """Read-only ``{term: {cell: documents}}`` view of the CSR postings.
+        """Read-only ``{term: {cell: documents}}`` view, cells ascending.
 
-        Built on first use; the analyses read the arrays instead.
+        Built from the token stream on first use; the analyses do not read it.
         """
-        bounds = self.term_offsets.tolist()
-        items = list(
-            zip(map(self.cells.__getitem__, self.posting_cells.tolist()),
-                self.posting_counts.tolist())
-        )
-        return MappingProxyType({
-            term: MappingProxyType(dict(items[lo:hi]))
-            for term, lo, hi in zip(self.vocabulary, bounds, bounds[1:])
-        })
+        by_term: list[dict[Cell, int]] = [{} for _ in self.vocabulary]
+        for c, cell in enumerate(self.cells):
+            for t, n in zip(*map(np.ndarray.tolist, self._cell_term_counts(c))):
+                by_term[t][cell] = n
+        return MappingProxyType(dict(zip(self.vocabulary, map(MappingProxyType, by_term))))
 
     @functools.cached_property
     def term_counts(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted terms, and a read-only int32 matrix of their document counts.
 
         Row i counts the documents of each discipline (columns in
-        ``disciplines`` order) that contain term i. Built from the postings
-        on first use.
+        ``disciplines`` order) that contain term i. Built from the token
+        stream on first use.
         """
-        column = np.array([self.disciplines.index(d) for d, _ in self.cells], np.intp)
-        rows = np.repeat(np.arange(len(self.vocabulary)), np.diff(self.term_offsets))
         table = np.zeros((len(self.vocabulary), len(self.disciplines)), np.int32)
-        np.add.at(table, (rows, column[self.posting_cells]), self.posting_counts)
+        for c, (disc, _) in enumerate(self.cells):
+            terms, counts = self._cell_term_counts(c)
+            table[terms, self.disciplines.index(disc)] += counts
         table.flags.writeable = False
         return self.vocabulary, table
 
@@ -287,24 +284,21 @@ def ingest(
         (disc, year): (disc, year - ((year - offset) % bin_width)) for disc, year in by_year
     }
     keys = sorted(by_year, key=lambda key: (cell_of[key], key[1]))
-    cells = tuple(sorted(set(cell_of.values())))
-    cell_id = {cell: i for i, cell in enumerate(cells)}
+    # cells ascending, as the documents come
+    doc_counts: dict[Cell, int] = {}
+    for key in keys:
+        doc_counts[cell_of[key]] = doc_counts.get(cell_of[key], 0) + len(by_year[key][1])
     terms = list(term_ids)
     order = sorted(range(len(terms)), key=terms.__getitem__)
     sorted_id = np.empty(len(terms), np.int32)
     sorted_id[order] = np.arange(len(terms), dtype=np.int32)
     tokens = _concat([np.frombuffer(by_year[key][0], np.int32) for key in keys], np.int32)
     lengths = _concat([np.frombuffer(by_year[key][1], np.int64) for key in keys], np.int64)
-    doc_cell = np.repeat(
-        np.array([cell_id[cell_of[key]] for key in keys], np.int32),
-        [len(by_year[key][1]) for key in keys],
-    )
     return _build(
         bin_width,
         offset,
         tuple(map(terms.__getitem__, order)),
-        cells,
-        doc_cell,
+        doc_counts,
         lengths,
         sorted_id[tokens],
         np.array(sorted(seen_ids), dtype=object),
@@ -333,54 +327,31 @@ def _build(
     bin_width: int,
     offset: int,
     vocabulary: tuple[str, ...],
-    cells: tuple[Cell, ...],
-    doc_cell: np.ndarray,
+    doc_counts: dict[Cell, int],
     lengths: np.ndarray,
     tokens: np.ndarray,
     doc_ids: np.ndarray,
 ) -> CorpusIndex:
-    """Derive every count of an index from its documents, grouped by cell.
+    """Assemble an index from its documents, grouped by cell.
 
-    Document d is in cell ``doc_cell[d]`` (non-decreasing) and holds the
-    term ids ``tokens[sum(lengths[:d]):sum(lengths[:d + 1])]``;
-    ``vocabulary`` and ``cells`` are sorted, and ``doc_ids`` is the sorted
-    id array.
+    ``doc_counts`` maps each cell, ascending, to its number of documents,
+    and the documents come in that order: document d holds the term ids
+    ``tokens[sum(lengths[:d]):sum(lengths[:d + 1])]``. ``vocabulary`` is
+    sorted, and ``doc_ids`` is the sorted id array.
     """
-    n_docs, n_cells = len(doc_cell), len(cells)
-    # binary counting: one key per (term, document), each kept once
-    keys = tokens.astype(np.int64)
-    keys *= max(n_docs, 1)
-    keys += np.repeat(np.arange(n_docs, dtype=np.int32), lengths)
-    keys.sort()
-    keys = keys[_run_starts(keys)]
-    term, doc = np.divmod(keys, max(n_docs, 1))
-    del keys
-    # (term, cell) ascends: documents ascend within a term and are grouped by cell
-    cell = doc_cell[doc]
-    del doc
-    first = _run_starts(term * n_cells + cell)
-    posting_cells = cell[first]
-    posting_counts = np.diff(np.append(np.flatnonzero(first), len(first))).astype(np.int32)
-    term_offsets = np.searchsorted(term[first], np.arange(len(vocabulary) + 1))
-
-    per_cell = np.bincount(doc_cell, minlength=n_cells).tolist()
-    doc_counts = dict(zip(cells, per_cell))
     discipline_totals: dict[str, int] = {}
     for (disc, _), n in doc_counts.items():
         discipline_totals[disc] = discipline_totals.get(disc, 0) + n
 
     arrays = dict(
-        term_offsets=term_offsets,
-        posting_cells=posting_cells,
-        posting_counts=posting_counts,
         tokens=tokens,
         doc_offsets=_offsets(lengths),
-        cell_offsets=_offsets(np.array(per_cell, np.int64)),
+        cell_offsets=_offsets(np.array(list(doc_counts.values()), np.int64)),
         doc_ids=doc_ids,
     )
     for a in arrays.values():
         a.flags.writeable = False
-    starts = sorted({start for _, start in cells})
+    starts = sorted({start for _, start in doc_counts})
     bins = (
         tuple(TimeBin(s, bin_width) for s in range(starts[0], starts[-1] + 1, bin_width))
         if starts
@@ -393,9 +364,9 @@ def _build(
         bins=bins,
         doc_counts=doc_counts,
         discipline_totals=discipline_totals,
-        n_documents=n_docs,
+        n_documents=len(lengths),
         vocabulary=vocabulary,
-        cells=cells,
+        cells=tuple(doc_counts),
         **arrays,
     )
 
@@ -426,22 +397,20 @@ def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
         np.fromiter(map(term_id.__getitem__, p.vocabulary), np.int32, len(p.vocabulary))
         for p in parts
     ]
-    doc_cell, lengths, tokens = [], [], []
-    for c, cell in enumerate(cells):
+    lengths, tokens = [], []
+    for cell in cells:
         for part, remap in zip(parts, remaps):
             j = part.cell_id(cell)
             if j < 0:
                 continue
             first, last = part.cell_offsets[j : j + 2]
-            doc_cell.append(np.full(last - first, c, np.int32))
             lengths.append(np.diff(part.doc_offsets[first : last + 1]))
             tokens.append(remap[part.tokens[part.doc_offsets[first] : part.doc_offsets[last]]])
     return _build(
         widths.pop(),
         offsets.pop() if offsets else 0,
         vocabulary,
-        cells,
-        _concat(doc_cell, np.int32),
+        {cell: sum(p.doc_counts.get(cell, 0) for p in parts) for cell in cells},
         _concat(lengths, np.int64),
         _concat(tokens, np.int32),
         doc_ids,
@@ -463,11 +432,6 @@ def count_matches(
     cell = index.cell_id((discipline, start))
     if cell < 0:
         return 0
-
-    if len(query.term) == 1 and not query.required_coterms:
-        cells, counts = index.term_postings(query.term[0])
-        j = int(np.searchsorted(cells, cell))
-        return int(counts[j]) if j < len(cells) and cells[j] == cell else 0
 
     phrase = [index.term_id(t) for t in query.term]
     coterms = [index.term_id(t) for t in query.required_coterms]

@@ -155,10 +155,10 @@ def poisson_percentile(
             "percentile ranking needs at least two disciplines"
         )
 
-    cell_ids, counts = index.term_postings(term)
-    cells = list(zip(map(index.cells.__getitem__, cell_ids.tolist()), counts.tolist()))
-    k = sum(c for (disc, _), c in cells if disc == target_discipline)
-    bg_hits = sum(c for (disc, _), c in cells if disc != target_discipline)
+    t = index.term_id(term)
+    row = index.term_counts[1][t].tolist() if t >= 0 else [0] * len(index.disciplines)
+    k = row[index.disciplines.index(target_discipline)]
+    bg_hits = sum(row) - k
     lam, pct, method = _percentile(index, target_discipline, k, bg_hits, normal_switch)
     return PoissonRank(
         term=term,

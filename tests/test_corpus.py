@@ -355,6 +355,17 @@ def test_count_matches_equals_a_document_scan(records, query_parts, bin_width):
                 assert count_matches(index, query, disc, b) == _reference_count(
                     records, query, disc, b
                 ), (query, disc, b)
+    # the derived counts: each term's postings by cell and term_counts by discipline
+    terms, table = index.term_counts
+    assert terms == index.vocabulary == tuple(index.postings)
+    for t, term in enumerate(terms):
+        cells = index.postings[term]
+        assert list(cells) == sorted(cells) and 0 not in cells.values()
+        query = TermQuery(term=(term,))
+        for col, disc in enumerate(index.disciplines):
+            expected = [_reference_count(records, query, disc, b) for b in index.bins]
+            assert [cells.get((disc, b.start_year), 0) for b in index.bins] == expected
+            assert table[t, col] == sum(expected), (term, disc)
 
 
 @given(_corpora, st.data(), _queries)
