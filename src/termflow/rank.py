@@ -37,6 +37,10 @@ class EmptyDictionary(TermflowError):
     pass
 
 
+class InvalidListLength(TermflowError, ValueError):
+    pass
+
+
 #: Above this expected count the normal approximation replaces exact summation.
 NORMAL_SWITCH_LAMBDA = 50.0
 
@@ -278,11 +282,18 @@ def rank_terms(
 
 
 def top_terms(ranking: Ranking, k: int = 10) -> list[str]:
-    return ranking.term_list(stop=k)
+    return ranking.term_list(stop=_list_length(k))
 
 
 def bottom_terms(ranking: Ranking, k: int = 10) -> list[str]:
-    return ranking.term_list(start=-k)
+    return ranking.term_list(start=-_list_length(k))
+
+
+def _list_length(k: int) -> int:
+    """``k`` if it is at least 1, as ``mdelta --list-length`` requires."""
+    if k < 1:
+        raise InvalidListLength(f"list length must be an integer >= 1, got {k!r}")
+    return k
 
 
 def write_ranking_csv(

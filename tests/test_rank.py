@@ -9,6 +9,7 @@ from termflow.corpus import TermQuery, ingest, write_csv
 from termflow.rank import (
     Dictionary,
     EmptyDictionary,
+    InvalidListLength,
     NegativeLambda,
     NonPositiveLambda,
     SingleDisciplineCorpus,
@@ -195,6 +196,14 @@ def test_dictionary_filters_selection():
     assert {r.term for r in ranking} == {"chaos", "common"}
     assert top_terms(ranking, 2) == ["chaos", "common"]
     assert bottom_terms(ranking, 1) == ["common"]
+
+
+@pytest.mark.parametrize("select", [top_terms, bottom_terms])
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_list_length_below_one_rejected(select, k):
+    ranking = rank_terms(_two_discipline_index(), "math")
+    with pytest.raises(InvalidListLength, match="list length must be an integer >= 1"):
+        select(ranking, k)
 
 
 def test_empty_dictionary_rejected():
