@@ -223,11 +223,14 @@ def cmd_trend(args: argparse.Namespace) -> int:
     cfg = _config_dict(args)
     buf = io.StringIO()
     trend.write_series_csv(growth, buf, config_line=_config_line(cfg))
-    _write_output(buf.getvalue(), args.out)
+    # render both artifacts first, so a chart that fails leaves no CSV behind
+    svg = None
     if args.plot:
         svg = plotting.growth_chart_svg(
             [growth], title=f"{query.label()} in {args.discipline}", config=cfg
         )
+    _write_output(buf.getvalue(), args.out)
+    if svg is not None:
         _write_output(svg, args.plot)
     return 0
 

@@ -131,6 +131,17 @@ def test_trend_csv_and_plot(corpus_path, capsys, tmp_path):
     assert root.get("version") == "1.1"
 
 
+def test_trend_plot_failure_writes_neither_artifact(corpus_path, capsys, tmp_path):
+    # every growth point of an unseen term is masked, so the chart cannot be drawn
+    csv_path, svg_path = tmp_path / "series.csv", tmp_path / "chart.svg"
+    argv = ["trend", "--corpus", corpus_path, "--term", "neverseen", "--discipline", "math"]
+    code, _, err = run_cli([*argv, "--out", str(csv_path), "--plot", str(svg_path)], capsys)
+    assert code == 1
+    assert err.startswith("error code=plotting.EmptySeriesSet ")
+    assert len(err.splitlines()) == 1
+    assert not csv_path.exists() and not svg_path.exists()
+
+
 def test_migrate_json(corpus_path, capsys):
     code, out, _ = run_cli(
         ["migrate", "--corpus", corpus_path, "--term", "chaos"], capsys
