@@ -50,6 +50,14 @@ class DegenerateSeries(TermflowError):
 
 _EXP_CLAMP = 700.0
 
+# ``fit``'s scan: _C_GRID growth constants over _C_BOUNDS and _PM_GRID ceilings up
+# to _PM_MAX_FACTOR times the observed maximum; refinement stops at step _TOL.
+_C_BOUNDS = (1e-3, 10.0)
+_C_GRID = 25
+_PM_MAX_FACTOR = 10.0
+_PM_GRID = 16
+_TOL = 1e-8
+
 # Objective evaluations the coordinate refinement of ``fit`` may spend. On a
 # step-shaped series each multiplicative move keeps finding a smaller strict
 # improvement (p_0 -> 0, c -> inf) and the refinement would not end. Fits of
@@ -241,22 +249,15 @@ def _objective(shifted: np.ndarray, obs: np.ndarray) -> Callable[[Sequence[float
     return objective
 
 
-def fit(
-    trajectory: AdoptionTrajectory,
-    c_bounds: tuple[float, float] = (1e-3, 10.0),
-    c_grid: int = 25,
-    pm_max_factor: float = 10.0,
-    pm_grid: int = 16,
-    tol: float = 1e-8,
-) -> FitResult:
+def fit(trajectory: AdoptionTrajectory) -> FitResult:
     """Least-squares logistic fit via grid scan plus coordinate refinement.
 
     The scan walks log-spaced growth constants and ceilings (from just above
-    the observed maximum up to ``pm_max_factor`` times it); for each
+    the observed maximum up to ``_PM_MAX_FACTOR`` times it); for each
     candidate the initial adopter count is solved from the first positive
     observation. The best candidate is then refined one coordinate at a
     time with multiplicative steps until the relative step falls below
-    ``tol``, or until a fixed budget of objective evaluations is spent; the
+    ``_TOL``, or until a fixed budget of objective evaluations is spent; the
     best point found is returned either way.
     """
     times = np.asarray(trajectory.times, dtype=float)
@@ -276,8 +277,8 @@ def fit(
     p_anchor = obs[anchor_i]
     p_max = obs.max()
 
-    c_candidates = np.geomspace(c_bounds[0], c_bounds[1], c_grid)
-    pm_candidates = np.geomspace(p_max * 1.001, p_max * pm_max_factor, pm_grid)
+    c_candidates = np.geomspace(_C_BOUNDS[0], _C_BOUNDS[1], _C_GRID)
+    pm_candidates = np.geomspace(p_max * 1.001, p_max * _PM_MAX_FACTOR, _PM_GRID)
 
     # Scan every (c, p_m) pair at once, c major, so that argmin keeps the
     # first best candidate: p_0 is solved from the first positive
@@ -301,7 +302,7 @@ def fit(
 
     step = 0.5
     budget = _REFINE_EVALUATIONS
-    while step > tol and budget > 0:
+    while step > _TOL and budget > 0:
         improved = False
         for idx in range(3):
             for factor in (1.0 + step, 1.0 / (1.0 + step)):

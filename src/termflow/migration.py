@@ -38,6 +38,9 @@ ROLE_SEMANTICS = "temporal order only; no causal direction is claimed"
 #: Default: a peak is "strong" at half the best peak rate seen for the query.
 DEFAULT_STRONG_FRACTION = 0.5
 
+# A succession's decline may sit up to this many bin transitions from the rise.
+_SUCCESSION_WINDOW = 1
+
 
 @dataclass(frozen=True)
 class GrowthPeak:
@@ -189,14 +192,12 @@ def classify_roles(
 
 
 def detect_succession(
-    old_growth: GrowthSeries,
-    new_growth: GrowthSeries,
-    window_bins: int = 1,
+    old_growth: GrowthSeries, new_growth: GrowthSeries
 ) -> Optional[SuccessionEvent]:
     """Earliest bin where the new term rises while the old term declines.
 
-    The decline may sit up to ``window_bins`` transitions away from the
-    rise (nearest one wins, earlier on ties). Returns None when the two
+    The decline may sit up to ``_SUCCESSION_WINDOW`` transitions away from
+    the rise (nearest one wins, earlier on ties). Returns None when the two
     series never cross over.
     """
     if old_growth.freq.bins != new_growth.freq.bins:
@@ -210,7 +211,7 @@ def detect_succession(
             continue
         candidates = [
             (abs(j - i), j)
-            for j in range(i - window_bins, i + window_bins + 1)
+            for j in range(i - _SUCCESSION_WINDOW, i + _SUCCESSION_WINDOW + 1)
             if j in old_ok and old_ok[j] < 0
         ]
         if candidates:
