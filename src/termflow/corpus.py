@@ -260,7 +260,7 @@ def ingest(
         raise ValueError("bin_width must be >= 1")
 
     seen_ids: set[str] = set()
-    # term ids in order of first appearance; sorted once at the end
+    # term ids in order of first appearance; _build sorts them
     term_ids = defaultdict(itertools.count().__next__)
     # (discipline, year) -> token ids and per-document token counts
     by_year: defaultdict[tuple[str, int], tuple[array, array]] = defaultdict(
@@ -279,29 +279,14 @@ def ingest(
         min_year = min((year for _, year in by_year), default=0)
         anchor_year = min_year - (min_year % bin_width)
     offset = anchor_year % bin_width
-
-    cell_of = {
-        (disc, year): (disc, year - ((year - offset) % bin_width)) for disc, year in by_year
-    }
-    keys = sorted(by_year, key=lambda key: (cell_of[key], key[1]))
-    # cells ascending, as the documents come
-    doc_counts: dict[Cell, int] = {}
-    for key in keys:
-        doc_counts[cell_of[key]] = doc_counts.get(cell_of[key], 0) + len(by_year[key][1])
-    terms = list(term_ids)
-    order = sorted(range(len(terms)), key=terms.__getitem__)
-    sorted_id = np.empty(len(terms), np.int32)
-    sorted_id[order] = np.arange(len(terms), dtype=np.int32)
-    tokens = _concat([np.frombuffer(by_year[key][0], np.int32) for key in keys], np.int32)
-    lengths = _concat([np.frombuffer(by_year[key][1], np.int64) for key in keys], np.int64)
+    # a bin's start never decreases with the year, so (discipline, year) order
+    # is cell order
+    groups = [
+        ((disc, year - ((year - offset) % bin_width)), *by_year[disc, year])
+        for disc, year in sorted(by_year)
+    ]
     return _build(
-        bin_width,
-        offset,
-        tuple(map(terms.__getitem__, order)),
-        doc_counts,
-        lengths,
-        sorted_id[tokens],
-        np.array(sorted(seen_ids), dtype=object),
+        bin_width, offset, list(term_ids), groups, np.array(sorted(seen_ids), dtype=object)
     )
 
 
@@ -326,25 +311,30 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 def _build(
     bin_width: int,
     offset: int,
-    vocabulary: tuple[str, ...],
-    doc_counts: dict[Cell, int],
-    lengths: np.ndarray,
-    tokens: np.ndarray,
+    terms: Sequence[str],
+    groups: Sequence[tuple[Cell, Sequence[int], Sequence[int]]],
     doc_ids: np.ndarray,
 ) -> CorpusIndex:
     """Assemble an index from its documents, grouped by cell.
 
-    ``doc_counts`` maps each cell, ascending, to its number of documents,
-    and the documents come in that order: document d holds the term ids
-    ``tokens[sum(lengths[:d]):sum(lengths[:d + 1])]``. ``vocabulary`` is
-    sorted, and ``doc_ids`` is the sorted id array.
+    Each group ``(cell, term_ids, lengths)`` holds ``len(lengths)`` documents
+    in order: document d holds the next ``lengths[d]`` ids of ``term_ids``,
+    and id i stands for ``terms[i]``. Groups come with cells ascending, and
+    one cell may span consecutive groups. ``doc_ids`` is the sorted id array.
     """
+    doc_counts: dict[Cell, int] = {}
     discipline_totals: dict[str, int] = {}
-    for (disc, _), n in doc_counts.items():
-        discipline_totals[disc] = discipline_totals.get(disc, 0) + n
+    for cell, _, docs in groups:
+        doc_counts[cell] = doc_counts.get(cell, 0) + len(docs)
+        discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(docs)
 
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    sorted_id = np.empty(len(terms), np.int32)
+    sorted_id[order] = np.arange(len(terms), dtype=np.int32)
+    tokens = _concat([ids for _, ids, _ in groups], np.int32)
+    lengths = _concat([lengths for _, _, lengths in groups], np.int64)
     arrays = dict(
-        tokens=tokens,
+        tokens=sorted_id[tokens],
         doc_offsets=_offsets(lengths),
         cell_offsets=_offsets(np.array(list(doc_counts.values()), np.int64)),
         doc_ids=doc_ids,
@@ -365,7 +355,7 @@ def _build(
         doc_counts=doc_counts,
         discipline_totals=discipline_totals,
         n_documents=len(lengths),
-        vocabulary=vocabulary,
+        vocabulary=tuple(map(terms.__getitem__, order)),
         cells=tuple(doc_counts),
         **arrays,
     )
@@ -389,32 +379,18 @@ def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
     if repeated.size:
         raise DuplicateId(f"duplicate document id {repeated[0]!r} across partitions")
 
-    vocabulary = tuple(sorted(set().union(*(p.vocabulary for p in parts))))
-    term_id = {t: i for i, t in enumerate(vocabulary)}
-    cells = tuple(sorted(set().union(*(p.cells for p in parts))))
-    # part term id -> merged term id
-    remaps = [
-        np.fromiter(map(term_id.__getitem__, p.vocabulary), np.int32, len(p.vocabulary))
-        for p in parts
-    ]
-    lengths, tokens = [], []
-    for cell in cells:
-        for part, remap in zip(parts, remaps):
-            j = part.cell_id(cell)
-            if j < 0:
-                continue
-            first, last = part.cell_offsets[j : j + 2]
-            lengths.append(np.diff(part.doc_offsets[first : last + 1]))
-            tokens.append(remap[part.tokens[part.doc_offsets[first] : part.doc_offsets[last]]])
-    return _build(
-        widths.pop(),
-        offsets.pop() if offsets else 0,
-        vocabulary,
-        {cell: sum(p.doc_counts.get(cell, 0) for p in parts) for cell in cells},
-        _concat(lengths, np.int64),
-        _concat(tokens, np.int32),
-        doc_ids,
-    )
+    # merged term ids in order of first appearance, as ingest numbers them
+    term_ids = defaultdict(itertools.count().__next__)
+    groups = []
+    for p in parts:
+        remap = np.fromiter(map(term_ids.__getitem__, p.vocabulary), np.int32, len(p.vocabulary))
+        for c, cell in enumerate(p.cells):
+            first, last = p.cell_offsets[c : c + 2]
+            ids = remap[p.tokens[p.doc_offsets[first] : p.doc_offsets[last]]]
+            groups.append((cell, ids, np.diff(p.doc_offsets[first : last + 1])))
+    # stable: within a cell, documents keep their part order
+    groups.sort(key=lambda group: group[0])
+    return _build(widths.pop(), offsets.pop() if offsets else 0, list(term_ids), groups, doc_ids)
 
 
 def count_matches(
@@ -479,13 +455,7 @@ def _record_from_mapping(obj: Mapping, where: str) -> DocumentRecord:
         raise MalformedRecord(
             f"{where}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
         )
-    return DocumentRecord(
-        id=obj["id"],
-        discipline=obj["discipline"],
-        year=obj["year"],
-        title=obj["title"],
-        abstract=obj["abstract"],
-    )
+    return DocumentRecord(**obj)
 
 
 def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
@@ -570,16 +540,5 @@ def write_csv(
 
 def write_jsonl_records(records: Iterable[DocumentRecord], handle: IO[str]) -> None:
     for rec in records:
-        handle.write(
-            json.dumps(
-                {
-                    "id": rec.id,
-                    "discipline": rec.discipline,
-                    "year": rec.year,
-                    "title": rec.title,
-                    "abstract": rec.abstract,
-                },
-                sort_keys=True,
-            )
-        )
+        handle.write(json.dumps({f: getattr(rec, f) for f in RECORD_FIELDS}, sort_keys=True))
         handle.write("\n")

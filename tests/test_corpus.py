@@ -368,6 +368,17 @@ def test_count_matches_equals_a_document_scan(records, query_parts, bin_width):
             assert table[t, col] == sum(expected), (term, disc)
 
 
+def _cell_documents(index):
+    """Each cell's documents as term-id tuples, sorted."""
+    return [
+        sorted(
+            tuple(index.tokens[index.doc_offsets[d] : index.doc_offsets[d + 1]].tolist())
+            for d in range(index.cell_offsets[c], index.cell_offsets[c + 1])
+        )
+        for c in range(len(index.cells))
+    ]
+
+
 @given(_corpora, st.data(), _queries)
 @settings(max_examples=100, deadline=None)
 def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_parts):
@@ -386,6 +397,11 @@ def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_
     assert merged.doc_counts == whole.doc_counts
     assert merged.bins == whole.bins
     assert merged.n_documents == whole.n_documents
+    assert merged.vocabulary == whole.vocabulary
+    assert merged.doc_ids.tolist() == whole.doc_ids.tolist()
+    assert merged.cells == whole.cells
+    # each cell holds the same documents, in whatever order
+    assert _cell_documents(merged) == _cell_documents(whole)
     assert merged.postings == whole.postings
     assert merged.term_counts[0] == whole.term_counts[0]
     assert np.array_equal(merged.term_counts[1], whole.term_counts[1])
