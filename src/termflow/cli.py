@@ -84,12 +84,14 @@ def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
     env = os.environ.get("TERMFLOW_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InvalidSeed(f"TERMFLOW_SEED must be an integer, got {env!r}") from None
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return fallback
+    else:
+        seed = fallback if args.seed is None else args.seed
+    if seed < 0:
+        raise InvalidSeed(f"seed must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _config_dict(args: argparse.Namespace, **extra) -> dict:
@@ -112,8 +114,10 @@ def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        # encode first, so text that cannot be encoded leaves no file behind
+        data = text.encode("utf-8")
+        with open(out, "wb") as handle:
+            handle.write(data)
 
 
 def _json_artifact(payload: dict, cfg: dict) -> str:
@@ -290,19 +294,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     index = _read_corpus(args)
     series = []
-    labels = []
     for spec in args.series:
         if "@" in spec:
-            term_text, disc = spec.rsplit("@", 1)
+            # a term's tokens hold no "@", so the first one ends the term
+            term_text, disc = spec.split("@", 1)
         elif len(index.disciplines) == 1:
             term_text, disc = spec, index.disciplines[0]
         else:
             raise TermflowError(f"series {spec!r} needs an @discipline suffix")
-        query = _parse_query(term_text)
-        series.append(_growth(index, query, disc, args))
-        labels.append(f"{query.label()} / {disc}")
+        series.append(_growth(index, _parse_query(term_text), disc, args))
     cfg = _config_dict(args)
-    svg = plotting.growth_chart_svg(series, labels, title=args.title, config=cfg)
+    svg = plotting.growth_chart_svg(series, title=args.title, config=cfg)
     _write_output(svg, args.out)
     return 0
 
@@ -399,7 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TermflowError as exc:
         print(f"error code={exc.code} msg={json.dumps(str(exc))}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"error code=io.{type(exc).__name__} msg={json.dumps(str(exc))}", file=sys.stderr)
         return 1
 

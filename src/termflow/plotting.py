@@ -9,6 +9,7 @@ omitted and break the line.
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional, Sequence
 
 from .errors import TermflowError
@@ -33,30 +34,33 @@ _WIDTH, _HEIGHT = 960, 540
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 210, 40, 60
 
 
+# Code points XML 1.0 forbids: C0 controls other than tab, LF and CR,
+# surrogates, U+FFFE and U+FFFF. CR is written as a reference because parsers
+# turn a raw CR into LF.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_XML_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;"}
+)
+
+
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    return _XML_FORBIDDEN.sub("\ufffd", text).translate(_XML_ESCAPES)
 
 
 def growth_chart_svg(
     series: Sequence[GrowthSeries],
-    labels: Optional[Sequence[str]] = None,
     title: str = "term growth rates",
     config: Optional[dict] = None,
 ) -> str:
-    """Render the series set as an SVG document string."""
-    if labels is None:
-        labels = [
-            f"{s.freq.query.label()} / {s.freq.discipline}" for s in series
-        ]
+    """Render the series set as an SVG document string.
+
+    Each series is labeled ``<query> / <discipline>``.
+    """
     plotted = []
-    for s, label in zip(series, labels):
+    for s in series:
         points = [(b.start_year, v) for _, b, v in s.unmasked_points()]
         if points:
+            label = f"{s.freq.query.label()} / {s.freq.discipline}"
             plotted.append((label, s.freq.bins[0].width_years, points))
     if not plotted:
         raise EmptySeriesSet("no unmasked growth points to plot")

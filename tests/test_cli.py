@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -260,24 +262,27 @@ def _csv_body(path) -> list[list[str]]:
         return list(csv.reader(handle))
 
 
+# Code points XML 1.0 forbids; an SVG artifact shows each as U+FFFD.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 @settings(max_examples=60, deadline=None)
 @example(label="math, applied")
 @example(label='the "hard" sciences')
 @example(label="line\nbreak")
 @example(label="carriage\rreturn")
 @example(label="both\r\nends ")
+@example(label="a\x01b")
+@example(label="-dash@at")
 @given(
     label=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
     .filter(lambda s: s.strip() and s != "other")
 )
 def test_discipline_label_round_trips_through_csv(label, tmp_path_factory):
     work = tmp_path_factory.mktemp("label")
-    records = [
-        DocumentRecord(f"d{i}", disc, 1990 + i % 2, "", text)
-        for i, (disc, text) in enumerate(
-            [(label, "alpha beta"), (label, "beta"), ("other", "alpha gamma")]
-        )
-    ]
+    docs = [(label, 1990, "alpha beta"), (label, 1990, "beta"), (label, 1992, "alpha"),
+            (label, 1994, "alpha beta"), ("other", 1990, "alpha gamma")]
+    records = [DocumentRecord(f"d{i}", *doc[:2], "", doc[2]) for i, doc in enumerate(docs)]
     corpus_file = work / "corpus.jsonl"
     with open(corpus_file, "w", encoding="utf-8") as handle:
         write_jsonl_records(records, handle)
@@ -291,8 +296,10 @@ def test_discipline_label_round_trips_through_csv(label, tmp_path_factory):
 
     ingest_out = work / "ingest.csv"
     assert main(["ingest", "--corpus", str(corpus_file), "--out", str(ingest_out)]) == 0
+    counts = {label: (2, 1, 1), "other": (1, 0, 0)}
     assert _csv_body(ingest_out) == [["discipline", "bin_start", "documents"]] + [
-        [disc, "1990", str(n)] for disc, n in sorted([(label, 2), ("other", 1)])
+        [disc, str(1990 + 2 * i), str(n)] for disc in sorted(counts)
+        for i, n in enumerate(counts[disc])
     ]
 
     mdelta_out = work / "mdelta.csv"
@@ -303,6 +310,22 @@ def test_discipline_label_round_trips_through_csv(label, tmp_path_factory):
     assert rows[0] == ["discipline", "m_top", "m_bottom", "m_delta", "label", "smoothed"]
     assert sorted(r[0] for r in rows[1:]) == sorted([label, "other"])
     assert all(len(r) == 6 for r in rows)
+
+    # every growth point of alpha survives, so the label's series has two
+    growth = ["--term=alpha", "--smoothing-window=1", "--support-threshold=1"]
+    migrate_out = work / "migrate.json"
+    argv = ["migrate", "--corpus", str(corpus_file), *growth, "--out", str(migrate_out)]
+    assert main(argv) == 0
+    report = json.loads(migrate_out.read_text(encoding="utf-8"))
+    assert label in [p["discipline"] for p in report["peaks"]]
+
+    plot_out = work / "plot.svg"
+    argv = ["plot", "--corpus", str(corpus_file), f"--series=alpha@{label}", *growth[1:],
+            "--out", str(plot_out)]
+    assert main(argv) == 0
+    root = ET.parse(plot_out).getroot()
+    legend = [el.text for el in root.iter() if el.get("font-size") == "12"]
+    assert legend == ["alpha / " + _XML_FORBIDDEN.sub("\ufffd", label)]
 
 
 def test_missing_file_exit_code(capsys):
@@ -318,6 +341,9 @@ def test_usage_error_exit_code():
 
 
 CORPUS, SPEC = object(), object()
+# a JSONL line holding byte 0xff; a corpus whose discipline is a lone surrogate;
+# the artifact path, which must not exist after a failed run
+BAD_BYTE, SURROGATE_CORPUS, OUT = object(), object(), object()
 GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
 
 
@@ -356,13 +382,22 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
               "--dt", "1e-6"], 1),
         ({}, ["simulate", "--c", "1", "--pm", "10", "--p0", "1", "--t-end", "1e12",
               "--dt", "1e-6", "--euler"], 1),
+        ({}, ["ingest", "--corpus", BAD_BYTE, "--out", OUT], 1),
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", BAD_BYTE, "--out", OUT], 1),
+        ({}, ["ingest", "--corpus", SURROGATE_CORPUS, "--out", OUT], 1),
+        ({}, ["plot", "--corpus", CORPUS, "--series", "chaos@math", "--title", "x\ud800",
+              "--out", OUT], 0),
+        ({}, ["synth", "--spec", SPEC, "--seed=-1", "--out", OUT], 1),
+        ({"TERMFLOW_SEED": "-1"}, ["synth", "--spec", SPEC, "--out", OUT], 1),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
          "negative-t-end", "overflowing-steps", "overflowing-steps-euler",
          "inf-strong-threshold", "negative-inf-strong-threshold",
          "nan-strong-threshold", "negative-list-length", "zero-list-length",
-         "huge-steps", "huge-steps-euler"],
+         "huge-steps", "huge-steps-euler", "undecodable-corpus",
+         "undecodable-annotations", "unencodable-csv", "surrogate-title",
+         "negative-seed", "negative-seed-env"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -371,18 +406,114 @@ def test_invalid_input_follows_cli_contract(
     spec_path.write_text(json.dumps(
         {"disciplines": [{"label": "math", "docs_per_bin": 2}], "year_range": [1990, 1993]}
     ))
+    bad_byte_path = tmp_path / "bad.jsonl"
+    bad_byte_path.write_bytes(b'{"id": "a\xff"}\n')
+    surrogate_path = tmp_path / "surrogate.jsonl"
+    surrogate_path.write_text(
+        json.dumps({"id": "a", "discipline": "x\ud800", "year": 1990, "title": "",
+                    "abstract": "chaos"}) + "\n"
+    )
+    out_path = tmp_path / "artifact"
+    paths = {CORPUS: corpus_path, SPEC: spec_path, BAD_BYTE: bad_byte_path,
+             SURROGATE_CORPUS: surrogate_path, OUT: out_path}
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    argv = [corpus_path if a is CORPUS else str(spec_path) if a is SPEC else a for a in argv]
+    argv = [a if isinstance(a, str) else str(paths[a]) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
-    assert code in (1, 2)
+    assert code in (0, 1, 2)
     if code == 1:
         assert re.fullmatch(r'error code=\S+ msg=".*"\n', err)
     assert code == expected
+    assert out_path.exists() == (code == 0)
+
+
+# Free text from all of Unicode, with surrogates and controls drawn often,
+# mixed with words the conftest corpus holds so that some runs get far.
+_FREE_TEXT = st.one_of(
+    st.sampled_from(["chaos", "math", "education", "chaos@math", "chaos+bg000"]),
+    st.text(
+        st.one_of(st.characters(exclude_categories=()), st.characters(categories=["Cs", "Cc"])),
+        max_size=8,
+    ),
+)
+
+
+def _number(lo, hi):
+    """Option text for a number in [lo, hi], or 0, a negative, nan or an infinity."""
+    return st.one_of(
+        st.sampled_from(["0", "-1", "nan", "inf", "-inf"]),
+        st.integers(math.ceil(lo), math.floor(hi)).map(str),
+        st.floats(lo, hi).map(repr),
+    )
+
+
+_FLAG = st.none()
+_GROWTH_OPTIONS = {"--smoothing-window": _number(-3, 99),
+                   "--support-threshold": _number(-10, 10**4)}
+_CORPUS_OPTIONS = {"--bin-width": _number(-3, 10**6), "--anchor-year": _number(-10**4, 10**4)}
+# subcommand -> (required options, optional options), each with its values;
+# --t-end <= 100 and --dt >= 0.01 keep simulate at 10^4 steps or fewer
+_SUBCOMMANDS = {
+    "ingest": ({}, {**_CORPUS_OPTIONS, "--format": st.sampled_from(["csv", "json"])}),
+    "rank": ({"--discipline": _FREE_TEXT},
+             {**_CORPUS_OPTIONS, "--normal-threshold": _number(-10, 10**6)}),
+    "mdelta": ({"--annotations": st.just(GOLDEN_ANNOTATIONS)},
+               {**_CORPUS_OPTIONS, "--discipline": _FREE_TEXT,
+                "--list-length": _number(-3, 10**6), "--smooth": _FLAG}),
+    "trend": ({"--term": _FREE_TEXT, "--discipline": _FREE_TEXT},
+              {**_CORPUS_OPTIONS, **_GROWTH_OPTIONS}),
+    "migrate": ({"--term": _FREE_TEXT},
+                {**_CORPUS_OPTIONS, **_GROWTH_OPTIONS,
+                 "--strong-threshold": _number(-10**3, 10**3)}),
+    "fit": ({"--term": _FREE_TEXT, "--discipline": _FREE_TEXT}, _CORPUS_OPTIONS),
+    "plot": ({"--series": _FREE_TEXT},
+             {**_CORPUS_OPTIONS, **_GROWTH_OPTIONS, "--title": _FREE_TEXT}),
+    "simulate": ({"--c": _number(-10, 10), "--pm": _number(-10**4, 10**4),
+                  "--p0": _number(-10**4, 10**4)},
+                 {"--t-end": _number(-100, 100), "--dt": _number(0.01, 100),
+                  "--euler": _FLAG}),
+    "synth": ({}, {"--seed": _number(-10, 10**6)}),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    subcommand = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    required, optional = _SUBCOMMANDS[subcommand]
+    argv = [subcommand]
+    for option, values in [*required.items(), *optional.items()]:
+        if option in required or draw(st.booleans()):
+            value = draw(values)
+            argv.append(option if value is None else f"{option}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@example(argv=["plot", "--series=chaos@math", "--title=\ud800"])
+@given(argv=_cli_argv())
+def test_any_argv_follows_cli_contract(argv, corpus_path, tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    if argv[0] == "synth":
+        spec_path = work / "s.json"
+        spec_path.write_text(json.dumps(
+            {"disciplines": [{"label": "math", "docs_per_bin": 2}], "year_range": [1990, 1993]}
+        ))
+        argv = [*argv, "--spec", str(spec_path)]
+    elif argv[0] != "simulate":
+        argv = [*argv, "--corpus", corpus_path]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--out", str(work / "artifact")])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.fullmatch(r'error code=\S+ msg=".*"\n', err.getvalue())
 
 
 def test_infinite_normal_threshold_ranks_every_term_exactly(corpus_path, capsys):
