@@ -120,6 +120,37 @@ def _write_output(text: str, out: str) -> None:
             handle.write(data)
 
 
+def _write_outputs(*artifacts: tuple[str, str]) -> None:
+    """Write ``(text, out)`` artifacts as :func:`_write_output` does, all or none.
+
+    Each new or regular file is written to a temporary file beside it and
+    renamed into place only once every artifact is written, so a run that
+    fails part-way leaves none of them. Standard output and other targets,
+    such as ``/dev/null``, are written in place before the renames.
+    """
+    staged, direct = [], []
+    try:
+        for i, (text, out) in enumerate(artifacts):
+            target = os.path.realpath(out) if out != "-" else out
+            if out == "-" or os.path.exists(target) and not os.path.isfile(target):
+                direct.append((text, out))
+                continue
+            data = text.encode("utf-8")
+            tmp = f"{target}.{os.getpid()}.{i}.tmp"
+            with open(tmp, "xb") as handle:
+                staged.append((tmp, target))
+                handle.write(data)
+        for text, out in direct:
+            _write_output(text, out)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
+
+
 def _json_artifact(payload: dict, cfg: dict) -> str:
     return json.dumps({"config": cfg, **payload}, sort_keys=True, indent=2) + "\n"
 
@@ -227,15 +258,14 @@ def cmd_trend(args: argparse.Namespace) -> int:
     cfg = _config_dict(args)
     buf = io.StringIO()
     trend.write_series_csv(growth, buf, config_line=_config_line(cfg))
-    # render both artifacts first, so a chart that fails leaves no CSV behind
-    svg = None
+    artifacts = [(buf.getvalue(), args.out)]
     if args.plot:
         svg = plotting.growth_chart_svg(
             [growth], title=f"{query.label()} in {args.discipline}", config=cfg
         )
-    _write_output(buf.getvalue(), args.out)
-    if svg is not None:
-        _write_output(svg, args.plot)
+        artifacts.append((svg, args.plot))
+    # a chart that cannot be drawn or written leaves no CSV behind
+    _write_outputs(*artifacts)
     return 0
 
 
@@ -284,10 +314,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     records, truth = synth.generate(dataclasses.replace(spec, seed=seed))
     buf = io.StringIO()
     corpus.write_jsonl_records(records, buf)
-    _write_output(buf.getvalue(), args.out)
+    artifacts = [(buf.getvalue(), args.out)]
     if args.truth:
         cfg = _config_dict(args, seed=seed)
-        _write_output(_json_artifact(truth.to_dict(), cfg), args.truth)
+        artifacts.append((_json_artifact(truth.to_dict(), cfg), args.truth))
+    _write_outputs(*artifacts)
     return 0
 
 

@@ -58,6 +58,12 @@ _ASCII_TABLE = "".join(
     c.lower() if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128))
 )
 
+# ingest joins the texts of a (discipline, year) group with this token, which
+# tokenize keeps as it is, and flushes its open groups past BATCH_CHARS
+DOC_SEPARATOR = "termflowdocsep0"
+_JOIN = f" {DOC_SEPARATOR} "
+BATCH_CHARS = 1 << 18
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it on any non-alphanumeric character.
@@ -255,25 +261,64 @@ def ingest(
     Bins anchor at the earliest ingested year rounded down to a multiple of
     ``bin_width`` unless ``anchor_year`` pins the grid explicitly. Duplicate
     ids are an error, not a silent overwrite.
+
+    The texts of each (discipline, year) group are buffered and tokenized in
+    one :func:`tokenize` call, joined by :data:`DOC_SEPARATOR`; every open
+    group is flushed once ``BATCH_CHARS`` characters are buffered. A group in
+    which the separator count shows that some document holds the separator
+    token itself is tokenized document by document, as is every later group,
+    with the separator interned as an ordinary term.
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
 
     seen_ids: set[str] = set()
-    # term ids in order of first appearance; _build sorts them
-    term_ids = defaultdict(itertools.count().__next__)
-    # (discipline, year) -> token ids and per-document token counts
-    by_year: defaultdict[tuple[str, int], tuple[array, array]] = defaultdict(
-        lambda: (array("i"), array("q"))
+    # term ids in order of first appearance; _build sorts them. The separator
+    # is pinned to -1 while groups are batched, so it takes no term id.
+    term_ids = defaultdict(itertools.count().__next__, {DOC_SEPARATOR: -1})
+    # (discipline, year) -> chunks of token ids and per-document token counts
+    by_year: defaultdict[tuple[str, int], list[tuple[Sequence[int], Sequence[int]]]] = (
+        defaultdict(list)
     )
+    # (discipline, year) -> buffered "title abstract" texts, in record order
+    open_groups: defaultdict[tuple[str, int], list[str]] = defaultdict(list)
+    buffered = 0
+    batching = True
+
+    def flush() -> None:
+        nonlocal batching
+        for key, texts in open_groups.items():
+            if batching:
+                toks = tokenize(_JOIN.join(texts))
+                ids = np.fromiter(map(term_ids.__getitem__, toks), np.int32, len(toks))
+                bounds = np.flatnonzero(ids < 0)
+                if len(bounds) == len(texts) - 1:
+                    by_year[key].append(
+                        (ids[ids >= 0], np.diff(bounds, prepend=-1, append=len(ids)) - 1)
+                    )
+                    continue
+                # some document holds the separator token: from here on it is a term
+                del term_ids[DOC_SEPARATOR]
+                batching = False
+            ids, lengths = array("i"), array("q")
+            for text in texts:
+                toks = tokenize(text)
+                ids.extend(map(term_ids.__getitem__, toks))
+                lengths.append(len(toks))
+            by_year[key].append((ids, lengths))
+        open_groups.clear()
+
     for rec in records:
         if rec.id in seen_ids:
             raise DuplicateId(f"duplicate document id {rec.id!r}")
         seen_ids.add(rec.id)
-        toks = tokenize(rec.title + " " + rec.abstract)
-        tokens, lengths = by_year[rec.discipline, rec.year]
-        tokens.extend(map(term_ids.__getitem__, toks))
-        lengths.append(len(toks))
+        text = rec.title + " " + rec.abstract
+        open_groups[rec.discipline, rec.year].append(text)
+        buffered += len(text)
+        if buffered > BATCH_CHARS:
+            flush()
+            buffered = 0
+    flush()
 
     if anchor_year is None:
         min_year = min((year for _, year in by_year), default=0)
@@ -282,9 +327,12 @@ def ingest(
     # a bin's start never decreases with the year, so (discipline, year) order
     # is cell order
     groups = [
-        ((disc, year - ((year - offset) % bin_width)), *by_year[disc, year])
+        ((disc, year - ((year - offset) % bin_width)), ids, lengths)
         for disc, year in sorted(by_year)
+        for ids, lengths in by_year[disc, year]
     ]
+    if batching:
+        del term_ids[DOC_SEPARATOR]
     return _build(
         bin_width, offset, list(term_ids), groups, np.array(sorted(seen_ids), dtype=object)
     )
@@ -486,20 +534,19 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
             raise MalformedRecord(
                 f"CSV header must be exactly {', '.join(RECORD_FIELDS)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            where = f"line {reader.line_num}"
+            # DictReader fills a short row's missing fields with None
+            if None in row.values():
+                raise MalformedRecord(
+                    f"{where}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
+                )
             try:
                 year = int(row["year"])
-            except (TypeError, ValueError) as exc:
-                raise MalformedRecord(
-                    f"line {lineno}: unparsable year {row.get('year')!r}"
-                ) from exc
-            yield DocumentRecord(
-                id=row["id"],
-                discipline=row["discipline"],
-                year=year,
-                title=row["title"] or "",
-                abstract=row["abstract"] or "",
-            )
+            except ValueError as exc:
+                raise MalformedRecord(f"{where}: unparsable year {row['year']!r}") from exc
+            # a long row's extra values sit under the key None, which this rejects
+            yield _record_from_mapping({**row, "year": year}, where)
     finally:
         if owned:
             handle.close()

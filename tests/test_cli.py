@@ -632,3 +632,28 @@ def test_growth_chart_constant_series_on_zero_rule(corpus_path):
     assert "<metadata>" in svg
     root = ET.fromstring(svg)
     assert root.get("version") == "1.1"
+
+
+def test_trend_plot_write_failure_writes_neither_artifact(corpus_path, capsys, tmp_path):
+    csv_path, svg_path = tmp_path / "series.csv", tmp_path / "nodir" / "chart.svg"
+    argv = ["trend", "--corpus", corpus_path, "--term", "chaos", "--discipline", "math"]
+    code, _, err = run_cli([*argv, "--out", str(csv_path), "--plot", str(svg_path)], capsys)
+    assert code == 1
+    assert err.startswith("error code=io.FileNotFoundError ")
+    assert len(err.splitlines()) == 1
+    assert not csv_path.exists() and not svg_path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "row", ["a2,math,1990,On Chaos,chaos,EXTRA", "a2,math,1990"], ids=["extra", "missing"]
+)
+def test_csv_corpus_with_wrong_field_count_gives_one_error_line(row, tmp_path, capsys):
+    path = tmp_path / "corpus.csv"
+    path.write_text(f"id,discipline,year,title,abstract\na1,math,1990,,chaos\n{row}\n")
+    code, out, err = run_cli(["ingest", "--csv", "--corpus", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        'error code=corpus.MalformedRecord msg="line 3: expected exactly the fields '
+        'id, discipline, year, title, abstract"\n'
+    )

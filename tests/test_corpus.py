@@ -282,6 +282,24 @@ def test_csv_unparsable_year(tmp_path):
         list(read_csv_records(str(path)))
 
 
+def test_csv_rejects_extra_fields(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        "id,discipline,year,title,abstract\na1,math,1990,t,chaos\na2,math,1991,t,chaos,EXTRA\n"
+    )
+    with pytest.raises(MalformedRecord, match="^line 3: expected exactly the fields"):
+        list(read_csv_records(str(path)))
+
+
+def test_csv_rejects_missing_fields(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text(
+        "id,discipline,year,title,abstract\na1,math,1990,t,chaos\na2,math,1991\n"
+    )
+    with pytest.raises(MalformedRecord, match="^line 3: expected exactly the fields"):
+        list(read_csv_records(str(path)))
+
+
 def test_query_normalization_enforced():
     with pytest.raises(ValueError):
         TermQuery(term=("Chaos",))
@@ -411,3 +429,70 @@ def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_
                 assert count_matches(merged, query, disc, b) == count_matches(
                     whole, query, disc, b
                 )
+
+
+# Texts that are empty, non-ASCII or hold "\x00", and the separator ingest
+# joins a group's texts with, in any letter case.
+_any_case_separator = st.integers(0, 2 ** len(corpus.DOC_SEPARATOR) - 1).map(
+    lambda upper: "".join(
+        c.upper() if upper >> i & 1 else c for i, c in enumerate(corpus.DOC_SEPARATOR)
+    )
+)
+_texts = st.tuples(
+    st.sampled_from((" ", "", "\x00", "-")),
+    st.lists(
+        st.one_of(
+            st.sampled_from(("", "aa", "Éé", "ΣΑΣ", "x\x00y", "\x00", "42")),
+            _any_case_separator,
+            st.text(max_size=6),
+        ),
+        max_size=4,
+    ),
+).map(lambda draw: draw[0].join(draw[1]))
+_batch_records = st.lists(
+    st.tuples(st.sampled_from(("x", "y")), st.integers(1990, 1993), _texts, _texts),
+    min_size=1,
+    max_size=16,
+).map(
+    lambda docs: [
+        DocumentRecord(f"d{i}", disc, year, title, abstract)
+        for i, (disc, year, title, abstract) in enumerate(docs)
+    ]
+)
+
+
+@given(_batch_records, st.integers(min_value=0, max_value=40), st.integers(1, 3))
+@example(  # groups are batched before a document holds the separator, and after it
+    [
+        DocumentRecord("d0", "x", 1990, "aa bb", "cc"),
+        DocumentRecord("d1", "x", 1990, "", "bb"),
+        DocumentRecord("d2", "y", 1991, "cc", "aa"),
+        DocumentRecord("d3", "x", 1991, "Termflowdocsep0", "aa termflowdocsep0"),
+        DocumentRecord("d4", "x", 1991, "cc", ""),
+        DocumentRecord("d5", "x", 1990, "bb", "aa"),
+        DocumentRecord("d6", "x", 1990, "aa", ""),
+    ],
+    12,
+    2,
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_ingest_equals_the_merge_of_one_record_ingests(records, batch_chars, width):
+    anchor = 1990
+    # stable: ingest orders documents by (discipline, year), then as they came
+    in_group_order = sorted(records, key=lambda r: (r.discipline, r.year))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "BATCH_CHARS", batch_chars)
+        whole = ingest(records, bin_width=width, anchor_year=anchor)
+    merged = merge_indexes(
+        [ingest([r], bin_width=width, anchor_year=anchor) for r in in_group_order]
+    )
+    assert whole.vocabulary == merged.vocabulary
+    assert whole.cells == merged.cells
+    for name in ("tokens", "doc_offsets", "cell_offsets", "doc_ids"):
+        assert getattr(whole, name).tolist() == getattr(merged, name).tolist(), name
+    # and each document holds its own tokens, which one-record ingests share
+    terms = np.array(whole.vocabulary, dtype=object)
+    assert [
+        terms[whole.tokens[start:end]].tolist()
+        for start, end in zip(whole.doc_offsets[:-1], whole.doc_offsets[1:])
+    ] == [tokenize(r.title + " " + r.abstract) for r in in_group_order]
