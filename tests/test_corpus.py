@@ -148,6 +148,51 @@ def test_malformed_records():
         ingest([DocumentRecord("x3", "math", "1990", "", "text")])
 
 
+def test_document_record_semantics():
+    fields = ("d1", "math", 1990, "On Chaos", "chaos theory")
+    rec = DocumentRecord(*fields)
+    assert rec == DocumentRecord(
+        id="d1", discipline="math", year=1990, title="On Chaos", abstract="chaos theory"
+    )
+    assert not rec != DocumentRecord(*fields)
+    assert (rec.id, rec.discipline, rec.year, rec.title, rec.abstract) == fields
+    assert rec != DocumentRecord("d2", *fields[1:])
+    # equal only to another record, never to the plain tuple of its fields
+    assert not rec == fields and rec != fields
+    assert not fields == rec and fields != rec
+    assert hash(rec) == hash(fields)
+    assert repr(rec) == (
+        "DocumentRecord(id='d1', discipline='math', year=1990, title='On Chaos',"
+        " abstract='chaos theory')"
+    )
+    for name in corpus.RECORD_FIELDS + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, "x")
+    with pytest.raises(AttributeError):
+        del rec.year
+    assert rec == DocumentRecord(*fields)
+
+    cases = [
+        (("", "math", 1990, "", ""), "record id must be a non-empty string, got ''"),
+        ((7, "math", 1990, "", ""), "record id must be a non-empty string, got 7"),
+        (("x", " ", 1990, "", ""), "record 'x' has an empty discipline"),
+        (("x", None, 1990, "", ""), "record 'x' has an empty discipline"),
+        (("x", "math", "1990", "", ""), "record 'x' has unparsable year '1990'"),
+        (("x", "math", True, "", ""), "record 'x' has unparsable year True"),
+        (("x", "math", 999, "", ""), "record 'x' year 999 outside [1000, 3000]"),
+        (("x", "math", 3001, "", ""), "record 'x' year 3001 outside [1000, 3000]"),
+        (("x", "math", 1990, None, ""), "record 'x' title/abstract must be strings"),
+        (("x", "math", 1990, "", 5), "record 'x' title/abstract must be strings"),
+    ]
+    for args, message in cases:
+        with pytest.raises(MalformedRecord) as exc:
+            DocumentRecord(*args)
+        assert str(exc.value) == message
+        with pytest.raises(MalformedRecord) as exc:
+            DocumentRecord(**dict(zip(corpus.RECORD_FIELDS, args)))
+        assert str(exc.value) == message
+
+
 def test_bins_anchor_even_and_partition(small_index):
     assert [b.start_year for b in small_index.bins] == [1974, 1976]
     # 1975 joins 1974's bin, 1977 joins 1976's
