@@ -16,7 +16,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -57,6 +57,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_TABLE = "".join(
     c.lower() if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128))
 )
+# the only one-character tokens that translate table leaves and tokenize drops
+_ASCII_LETTERS = frozenset(map(chr, range(ord("a"), ord("z") + 1)))
 
 # ingest joins the texts of a (discipline, year) group with this token, which
 # tokenize keeps as it is, and flushes its open groups past BATCH_CHARS
@@ -75,9 +77,8 @@ def tokenize(text: str) -> list[str]:
     """
     if text.isascii():
         tokens = text.translate(_ASCII_TABLE).split()
-    else:
-        tokens = _TOKEN_RE.findall(text.lower())
-    return [t for t in tokens if len(t) > 1 or t.isdigit()]
+        return list(itertools.filterfalse(_ASCII_LETTERS.__contains__, tokens))
+    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) > 1 or t.isdigit()]
 
 
 @dataclass(frozen=True, order=True)
@@ -97,32 +98,41 @@ class TimeBin:
         return self.start_year + self.width_years - 1
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(namedtuple("DocumentRecord", RECORD_FIELDS)):
     """One bibliographic item; title/abstract may be empty strings.
 
-    Construction validates the fields and raises :class:`MalformedRecord`.
+    An immutable named tuple. Every construction path (positional, keyword,
+    ``_make``, ``_replace``, unpickling) validates the fields and raises
+    :class:`MalformedRecord`. A record equals only another record, never the
+    plain tuple of its fields, and hashes as that tuple.
     """
 
-    id: str
-    discipline: str
-    year: int
-    title: str
-    abstract: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise MalformedRecord(f"record id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.discipline, str) or not self.discipline.strip():
-            raise MalformedRecord(f"record {self.id!r} has an empty discipline")
-        if isinstance(self.year, bool) or not isinstance(self.year, int):
-            raise MalformedRecord(f"record {self.id!r} has unparsable year {self.year!r}")
-        if not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise MalformedRecord(
-                f"record {self.id!r} year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
-            )
-        if not isinstance(self.title, str) or not isinstance(self.abstract, str):
-            raise MalformedRecord(f"record {self.id!r} title/abstract must be strings")
+    def __new__(cls, id: str, discipline: str, year: int, title: str, abstract: str):
+        if not isinstance(id, str) or not id:
+            raise MalformedRecord(f"record id must be a non-empty string, got {id!r}")
+        if not isinstance(discipline, str) or not discipline.strip():
+            raise MalformedRecord(f"record {id!r} has an empty discipline")
+        if isinstance(year, bool) or not isinstance(year, int):
+            raise MalformedRecord(f"record {id!r} has unparsable year {year!r}")
+        if not YEAR_MIN <= year <= YEAR_MAX:
+            raise MalformedRecord(f"record {id!r} year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        if not isinstance(title, str) or not isinstance(abstract, str):
+            raise MalformedRecord(f"record {id!r} title/abstract must be strings")
+        return tuple.__new__(cls, (id, discipline, year, title, abstract))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DocumentRecord":
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -308,12 +318,13 @@ def ingest(
             by_year[key].append((ids, lengths))
         open_groups.clear()
 
-    for rec in records:
-        if rec.id in seen_ids:
-            raise DuplicateId(f"duplicate document id {rec.id!r}")
-        seen_ids.add(rec.id)
-        text = rec.title + " " + rec.abstract
-        open_groups[rec.discipline, rec.year].append(text)
+    # one unpacking per record: a named tuple's attribute reads cost more
+    for rec_id, discipline, year, title, abstract in records:
+        if rec_id in seen_ids:
+            raise DuplicateId(f"duplicate document id {rec_id!r}")
+        seen_ids.add(rec_id)
+        text = title + " " + abstract
+        open_groups[discipline, year].append(text)
         buffered += len(text)
         if buffered > BATCH_CHARS:
             flush()
@@ -587,5 +598,5 @@ def write_csv(
 
 def write_jsonl_records(records: Iterable[DocumentRecord], handle: IO[str]) -> None:
     for rec in records:
-        handle.write(json.dumps({f: getattr(rec, f) for f in RECORD_FIELDS}, sort_keys=True))
+        handle.write(json.dumps(dict(zip(RECORD_FIELDS, rec)), sort_keys=True))
         handle.write("\n")

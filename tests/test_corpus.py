@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 import re
 
 import numpy as np
@@ -171,6 +172,14 @@ def test_document_record_semantics():
     with pytest.raises(AttributeError):
         del rec.year
     assert rec == DocumentRecord(*fields)
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    # the named-tuple helpers validate too
+    assert DocumentRecord._make(fields) == rec
+    assert rec._replace(year=1991) == DocumentRecord("d1", "math", 1991, *fields[3:])
+    with pytest.raises(MalformedRecord, match="unparsable year '1990'"):
+        DocumentRecord._make(("d1", "math", "1990", "", ""))
+    with pytest.raises(MalformedRecord, match="year 999 outside"):
+        rec._replace(year=999)
 
     cases = [
         (("", "math", 1990, "", ""), "record id must be a non-empty string, got ''"),
