@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,6 +65,10 @@ class ScenarioSpec:
             raise InvalidSpec(f"empty year range {self.year_range}")
         if self.bin_width < 1:
             raise InvalidSpec("bin_width must be >= 1")
+        if self.background.size < 1:
+            raise InvalidSpec("background size must be >= 1")
+        if self.background.tokens_per_doc < 0:
+            raise InvalidSpec("background tokens_per_doc must be >= 0")
         labels = [d.label for d in self.disciplines]
         if len(labels) != len(set(labels)):
             raise InvalidSpec("discipline labels must be unique")
@@ -151,32 +156,24 @@ def _emit_documents(
     """
     docs_per_bin, tokens_per_doc = disc.docs_per_bin, spec.background.tokens_per_doc
     records: list[DocumentRecord] = []
+    if docs_per_bin == 0:
+        return records
+    # id suffixes, the same in every bin
+    suffixes = [f"{j:05d}" for j in range(docs_per_bin)]
     for start in spec.bin_starts():
-        if docs_per_bin == 0:
-            continue
         span = min(spec.bin_width, spec.year_range[1] - start + 1)
         years = (start + rng.integers(0, span, size=docs_per_bin)).tolist()
         # inverse-CDF sampling beats rng.choice(p=...) by a wide margin
         draws = np.searchsorted(cdf, rng.random((docs_per_bin, tokens_per_doc)))
         rows = np.minimum(draws, len(vocab) - 1).tolist()
-        bin_injections = [
-            (text, (rng.random(docs_per_bin) < q).tolist())
-            for text, q in injections.get(start, ())
-        ]
-        for j, (year, row) in enumerate(zip(years, rows)):
-            body = " ".join(map(vocab.__getitem__, row))
-            for text, mask in bin_injections:
-                if mask[j]:
-                    body = body + " " + text
-            records.append(
-                DocumentRecord(
-                    id=f"{disc.label}-{start}-{j:05d}",
-                    discipline=disc.label,
-                    year=year,
-                    title="",
-                    abstract=body,
-                )
-            )
+        bodies = [" ".join(map(vocab.__getitem__, row)) for row in rows]
+        for text, q in injections.get(start, ()):
+            tail = " " + text
+            mask = (rng.random(docs_per_bin) < q).tolist()
+            bodies = [body + tail if hit else body for body, hit in zip(bodies, mask)]
+        prefix = f"{disc.label}-{start}-"
+        ids = [prefix + suffix for suffix in suffixes]
+        records.extend(map(DocumentRecord, ids, repeat(disc.label), years, repeat(""), bodies))
     return records
 
 

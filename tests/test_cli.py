@@ -344,6 +344,10 @@ CORPUS, SPEC = object(), object()
 # a JSONL line holding byte 0xff; a corpus whose discipline is a lone surrogate;
 # the artifact path, which must not exist after a failed run
 BAD_BYTE, SURROGATE_CORPUS, OUT = object(), object(), object()
+# scenario files, each with its background: SPEC's is valid, the others are not
+EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
+SPEC_BACKGROUNDS = {SPEC: {}, EMPTY_BG: {"size": 0}, NEGATIVE_BG: {"size": -5},
+                    NEGATIVE_TOKENS: {"tokens_per_doc": -1}}
 GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
 
 
@@ -389,6 +393,9 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
               "--out", OUT], 0),
         ({}, ["synth", "--spec", SPEC, "--seed=-1", "--out", OUT], 1),
         ({"TERMFLOW_SEED": "-1"}, ["synth", "--spec", SPEC, "--out", OUT], 1),
+        ({}, ["synth", "--spec", EMPTY_BG, "--out", OUT], 1),
+        ({}, ["synth", "--spec", NEGATIVE_BG, "--out", OUT], 1),
+        ({}, ["synth", "--spec", NEGATIVE_TOKENS, "--out", OUT], 1),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -397,15 +404,12 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "nan-strong-threshold", "negative-list-length", "zero-list-length",
          "huge-steps", "huge-steps-euler", "undecodable-corpus",
          "undecodable-annotations", "unencodable-csv", "surrogate-title",
-         "negative-seed", "negative-seed-env"],
+         "negative-seed", "negative-seed-env", "empty-background",
+         "negative-background", "negative-tokens-per-doc"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
 ):
-    spec_path = tmp_path / "s.json"
-    spec_path.write_text(json.dumps(
-        {"disciplines": [{"label": "math", "docs_per_bin": 2}], "year_range": [1990, 1993]}
-    ))
     bad_byte_path = tmp_path / "bad.jsonl"
     bad_byte_path.write_bytes(b'{"id": "a\xff"}\n')
     surrogate_path = tmp_path / "surrogate.jsonl"
@@ -414,8 +418,14 @@ def test_invalid_input_follows_cli_contract(
                     "abstract": "chaos"}) + "\n"
     )
     out_path = tmp_path / "artifact"
-    paths = {CORPUS: corpus_path, SPEC: spec_path, BAD_BYTE: bad_byte_path,
+    paths = {CORPUS: corpus_path, BAD_BYTE: bad_byte_path,
              SURROGATE_CORPUS: surrogate_path, OUT: out_path}
+    for i, (spec, background) in enumerate(SPEC_BACKGROUNDS.items()):
+        paths[spec] = tmp_path / f"s{i}.json"
+        paths[spec].write_text(json.dumps(
+            {"disciplines": [{"label": "math", "docs_per_bin": 2}], "year_range": [1990, 1993],
+             "background": background}
+        ))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = [a if isinstance(a, str) else str(paths[a]) for a in argv]

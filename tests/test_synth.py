@@ -1,9 +1,19 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from termflow.corpus import TermQuery, count_matches, ingest, write_jsonl_records
+from termflow import synth
+from termflow.corpus import (
+    DocumentRecord,
+    TermQuery,
+    count_matches,
+    ingest,
+    write_jsonl_records,
+)
 from termflow.diffusion import DiffusionParams, inflection_time
 from termflow.synth import (
     BackgroundVocabulary,
@@ -194,3 +204,88 @@ def test_scenario_json_errors():
         scenario_from_json("{not json")
     with pytest.raises(InvalidSpec):
         scenario_from_json('{"disciplines": []}')
+
+
+def test_scenario_background_must_be_usable():
+    for background in (
+        BackgroundVocabulary(size=0),
+        BackgroundVocabulary(size=-5),
+        BackgroundVocabulary(tokens_per_doc=-1),
+    ):
+        with pytest.raises(InvalidSpec):
+            ScenarioSpec(
+                disciplines=(DisciplineSpec("math", 2),),
+                year_range=(1990, 1993),
+                background=background,
+            )
+
+
+def _reference_emit(rng, spec, disc, injections, vocab, cdf):
+    """The document-by-document form of ``synth._emit_documents``."""
+    docs_per_bin, tokens_per_doc = disc.docs_per_bin, spec.background.tokens_per_doc
+    records = []
+    for start in spec.bin_starts():
+        if docs_per_bin == 0:
+            continue
+        span = min(spec.bin_width, spec.year_range[1] - start + 1)
+        years = (start + rng.integers(0, span, size=docs_per_bin)).tolist()
+        draws = np.searchsorted(cdf, rng.random((docs_per_bin, tokens_per_doc)))
+        rows = np.minimum(draws, len(vocab) - 1).tolist()
+        bin_injections = [
+            (text, (rng.random(docs_per_bin) < q).tolist())
+            for text, q in injections.get(start, ())
+        ]
+        for j, (year, row) in enumerate(zip(years, rows)):
+            body = " ".join(map(vocab.__getitem__, row))
+            for text, mask in bin_injections:
+                if mask[j]:
+                    body = body + " " + text
+            records.append(
+                DocumentRecord(
+                    id=f"{disc.label}-{start}-{j:05d}",
+                    discipline=disc.label,
+                    year=year,
+                    title="",
+                    abstract=body,
+                )
+            )
+    return records
+
+
+_INJECTION = st.tuples(
+    st.sampled_from(["chaos", "cold fusion", "x{0}", "r\u00e9seau"]),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    label=st.text(st.sampled_from("ab{}-\u00e9\u4e2d"), min_size=1, max_size=6),
+    docs_per_bin=st.integers(0, 6),
+    tokens_per_doc=st.integers(0, 5),
+    width=st.integers(1, 3),
+    first_year=st.integers(1990, 1995),
+    n_years=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_emit_documents_equals_the_per_document_emitter(
+    label, docs_per_bin, tokens_per_doc, width, first_year, n_years, seed, data
+):
+    spec = ScenarioSpec(
+        disciplines=(DisciplineSpec(label, docs_per_bin),),
+        year_range=(first_year, first_year + n_years - 1),
+        bin_width=width,
+        background=BackgroundVocabulary(size=7, tokens_per_doc=tokens_per_doc),
+    )
+    injections = {
+        start: data.draw(st.lists(_INJECTION, max_size=3)) for start in spec.bin_starts()
+    }
+    vocab, cdf = spec.background.tokens(), np.cumsum(spec.background.weights())
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    records = synth._emit_documents(rng, spec, spec.disciplines[0], injections, vocab, cdf)
+    expected = _reference_emit(
+        reference_rng, spec, spec.disciplines[0], injections, vocab, cdf
+    )
+    assert records == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
