@@ -146,6 +146,17 @@ def test_invalid_specs_rejected():
             disciplines=(DisciplineSpec("a", 10), DisciplineSpec("a", 10)),
             year_range=(1974, 1999),
         )
+    for background in (
+        BackgroundVocabulary(size=0),
+        BackgroundVocabulary(size=-5),
+        BackgroundVocabulary(tokens_per_doc=-1),
+    ):
+        with pytest.raises(InvalidSpec):
+            ScenarioSpec(
+                disciplines=(DisciplineSpec("math", 2),),
+                year_range=(1990, 1993),
+                background=background,
+            )
 
 
 def test_succession_probabilities_rise_and_fall():
@@ -204,20 +215,6 @@ def test_scenario_json_errors():
         scenario_from_json("{not json")
     with pytest.raises(InvalidSpec):
         scenario_from_json('{"disciplines": []}')
-
-
-def test_scenario_background_must_be_usable():
-    for background in (
-        BackgroundVocabulary(size=0),
-        BackgroundVocabulary(size=-5),
-        BackgroundVocabulary(tokens_per_doc=-1),
-    ):
-        with pytest.raises(InvalidSpec):
-            ScenarioSpec(
-                disciplines=(DisciplineSpec("math", 2),),
-                year_range=(1990, 1993),
-                background=background,
-            )
 
 
 def _reference_emit(rng, spec, disc, injections, vocab, cdf):
