@@ -110,18 +110,8 @@ def _config_line(cfg: dict) -> str:
     return "config " + json.dumps(cfg, sort_keys=True, allow_nan=False)
 
 
-def _write_output(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        # encode first, so text that cannot be encoded leaves no file behind
-        data = text.encode("utf-8")
-        with open(out, "wb") as handle:
-            handle.write(data)
-
-
 def _write_outputs(*artifacts: tuple[str, str]) -> None:
-    """Write ``(text, out)`` artifacts as :func:`_write_output` does, all or none.
+    """Write ``(text, out)`` artifacts as UTF-8, all or none; ``-`` is stdout.
 
     Each new or regular file is written to a temporary file beside it and
     renamed into place only once every artifact is written, so a run that
@@ -131,17 +121,25 @@ def _write_outputs(*artifacts: tuple[str, str]) -> None:
     staged, direct = [], []
     try:
         for i, (text, out) in enumerate(artifacts):
-            target = os.path.realpath(out) if out != "-" else out
-            if out == "-" or os.path.exists(target) and not os.path.isfile(target):
+            if out == "-":
                 direct.append((text, out))
                 continue
+            # encode first, so text that cannot be encoded leaves no file behind
             data = text.encode("utf-8")
+            target = os.path.realpath(out)
+            if os.path.exists(target) and not os.path.isfile(target):
+                direct.append((data, out))
+                continue
             tmp = f"{target}.{os.getpid()}.{i}.tmp"
             with open(tmp, "xb") as handle:
                 staged.append((tmp, target))
                 handle.write(data)
-        for text, out in direct:
-            _write_output(text, out)
+        for data, out in direct:
+            if out == "-":
+                sys.stdout.write(data)
+            else:
+                with open(out, "wb") as handle:
+                    handle.write(data)
         for tmp, target in staged:
             os.replace(tmp, target)
     except BaseException:
@@ -175,22 +173,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "documents": index.n_documents,
-            "disciplines": {
-                d: index.discipline_totals[d] for d in index.disciplines
-            },
+            "disciplines": {d: index.discipline_totals[d] for d in index.disciplines},
             "bins": [
                 {
                     "start_year": b.start_year,
-                    "counts": {
-                        d: index.doc_counts.get((d, b.start_year), 0)
-                        for d in index.disciplines
-                        if (d, b.start_year) in index.doc_counts
-                    },
+                    "counts": {d: n for d in index.disciplines if (n := index.doc_count(d, b))},
                 }
                 for b in index.bins
             ],
         }
-        _write_output(_json_artifact(payload, cfg), args.out)
+        _write_outputs((_json_artifact(payload, cfg), args.out))
     else:
         buf = io.StringIO()
         rows = (
@@ -200,7 +192,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         )
         header = ("discipline", "bin_start", "documents")
         corpus.write_csv(buf, header, rows, _config_line(cfg))
-        _write_output(buf.getvalue(), args.out)
+        _write_outputs((buf.getvalue(), args.out))
     return 0
 
 
@@ -217,7 +209,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     cfg = _config_dict(args)
     buf = io.StringIO()
     rank.write_ranking_csv(ranking, buf, config_line=_config_line(cfg))
-    _write_output(buf.getvalue(), args.out)
+    _write_outputs((buf.getvalue(), args.out))
     return 0
 
 
@@ -247,7 +239,7 @@ def cmd_mdelta(args: argparse.Namespace) -> int:
     cfg = _config_dict(args)
     buf = io.StringIO()
     measure.write_reports_csv(ordered, buf, config_line=_config_line(cfg))
-    _write_output(buf.getvalue(), args.out)
+    _write_outputs((buf.getvalue(), args.out))
     return 0
 
 
@@ -278,7 +270,7 @@ def cmd_migrate(args: argparse.Namespace) -> int:
         series, strong_threshold=args.strong_threshold, query_label=query.label()
     )
     cfg = _config_dict(args)
-    _write_output(_json_artifact(report.to_dict(), cfg), args.out)
+    _write_outputs((_json_artifact(report.to_dict(), cfg), args.out))
     return 0
 
 
@@ -288,7 +280,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     series = diffusion.adoption_series(index, query, args.discipline)
     result = diffusion.fit(series)
     cfg = _config_dict(args)
-    _write_output(_json_artifact(result.to_dict(), cfg), args.out)
+    _write_outputs((_json_artifact(result.to_dict(), cfg), args.out))
     return 0
 
 
@@ -303,7 +295,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     rows = ((f"{t:.12g}", f"{p:.12g}") for t, p in zip(traj.times, traj.p))
     corpus.write_csv(buf, ("t", "p"), rows, _config_line(cfg))
-    _write_output(buf.getvalue(), args.out)
+    _write_outputs((buf.getvalue(), args.out))
     return 0
 
 
@@ -336,7 +328,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         series.append(_growth(index, _parse_query(term_text), disc, args))
     cfg = _config_dict(args)
     svg = plotting.growth_chart_svg(series, title=args.title, config=cfg)
-    _write_output(svg, args.out)
+    _write_outputs((svg, args.out))
     return 0
 
 

@@ -171,20 +171,22 @@ class TermQuery:
         return base
 
 
-Cell = tuple[str, int]  # (discipline, bin start year)
+Cell = tuple[str, int]  # (discipline, year) of a year cell, or of a bin by its start
 
 
 @dataclass(frozen=True, eq=False)
 class CorpusIndex:
     """Immutable per-discipline, per-time-bin term occurrence index.
 
-    ``doc_counts`` holds the total documents per cell. Terms and cells are
-    numbered by their positions in the sorted ``vocabulary`` and ``cells``,
-    and every array is read-only:
+    Documents are stored by year cell, a (discipline, year) pair. A bin of
+    the grid (``bin_width``, ``anchor_offset``) is read as the contiguous
+    run of its year cells, which is exact because each document has one
+    year. Terms and year cells are numbered by their positions in the sorted
+    ``vocabulary`` and ``cells``, and every array is read-only:
 
     - ``tokens``, the int32 term ids of every document in order, documents
-      grouped by cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
-      and cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``;
+      grouped by year cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
+      and year cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``;
       every count and query is evaluated from this stream;
     - ``doc_ids``, the sorted document ids.
     """
@@ -193,7 +195,6 @@ class CorpusIndex:
     anchor_offset: int
     disciplines: tuple[str, ...]
     bins: tuple[TimeBin, ...]
-    doc_counts: Mapping[Cell, int]
     discipline_totals: Mapping[str, int]
     n_documents: int
     vocabulary: tuple[str, ...] = field(repr=False)
@@ -203,22 +204,34 @@ class CorpusIndex:
     cell_offsets: np.ndarray = field(repr=False)
     doc_ids: np.ndarray = field(repr=False)
 
+    def documents(self, discipline: str, start: int) -> tuple[int, int]:
+        """Documents ``first`` to ``last - 1`` of the bin of ``discipline`` at
+        ``start``; an empty range if ``start`` is not on the grid."""
+        if (start - self.anchor_offset) % self.bin_width:
+            return 0, 0
+        lo = bisect_left(self.cells, (discipline, start))
+        hi = bisect_left(self.cells, (discipline, start + self.bin_width), lo)
+        return int(self.cell_offsets[lo]), int(self.cell_offsets[hi])
+
     def doc_count(self, discipline: str, time_bin: Union[TimeBin, int]) -> int:
-        return self.doc_counts.get((discipline, _bin_start(time_bin)), 0)
+        first, last = self.documents(discipline, _bin_start(time_bin))
+        return last - first
+
+    @functools.cached_property
+    def doc_counts(self) -> Mapping[Cell, int]:
+        """Read-only ``{cell: documents}`` over every discipline and bin."""
+        return MappingProxyType(
+            {(d, b.start_year): self.doc_count(d, b) for d in self.disciplines for b in self.bins}
+        )
 
     def term_id(self, term: str) -> int:
         """Position of ``term`` in ``vocabulary``, or -1 if no document has it."""
         i = bisect_left(self.vocabulary, term)
         return i if i < len(self.vocabulary) and self.vocabulary[i] == term else -1
 
-    def cell_id(self, cell: Cell) -> int:
-        """Position of ``cell`` in ``cells``, or -1 if it holds no documents."""
-        i = bisect_left(self.cells, cell)
-        return i if i < len(self.cells) and self.cells[i] == cell else -1
-
-    def _cell_term_counts(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct term ids of cell ``c``, ascending, and how many documents hold each."""
-        first, last = self.cell_offsets[c : c + 2]
+    def _term_counts(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct term ids of documents ``first`` to ``last - 1``, ascending,
+        and how many of those documents hold each."""
         n_docs = last - first
         # binary counting: one key per (term, document), each kept once
         keys = self.tokens[self.doc_offsets[first] : self.doc_offsets[last]].astype(np.int64)
@@ -236,8 +249,9 @@ class CorpusIndex:
         Built from the token stream on first use; the analyses do not read it.
         """
         by_term: list[dict[Cell, int]] = [{} for _ in self.vocabulary]
-        for c, cell in enumerate(self.cells):
-            for t, n in zip(*map(np.ndarray.tolist, self._cell_term_counts(c))):
+        for cell in self.doc_counts:
+            terms, counts = self._term_counts(*self.documents(*cell))
+            for t, n in zip(terms.tolist(), counts.tolist()):
                 by_term[t][cell] = n
         return MappingProxyType(dict(zip(self.vocabulary, map(MappingProxyType, by_term))))
 
@@ -247,11 +261,11 @@ class CorpusIndex:
 
         Row i counts the documents of each discipline (columns in
         ``disciplines`` order) that contain term i. Built from the token
-        stream on first use.
+        stream on first use, one year cell at a time.
         """
         table = np.zeros((len(self.vocabulary), len(self.disciplines)), np.int32)
         for c, (disc, _) in enumerate(self.cells):
-            terms, counts = self._cell_term_counts(c)
+            terms, counts = self._term_counts(*self.cell_offsets[c : c + 2])
             table[terms, self.disciplines.index(disc)] += counts
         table.flags.writeable = False
         return self.vocabulary, table
@@ -331,17 +345,9 @@ def ingest(
             buffered = 0
     flush()
 
-    if anchor_year is None:
-        min_year = min((year for _, year in by_year), default=0)
-        anchor_year = min_year - (min_year % bin_width)
-    offset = anchor_year % bin_width
-    # a bin's start never decreases with the year, so (discipline, year) order
-    # is cell order
-    groups = [
-        ((disc, year - ((year - offset) % bin_width)), ids, lengths)
-        for disc, year in sorted(by_year)
-        for ids, lengths in by_year[disc, year]
-    ]
+    # the default anchor, the earliest year rounded down, is a multiple of bin_width
+    offset = 0 if anchor_year is None else anchor_year % bin_width
+    groups = [(cell, ids, lengths) for cell in sorted(by_year) for ids, lengths in by_year[cell]]
     if batching:
         del term_ids[DOC_SEPARATOR]
     return _build(
@@ -374,17 +380,19 @@ def _build(
     groups: Sequence[tuple[Cell, Sequence[int], Sequence[int]]],
     doc_ids: np.ndarray,
 ) -> CorpusIndex:
-    """Assemble an index from its documents, grouped by cell.
+    """Assemble an index on the grid (``bin_width``, ``offset``) from its
+    documents, grouped by year cell.
 
-    Each group ``(cell, term_ids, lengths)`` holds ``len(lengths)`` documents
-    in order: document d holds the next ``lengths[d]`` ids of ``term_ids``,
-    and id i stands for ``terms[i]``. Groups come with cells ascending, and
-    one cell may span consecutive groups. ``doc_ids`` is the sorted id array.
+    Each group ``(year_cell, term_ids, lengths)`` holds ``len(lengths)``
+    documents in order: document d holds the next ``lengths[d]`` ids of
+    ``term_ids``, and id i stands for ``terms[i]``. Groups come with year
+    cells ascending, and one year cell may span consecutive groups.
+    ``doc_ids`` is the sorted id array.
     """
-    doc_counts: dict[Cell, int] = {}
+    cell_counts: dict[Cell, int] = {}
     discipline_totals: dict[str, int] = {}
     for cell, _, docs in groups:
-        doc_counts[cell] = doc_counts.get(cell, 0) + len(docs)
+        cell_counts[cell] = cell_counts.get(cell, 0) + len(docs)
         discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(docs)
 
     order = sorted(range(len(terms)), key=terms.__getitem__)
@@ -395,27 +403,25 @@ def _build(
     arrays = dict(
         tokens=sorted_id[tokens],
         doc_offsets=_offsets(lengths),
-        cell_offsets=_offsets(np.array(list(doc_counts.values()), np.int64)),
+        cell_offsets=_offsets(np.array(list(cell_counts.values()), np.int64)),
         doc_ids=doc_ids,
     )
     for a in arrays.values():
         a.flags.writeable = False
-    starts = sorted({start for _, start in doc_counts})
-    bins = (
-        tuple(TimeBin(s, bin_width) for s in range(starts[0], starts[-1] + 1, bin_width))
-        if starts
-        else ()
-    )
+    bins: tuple[TimeBin, ...] = ()
+    if cell_counts:
+        years = [year for _, year in cell_counts]
+        first = min(years) - (min(years) - offset) % bin_width
+        bins = tuple(TimeBin(s, bin_width) for s in range(first, max(years) + 1, bin_width))
     return CorpusIndex(
         bin_width=bin_width,
         anchor_offset=offset,
         disciplines=tuple(discipline_totals),
         bins=bins,
-        doc_counts=doc_counts,
         discipline_totals=discipline_totals,
         n_documents=len(lengths),
         vocabulary=tuple(map(terms.__getitem__, order)),
-        cells=tuple(doc_counts),
+        cells=tuple(cell_counts),
         **arrays,
     )
 
@@ -423,15 +429,12 @@ def _build(
 def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
     """Merge partition indexes into the index of their combined documents.
 
-    Partitions must share the bin grid (width and anchor parity); document
-    ids must be disjoint across partitions.
+    Partitions may be on any bin grids, since they store year cells; the
+    merged index reads in the first partition's bins. Document ids must be
+    disjoint across partitions.
     """
     if not parts:
         raise ValueError("nothing to merge")
-    widths = {p.bin_width for p in parts}
-    offsets = {p.anchor_offset for p in parts if p.n_documents}
-    if len(widths) > 1 or len(offsets) > 1:
-        raise ValueError("partition indexes are on incompatible bin grids")
 
     doc_ids = np.sort(np.concatenate([p.doc_ids for p in parts]))
     repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
@@ -447,9 +450,9 @@ def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
             first, last = p.cell_offsets[c : c + 2]
             ids = remap[p.tokens[p.doc_offsets[first] : p.doc_offsets[last]]]
             groups.append((cell, ids, np.diff(p.doc_offsets[first : last + 1])))
-    # stable: within a cell, documents keep their part order
+    # stable: within a year cell, documents keep their part order
     groups.sort(key=lambda group: group[0])
-    return _build(widths.pop(), offsets.pop() if offsets else 0, list(term_ids), groups, doc_ids)
+    return _build(parts[0].bin_width, parts[0].anchor_offset, list(term_ids), groups, doc_ids)
 
 
 def count_matches(
@@ -464,16 +467,12 @@ def count_matches(
     start = _bin_start(time_bin)
     if not any(b.start_year == start for b in index.bins):
         raise UnknownBin(f"no bin starting at year {start}")
-    cell = index.cell_id((discipline, start))
-    if cell < 0:
-        return 0
-
+    first, last = index.documents(discipline, start)
     phrase = [index.term_id(t) for t in query.term]
     coterms = [index.term_id(t) for t in query.required_coterms]
-    if min(phrase + coterms) < 0:
+    if first == last or min(phrase + coterms) < 0:
         return 0
-    # the cell's slice of the token stream, and its document bounds within it
-    first, last = index.cell_offsets[cell : cell + 2]
+    # the bin's slice of the token stream, and its document bounds within it
     base = index.doc_offsets[first]
     bounds = index.doc_offsets[first : last + 1] - base
     stream = index.tokens[base : index.doc_offsets[last]]
@@ -524,9 +523,10 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            # JSONDecodeError is a ValueError, as a number past the int-string limit is
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise MalformedRecord(f"line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise MalformedRecord(f"line {lineno}: expected a JSON object")

@@ -69,6 +69,10 @@ class ScenarioSpec:
             raise InvalidSpec("background size must be >= 1")
         if self.background.tokens_per_doc < 0:
             raise InvalidSpec("background tokens_per_doc must be >= 0")
+        with np.errstate(all="ignore"):  # an exponent such as -1e308 overflows
+            weights = self.background.weights()
+        if not (np.isfinite(self.background.exponent) and np.isfinite(weights).all()):
+            raise InvalidSpec("background exponent must be finite and give finite weights")
         labels = [d.label for d in self.disciplines]
         if len(labels) != len(set(labels)):
             raise InvalidSpec("discipline labels must be unique")
@@ -307,9 +311,10 @@ def generate_succession(
 
 def scenario_from_json(text: str) -> ScenarioSpec:
     """Parse a scenario file; see README for the schema."""
+    # JSONDecodeError is a ValueError, as a number past the int-string limit is
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidSpec(f"invalid scenario JSON: {exc}") from exc
     try:
         disciplines = []
@@ -348,5 +353,5 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             background=background,
             seed=int(obj.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidSpec(f"bad scenario field: {exc}") from exc

@@ -344,10 +344,28 @@ CORPUS, SPEC = object(), object()
 # a JSONL line holding byte 0xff; a corpus whose discipline is a lone surrogate;
 # the artifact path, which must not exist after a failed run
 BAD_BYTE, SURROGATE_CORPUS, OUT = object(), object(), object()
+# corpus and scenario files past json's limits (5,000 nested objects, 5,000
+# digits), and a document count that overflows to an infinite float
+DEEP_CORPUS, HUGE_YEAR, DEEP_SPEC, HUGE_DOCS = object(), object(), object(), object()
+INFINITE_DOCS = object()
+_DEEP = '{"a":' * 5000
+_HUGE = "9" * 5000
+_DOCS_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": %s}], "year_range": [1990, 1991]}'
+RAW_FILES = {
+    DEEP_CORPUS: _DEEP + "\n",
+    HUGE_YEAR: '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
+    % _HUGE,
+    DEEP_SPEC: _DEEP,
+    HUGE_DOCS: _DOCS_SPEC % _HUGE,
+    INFINITE_DOCS: _DOCS_SPEC % "1e400",
+}
 # scenario files, each with its background: SPEC's is valid, the others are not
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
+NAN_EXPONENT, OVERFLOWING_EXPONENT = object(), object()
 SPEC_BACKGROUNDS = {SPEC: {}, EMPTY_BG: {"size": 0}, NEGATIVE_BG: {"size": -5},
-                    NEGATIVE_TOKENS: {"tokens_per_doc": -1}}
+                    NEGATIVE_TOKENS: {"tokens_per_doc": -1},
+                    NAN_EXPONENT: {"size": 5, "exponent": "nan"},
+                    OVERFLOWING_EXPONENT: {"size": 5, "exponent": -1e308}}
 GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
 
 
@@ -396,6 +414,13 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", EMPTY_BG, "--out", OUT], 1),
         ({}, ["synth", "--spec", NEGATIVE_BG, "--out", OUT], 1),
         ({}, ["synth", "--spec", NEGATIVE_TOKENS, "--out", OUT], 1),
+        ({}, ["synth", "--spec", NAN_EXPONENT, "--out", OUT], 1),
+        ({}, ["synth", "--spec", OVERFLOWING_EXPONENT, "--out", OUT], 1),
+        ({}, ["ingest", "--corpus", DEEP_CORPUS, "--out", OUT], 1),
+        ({}, ["ingest", "--corpus", HUGE_YEAR, "--out", OUT], 1),
+        ({}, ["synth", "--spec", DEEP_SPEC, "--out", OUT], 1),
+        ({}, ["synth", "--spec", HUGE_DOCS, "--out", OUT], 1),
+        ({}, ["synth", "--spec", INFINITE_DOCS, "--out", OUT], 1),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -405,7 +430,9 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "huge-steps", "huge-steps-euler", "undecodable-corpus",
          "undecodable-annotations", "unencodable-csv", "surrogate-title",
          "negative-seed", "negative-seed-env", "empty-background",
-         "negative-background", "negative-tokens-per-doc"],
+         "negative-background", "negative-tokens-per-doc", "nan-exponent",
+         "overflowing-exponent", "deep-corpus", "huge-year", "deep-spec",
+         "huge-docs-per-bin", "infinite-docs-per-bin"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -426,6 +453,9 @@ def test_invalid_input_follows_cli_contract(
             {"disciplines": [{"label": "math", "docs_per_bin": 2}], "year_range": [1990, 1993],
              "background": background}
         ))
+    for name, text in RAW_FILES.items():
+        paths[name] = tmp_path / f"raw{len(paths)}.json"
+        paths[name].write_text(text)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = [a if isinstance(a, str) else str(paths[a]) for a in argv]
@@ -439,6 +469,7 @@ def test_invalid_input_follows_cli_contract(
         assert re.fullmatch(r'error code=\S+ msg=".*"\n', err)
     assert code == expected
     assert out_path.exists() == (code == 0)
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # Free text from all of Unicode, with surrogates and controls drawn often,

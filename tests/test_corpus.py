@@ -207,6 +207,8 @@ def test_bins_anchor_even_and_partition(small_index):
     # 1975 joins 1974's bin, 1977 joins 1976's
     assert small_index.doc_count("math", 1974) == 2
     assert small_index.doc_count("math", TimeBin(1976, 2)) == 2
+    # a start off the grid is no bin, though years 1975-1976 hold documents
+    assert small_index.doc_count("math", 1975) == 0
 
 
 def test_odd_min_year_rounds_down():
@@ -412,15 +414,19 @@ def _three_kinds(phrase, coterms):
     ]
 
 
-@given(_corpora, _queries, st.integers(min_value=1, max_value=3))
+# bin grids: a width and an anchor year, or none for the default anchor
+_grids = st.tuples(st.integers(1, 4), st.none() | st.integers(1985, 1997))
+
+
+@given(_corpora, _queries, _grids)
 @example(  # the phrase would span two adjacent documents of one cell
     [DocumentRecord("d0", "x", 1990, "", "cc aa"), DocumentRecord("d1", "x", 1990, "bb", "")],
     (["aa", "bb"], frozenset()),
-    1,
+    (1, None),
 )
 @settings(max_examples=150, deadline=None)
-def test_count_matches_equals_a_document_scan(records, query_parts, bin_width):
-    index = ingest(records, bin_width=bin_width)
+def test_count_matches_equals_a_document_scan(records, query_parts, grid):
+    index = ingest(records, *grid)
     for query in _three_kinds(*query_parts):
         for disc in index.disciplines:
             for b in index.bins:
@@ -441,7 +447,7 @@ def test_count_matches_equals_a_document_scan(records, query_parts, bin_width):
 
 
 def _cell_documents(index):
-    """Each cell's documents as term-id tuples, sorted."""
+    """Each year cell's documents as term-id tuples, sorted."""
     return [
         sorted(
             tuple(index.tokens[index.doc_offsets[d] : index.doc_offsets[d + 1]].tolist())
@@ -462,10 +468,15 @@ def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_
             max_size=len(records),
         )
     )
+    # each part on its own grid; the merge reads in the first part's bins
+    grids = data.draw(st.lists(_grids, min_size=n_parts, max_size=n_parts))
     merged = merge_indexes(
-        [ingest([r for r, p in zip(records, part_of) if p == i]) for i in range(n_parts)]
+        [
+            ingest([r for r, p in zip(records, part_of) if p == i], *grids[i])
+            for i in range(n_parts)
+        ]
     )
-    whole = ingest(records)
+    whole = ingest(records, *grids[0])
     assert merged.doc_counts == whole.doc_counts
     assert merged.bins == whole.bins
     assert merged.n_documents == whole.n_documents

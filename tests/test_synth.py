@@ -150,6 +150,9 @@ def test_invalid_specs_rejected():
         BackgroundVocabulary(size=0),
         BackgroundVocabulary(size=-5),
         BackgroundVocabulary(tokens_per_doc=-1),
+        BackgroundVocabulary(exponent=float("nan")),
+        BackgroundVocabulary(exponent=float("inf")),
+        BackgroundVocabulary(exponent=-1e308),
     ):
         with pytest.raises(InvalidSpec):
             ScenarioSpec(
