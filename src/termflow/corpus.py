@@ -12,6 +12,7 @@ import csv
 import functools
 import itertools
 import json
+import operator
 import re
 import sys
 from array import array
@@ -47,6 +48,10 @@ class InvalidQuery(TermflowError, ValueError):
 
 
 RECORD_FIELDS = ("id", "discipline", "year", "title", "abstract")
+_FIELD_SET = frozenset(RECORD_FIELDS)
+_field_values = operator.itemgetter(*RECORD_FIELDS)
+# the C scanner json.loads runs on a line once past its leading whitespace
+_scan_json = json.JSONDecoder().scan_once
 YEAR_MIN = 1000
 YEAR_MAX = 3000
 
@@ -508,29 +513,38 @@ def _open_read(path: Union[str, IO[str]]):
     return open(path, "r", encoding="utf-8"), True
 
 
-def _record_from_mapping(obj: Mapping, where: str) -> DocumentRecord:
-    if set(obj) != set(RECORD_FIELDS):
+def _record_from_mapping(obj: dict, lineno: int) -> DocumentRecord:
+    if obj.keys() != _FIELD_SET:
         raise MalformedRecord(
-            f"{where}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
+            f"line {lineno}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
         )
-    return DocumentRecord(**obj)
+    return DocumentRecord(*_field_values(obj))
 
 
 def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
-    """Yield records from a JSON-lines file (one object per line)."""
+    """Yield records from a JSON-lines file (one object per line).
+
+    A line that is one JSON value and then JSON whitespace is decoded by the
+    scanner alone; any other line takes ``json.loads``, which words every error."""
     handle, owned = _open_read(path)
     try:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            # JSONDecodeError is a ValueError, as a number past the int-string limit is
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedRecord(f"line {lineno}: invalid JSON ({exc})") from exc
+                obj, end = _scan_json(line, 0)
+                scanned = not line[end:].strip(" \t\n\r")
+            except (StopIteration, ValueError, RecursionError):
+                scanned = False
+            if not scanned:
+                if not line.strip():
+                    continue
+                # JSONDecodeError is a ValueError, as a number past the int-string limit is
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedRecord(f"line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise MalformedRecord(f"line {lineno}: expected a JSON object")
-            yield _record_from_mapping(obj, f"line {lineno}")
+            yield _record_from_mapping(obj, lineno)
     finally:
         if owned:
             handle.close()
@@ -557,7 +571,7 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
             except ValueError as exc:
                 raise MalformedRecord(f"{where}: unparsable year {row['year']!r}") from exc
             # a long row's extra values sit under the key None, which this rejects
-            yield _record_from_mapping({**row, "year": year}, where)
+            yield _record_from_mapping({**row, "year": year}, reader.line_num)
     finally:
         if owned:
             handle.close()

@@ -356,6 +356,147 @@ def test_csv_rejects_missing_fields(tmp_path):
         list(read_csv_records(str(path)))
 
 
+def test_csv_messages_name_the_record_fields(tmp_path):
+    header = "id,discipline,year,title,abstract\n"
+    fields = "expected exactly the fields id, discipline, year, title, abstract"
+    cases = [
+        (header + "a1,math,1990\n", f"line 2: {fields}"),
+        (header + "a1,math,1990,t,chaos,EXTRA\n", f"line 2: {fields}"),
+        ("id,discipline,year,title,summary\na1,math,1990,t,chaos\n",
+         "CSV header must be exactly id, discipline, year, title, abstract"),
+    ]
+    for text, message in cases:
+        path = tmp_path / "corpus.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedRecord) as exc:
+            list(read_csv_records(str(path)))
+        assert str(exc.value) == message
+
+
+def _reference_jsonl_records(handle):
+    """The JSON-lines reader as one ``json.loads`` per line, field check by sets."""
+    for lineno, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedRecord(f"line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise MalformedRecord(f"line {lineno}: expected a JSON object")
+        if set(obj) != set(corpus.RECORD_FIELDS):
+            raise MalformedRecord(
+                f"line {lineno}: expected exactly the fields {', '.join(corpus.RECORD_FIELDS)}"
+            )
+        yield DocumentRecord(**obj)
+
+
+def _read_outcome(reader, text, newline):
+    """The records ``reader`` yields from ``text``, then its error type and message."""
+    records = []
+    try:
+        for rec in reader(io.StringIO(text, newline=newline)):
+            records.append(rec)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return records, type(exc), str(exc)
+    return records, None, None
+
+
+_RECORD = '{"id": "a", "discipline": "math", "year": 1990, "title": "", "abstract": "chaos"}'
+# every character str.strip removes, and the four JSON whitespace characters among them
+_SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + "\ufeff"
+# one valid line, then each way a line can go wrong
+_LINE_MUTATIONS = (
+    lambda line, extra: line,
+    lambda line, extra: extra + line,
+    lambda line, extra: line + extra,
+    lambda line, extra: extra,
+    lambda line, extra: "",
+    lambda line, extra: line + " x",
+    lambda line, extra: line + line,
+    lambda line, extra: line + " " + json.dumps(extra),
+    lambda line, extra: json.dumps(extra),
+    lambda line, extra: json.dumps([extra, 1]),
+    lambda line, extra: "null",
+    lambda line, extra: '{"id": "dup", ' + line[1:],
+    lambda line, extra: line.replace('"title": "", ', ""),
+    lambda line, extra: line[:-1] + ', "extra": 1}',
+    lambda line, extra: line.replace('"title"', '"summary"'),
+    lambda line, extra: line.replace("1990", "NaN"),
+    lambda line, extra: line.replace("1990", "-Infinity"),
+    lambda line, extra: line.replace("1990", "1990.0"),
+    lambda line, extra: line.replace("1990", "true"),
+    lambda line, extra: line.replace("1990", "1" * 30),
+    lambda line, extra: line.replace("1990", "9" * 5000),
+    lambda line, extra: line.replace("1990", "01990"),
+    lambda line, extra: line.replace('""', "[" * 40 + "]" * 40),
+    lambda line, extra: line.replace('""', "[" * 5000 + "]" * 5000),
+    lambda line, extra: line.replace("chaos", "\\x41"),
+    lambda line, extra: line.replace("chaos", "\\ud800"),
+    lambda line, extra: line.replace("chaos", extra),
+    lambda line, extra: line.replace("chaos", "\\u00e9\\n\\t"),
+    lambda line, extra: "\ufeff" + line,
+)
+
+
+def _record_line(draw):
+    fields = dict(
+        id=draw(st.text(min_size=0, max_size=4)),
+        discipline=draw(st.sampled_from(["math", " ", "physé"])),
+        year=draw(st.sampled_from([1990, 999, 3001])),
+        title=draw(st.text(max_size=4)),
+        abstract="chaos",
+    )
+    keys = draw(st.permutations(list(fields)))
+    line = json.dumps({k: fields[k] for k in keys}, ensure_ascii=draw(st.booleans()))
+    # most mutations edit the year, title or abstract of _RECORD's layout
+    return line if draw(st.booleans()) else _RECORD
+
+
+@st.composite
+def _jsonl_files(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        mutate = draw(st.sampled_from(_LINE_MUTATIONS))
+        extra = draw(st.text(st.sampled_from(_SPACES + "\x00\x01\x1fa"), max_size=3))
+        lines.append(mutate(_record_line(draw), extra))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+# lines of a single-line file, each read the same way by both readers
+_EDGE_LINES = (
+    "\x0c", "\x1c", "\xa0", _RECORD + "\x0c", "\x0c" + _RECORD, _RECORD + "\x1c",
+    "\xa0" + _RECORD, _RECORD + "\xa0", "\ufeff" + _RECORD, "  " + _RECORD, "\t" + _RECORD,
+    _RECORD + "  \t\r", "   ", _RECORD + " x", _RECORD + _RECORD, _RECORD + " " + _RECORD,
+    "[1]", "1", "null",
+    '{"id": ' + "[" * 5000 + "]" * 5000 + "}",
+    _RECORD.replace("1990", "9" * 5000),
+    _RECORD.replace("1990", "NaN"),
+    _RECORD.replace("chaos", "\\ud800"),
+    '{"id": "dup", ' + _RECORD[1:],
+    _RECORD.replace('"title": "", ', ""),
+    _RECORD[:-1] + ', "extra": 1}',
+    _RECORD.replace("chaos", "a\x01b"),
+)
+
+
+def _with_edge_examples(test):
+    for line in _EDGE_LINES:
+        test = example(text=line + "\n", newline=None)(test)
+    return test
+
+
+@_with_edge_examples
+@example(text=_RECORD + "\r\n" + _RECORD + "\r\n\r\n", newline="")
+@given(text=_jsonl_files(), newline=st.sampled_from([None, ""]))
+@settings(max_examples=120, deadline=None)
+def test_jsonl_reader_equals_a_json_loads_loop(text, newline):
+    assert _read_outcome(read_jsonl_records, text, newline) == _read_outcome(
+        _reference_jsonl_records, text, newline
+    )
+
+
 def test_query_normalization_enforced():
     with pytest.raises(ValueError):
         TermQuery(term=("Chaos",))
