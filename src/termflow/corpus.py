@@ -70,6 +70,8 @@ _ASCII_LETTERS = frozenset(map(chr, range(ord("a"), ord("z") + 1)))
 DOC_SEPARATOR = "termflowdocsep0"
 _JOIN = f" {DOC_SEPARATOR} "
 BATCH_CHARS = 1 << 18
+# term_counts sorts one int64 key per token of a run of year cells up to this size
+COUNT_TOKENS = 1 << 15
 
 
 def tokenize(text: str) -> list[str]:
@@ -266,12 +268,21 @@ class CorpusIndex:
 
         Row i counts the documents of each discipline (columns in
         ``disciplines`` order) that contain term i. Built from the token
-        stream on first use, one year cell at a time.
+        stream on first use, one run of a discipline's consecutive year cells
+        at a time, each run ending before it would pass ``COUNT_TOKENS``
+        tokens (a run holds at least one cell).
         """
         table = np.zeros((len(self.vocabulary), len(self.disciplines)), np.int32)
-        for c, (disc, _) in enumerate(self.cells):
-            terms, counts = self._term_counts(*self.cell_offsets[c : c + 2])
-            table[terms, self.disciplines.index(disc)] += counts
+        # token offset of each year cell's first document, and of the end
+        cell_starts = self.doc_offsets[self.cell_offsets].tolist()
+        first = 0
+        for c, (disc, _) in enumerate(self.cells, start=1):
+            if c == len(self.cells) or self.cells[c][0] != disc or (
+                cell_starts[c + 1] - cell_starts[first] > COUNT_TOKENS
+            ):
+                terms, counts = self._term_counts(*self.cell_offsets[[first, c]])
+                table[terms, self.disciplines.index(disc)] += counts
+                first = c
         table.flags.writeable = False
         return self.vocabulary, table
 

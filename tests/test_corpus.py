@@ -585,6 +585,24 @@ def test_count_matches_equals_a_document_scan(records, query_parts, grid):
             expected = [_reference_count(records, query, disc, b) for b in index.bins]
             assert [cells.get((disc, b.start_year), 0) for b in index.bins] == expected
             assert table[t, col] == sum(expected), (term, disc)
+    # term_counts reads runs of year cells cut at any token budget to the same
+    # table, and only a run of one year cell passes the budget
+    one_cell = set(zip(index.cell_offsets[:-1].tolist(), index.cell_offsets[1:].tolist()))
+    real_term_counts = corpus.CorpusIndex._term_counts
+    for budget in (0, 3, 10):
+        runs = []
+
+        def recording(self, first, last):
+            runs.append((int(first), int(last)))
+            return real_term_counts(self, first, last)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "COUNT_TOKENS", budget)
+            patch.setattr(corpus.CorpusIndex, "_term_counts", recording)
+            assert np.array_equal(ingest(records, *grid).term_counts[1], table), budget
+        for first, last in runs:
+            tokens = index.doc_offsets[last] - index.doc_offsets[first]
+            assert tokens <= budget or (first, last) in one_cell, (budget, first, last)
 
 
 def _cell_documents(index):
