@@ -153,8 +153,9 @@ def _emit_documents(
     document whose draw falls below the probability gets ``text`` appended.
     ``vocab`` and ``cdf`` are the background's tokens and cumulative weights.
 
-    Each bin draws, in this order: the documents' years, one uniform per
-    (document, token) as a docs x tokens matrix, then one uniform vector per
+    Each bin draws, in this order: the documents' years, from the bin's
+    years inside ``year_range``, one uniform per (document, token) as a
+    docs x tokens matrix, then one uniform vector per
     injection pair in list order. The corpus bytes of a seed depend on that
     order.
     """
@@ -164,9 +165,12 @@ def _emit_documents(
         return records
     # id suffixes, the same in every bin
     suffixes = [f"{j:05d}" for j in range(docs_per_bin)]
+    lo, hi = spec.year_range
     for start in spec.bin_starts():
-        span = min(spec.bin_width, spec.year_range[1] - start + 1)
-        years = (start + rng.integers(0, span, size=docs_per_bin)).tolist()
+        # the first bin may start before the year range
+        first = max(start, lo)
+        span = min(start + spec.bin_width, hi + 1) - first
+        years = (first + rng.integers(0, span, size=docs_per_bin)).tolist()
         # inverse-CDF sampling beats rng.choice(p=...) by a wide margin
         draws = np.searchsorted(cdf, rng.random((docs_per_bin, tokens_per_doc)))
         rows = np.minimum(draws, len(vocab) - 1).tolist()

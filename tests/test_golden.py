@@ -152,16 +152,16 @@ def _wide_scenario() -> ScenarioSpec:
 WIDE_GENERATE_SHA256 = "67872e16ac3d01b55512d2da84a40d258d6e4c1eb4d6ecd32a7f6b1ba9e357d8"
 
 GENERATE_SHA256 = {
-    0: "858761e1bb780f3aaa3628933977441cc9463e62938299146bf8da1a37fc132e",
-    1: "adb26a08a015b55d7c7b8ce3dd184b5a1c1fcee9f6ba9b0433f3918ea934717b",
-    2: "04b000b10c5efe68cea7bf6f1e935964e39756b02c779d3c83f4cfdca0d2446a",
-    3: "daf6f2a3c7dd730fb2dcf3679c5d8a3af2bc6d02537f70b1336768b63c4ef3c8",
-    4: "7d7ec33e4527877de90f6ff071fb7914a1fa9005eccbf097a95bff71c7df5cc2",
-    5: "1ff799f5a1efbfce1410a13a51f60988e20a0f8226b1684b0d56b709bf4e7905",
-    6: "fe8a0217170ca6d238c9fcd0f0555442f85b63ac21b1e174f08c084f00fd62fd",
-    7: "8ea45883f3b70536e98882eb9682e06e091ba972a00769170ef3679a33c93b9b",
-    8: "9cd668e074e3f737acb1cbb2bc3b64988e7c23f3c1056f46fbc4a221bbb30a78",
-    9: "9bc3af47f15227a4036a32a2ab979b8b3b8ad948293367ee3556e2d358f3f521",
+    0: "93ca15435d5021cde1a721ce05aa0f41f9ff545e9160d36d9c9d0fbcfa97f117",
+    1: "be5bed78d98ba2a4bb9bd256cea412448f80c37413f549fc0cc87d378a168240",
+    2: "6c6f8a5253b66861d0244fe52f3ab7a18e45500c16375e4f4a9c6ec428d0a3e8",
+    3: "2dd7e4484a2f3607fc7ee9100a5e83254ea28b9e894b4e29a143282cc0175db3",
+    4: "3fc40d66bf30c708798b9341a6d0f1590536813dd205339063612e978019d3f6",
+    5: "cf7a528e68983a98ba29e3ccf2c815bc9e6d05f08a3f5ebc58a99c7fbb6e81f2",
+    6: "ebe2faa9752e25650aadd1bdf75941570804313617da57474d77cd918c625b92",
+    7: "8e830e196f45a5d580dee21f7e51059c3fcd9c9ffd4735fcaf2ac94128126d69",
+    8: "f5f4138c77b66877cb2b37d645377c7f49f5e9e758f1388ff0e9103967cdf970",
+    9: "e853ae9e89442cf96fe8e1d30983cf9081f427c83daea8416c5a0f900e7cba0c",
 }
 
 SUCCESSION_SHA256 = {

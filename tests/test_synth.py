@@ -81,6 +81,19 @@ def test_documents_respect_year_range_and_counts():
     assert len({r.id for r in records}) == len(records)
 
 
+def test_documents_of_an_off_grid_year_range_stay_inside_it():
+    # the first bin starts at 1974, a year before the range does
+    spec = ScenarioSpec(
+        disciplines=(DisciplineSpec("math", 50), DisciplineSpec("education", 30)),
+        year_range=(1975, 1980),
+        background=BG,
+    )
+    records, _ = generate(spec)
+    assert spec.bin_starts()[0] == 1974
+    assert len(records) == 80 * len(spec.bin_starts())
+    assert {r.year for r in records} == set(range(1975, 1981))
+
+
 def test_injection_zero_before_onset():
     records, truth = generate(two_discipline_spec())
     index = ingest(records)
@@ -227,8 +240,9 @@ def _reference_emit(rng, spec, disc, injections, vocab, cdf):
     for start in spec.bin_starts():
         if docs_per_bin == 0:
             continue
-        span = min(spec.bin_width, spec.year_range[1] - start + 1)
-        years = (start + rng.integers(0, span, size=docs_per_bin)).tolist()
+        first = max(start, spec.year_range[0])
+        span = min(start + spec.bin_width, spec.year_range[1] + 1) - first
+        years = (first + rng.integers(0, span, size=docs_per_bin)).tolist()
         draws = np.searchsorted(cdf, rng.random((docs_per_bin, tokens_per_doc)))
         rows = np.minimum(draws, len(vocab) - 1).tolist()
         bin_injections = [
