@@ -25,6 +25,10 @@ class InvalidSpec(TermflowError):
     pass
 
 
+# the most documents, document tokens and background terms a scenario may ask for
+MAX_GENERATED = 10**7
+
+
 @dataclass(frozen=True)
 class BackgroundVocabulary:
     """Power-law token pool; low ranks act like 'the', high ranks are rare."""
@@ -65,6 +69,15 @@ class ScenarioSpec:
             raise InvalidSpec(f"empty year range {self.year_range}")
         if self.bin_width < 1:
             raise InvalidSpec("bin_width must be >= 1")
+        # before anything is allocated: the bins, the background and the docs x tokens draws
+        n_bins = (hi - lo + lo % self.bin_width) // self.bin_width + 1
+        docs = n_bins * sum(d.docs_per_bin for d in self.disciplines)
+        tokens = docs * max(self.background.tokens_per_doc, 1)
+        if max(tokens, self.background.size) > MAX_GENERATED:
+            raise InvalidSpec(
+                f"scenario asks for {docs} documents of {self.background.tokens_per_doc} "
+                f"tokens over {self.background.size} terms; the limit is {MAX_GENERATED}"
+            )
         if self.background.size < 1:
             raise InvalidSpec("background size must be >= 1")
         if self.background.tokens_per_doc < 0:

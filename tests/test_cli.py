@@ -347,7 +347,8 @@ BAD_BYTE, SURROGATE_CORPUS, OUT = object(), object(), object()
 # corpus and scenario files past json's limits (5,000 nested objects, 5,000
 # digits), and a document count that overflows to an infinite float
 DEEP_CORPUS, HUGE_YEAR, DEEP_SPEC, HUGE_DOCS = object(), object(), object(), object()
-INFINITE_DOCS = object()
+# and a scenario past synth's cap, a 10^9 x 12 draw matrix if it were generated
+INFINITE_DOCS, OVER_CAP_DOCS = object(), object()
 _DEEP = '{"a":' * 5000
 _HUGE = "9" * 5000
 _DOCS_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": %s}], "year_range": [1990, 1991]}'
@@ -358,6 +359,7 @@ RAW_FILES = {
     DEEP_SPEC: _DEEP,
     HUGE_DOCS: _DOCS_SPEC % _HUGE,
     INFINITE_DOCS: _DOCS_SPEC % "1e400",
+    OVER_CAP_DOCS: _DOCS_SPEC % "1000000000",
 }
 # scenario files, each with its background: SPEC's is valid, the others are not
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
@@ -421,6 +423,7 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", DEEP_SPEC, "--out", OUT], 1),
         ({}, ["synth", "--spec", HUGE_DOCS, "--out", OUT], 1),
         ({}, ["synth", "--spec", INFINITE_DOCS, "--out", OUT], 1),
+        ({}, ["synth", "--spec", OVER_CAP_DOCS, "--out", OUT], 1),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -432,7 +435,7 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "negative-seed", "negative-seed-env", "empty-background",
          "negative-background", "negative-tokens-per-doc", "nan-exponent",
          "overflowing-exponent", "deep-corpus", "huge-year", "deep-spec",
-         "huge-docs-per-bin", "infinite-docs-per-bin"],
+         "huge-docs-per-bin", "infinite-docs-per-bin", "over-cap-docs"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch

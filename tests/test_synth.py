@@ -18,6 +18,7 @@ from termflow.diffusion import DiffusionParams, inflection_time
 from termflow.synth import (
     BackgroundVocabulary,
     DisciplineSpec,
+    MAX_GENERATED,
     InvalidSpec,
     ScenarioSpec,
     SuccessionStage,
@@ -170,6 +171,21 @@ def test_invalid_specs_rejected():
         with pytest.raises(InvalidSpec):
             ScenarioSpec(
                 disciplines=(DisciplineSpec("math", 2),),
+                year_range=(1990, 1993),
+                background=background,
+            )
+    # past the cap on documents, document tokens or background terms; never generated
+    at_cap = BackgroundVocabulary(tokens_per_doc=10)
+    ScenarioSpec(disciplines=(DisciplineSpec("math", 5 * 10**5),), year_range=(1990, 1993),
+                 background=at_cap)
+    for docs, background in (
+        (5 * 10**5 + 1, at_cap),
+        (5 * 10**6 + 1, BackgroundVocabulary(tokens_per_doc=0)),
+        (2, BackgroundVocabulary(size=MAX_GENERATED + 1)),
+    ):
+        with pytest.raises(InvalidSpec, match="the limit is 10000000$"):
+            ScenarioSpec(
+                disciplines=(DisciplineSpec("math", docs),),
                 year_range=(1990, 1993),
                 background=background,
             )
