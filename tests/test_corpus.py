@@ -338,12 +338,15 @@ def test_csv_unparsable_year(tmp_path):
         list(read_csv_records(str(path)))
 
 
+_FIELDS_MESSAGE = "expected exactly the fields id, discipline, year, title, abstract"
+
+
 def test_csv_rejects_extra_fields(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text(
         "id,discipline,year,title,abstract\na1,math,1990,t,chaos\na2,math,1991,t,chaos,EXTRA\n"
     )
-    with pytest.raises(MalformedRecord, match="^line 3: expected exactly the fields"):
+    with pytest.raises(MalformedRecord, match=f"^line 3: {_FIELDS_MESSAGE}$"):
         list(read_csv_records(str(path)))
 
 
@@ -352,25 +355,17 @@ def test_csv_rejects_missing_fields(tmp_path):
     path.write_text(
         "id,discipline,year,title,abstract\na1,math,1990,t,chaos\na2,math,1991\n"
     )
-    with pytest.raises(MalformedRecord, match="^line 3: expected exactly the fields"):
+    with pytest.raises(MalformedRecord, match=f"^line 3: {_FIELDS_MESSAGE}$"):
         list(read_csv_records(str(path)))
 
 
-def test_csv_messages_name_the_record_fields(tmp_path):
-    header = "id,discipline,year,title,abstract\n"
-    fields = "expected exactly the fields id, discipline, year, title, abstract"
-    cases = [
-        (header + "a1,math,1990\n", f"line 2: {fields}"),
-        (header + "a1,math,1990,t,chaos,EXTRA\n", f"line 2: {fields}"),
-        ("id,discipline,year,title,summary\na1,math,1990,t,chaos\n",
-         "CSV header must be exactly id, discipline, year, title, abstract"),
-    ]
-    for text, message in cases:
-        path = tmp_path / "corpus.csv"
-        path.write_text(text)
-        with pytest.raises(MalformedRecord) as exc:
-            list(read_csv_records(str(path)))
-        assert str(exc.value) == message
+def test_csv_rejects_unknown_fields(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text("id,discipline,year,title,summary\na1,math,1990,t,chaos\n")
+    with pytest.raises(
+        MalformedRecord, match="^CSV header must be exactly id, discipline, year, title, abstract$"
+    ):
+        list(read_csv_records(str(path)))
 
 
 def _reference_jsonl_records(handle):
