@@ -392,13 +392,13 @@ def _read_outcome(reader, text, newline):
     try:
         for rec in reader(io.StringIO(text, newline=newline)):
             records.append(rec)
-    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+    except Exception as exc:  # the outcome is compared, not handled
         return records, type(exc), str(exc)
     return records, None, None
 
 
 _RECORD = '{"id": "a", "discipline": "math", "year": 1990, "title": "", "abstract": "chaos"}'
-# every character str.strip removes, and the four JSON whitespace characters among them
+# every character str.strip removes (JSON whitespace is four of them), and the BOM
 _SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + "\ufeff"
 # one valid line, then each way a line can go wrong
 _LINE_MUTATIONS = (
@@ -459,7 +459,7 @@ def _jsonl_files(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
-# lines of a single-line file, each read the same way by both readers
+# hand-made edge cases, each read as a one-line file
 _EDGE_LINES = (
     "\x0c", "\x1c", "\xa0", _RECORD + "\x0c", "\x0c" + _RECORD, _RECORD + "\x1c",
     "\xa0" + _RECORD, _RECORD + "\xa0", "\ufeff" + _RECORD, "  " + _RECORD, "\t" + _RECORD,
