@@ -17,7 +17,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -195,7 +195,8 @@ class CorpusIndex:
       grouped by year cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
       and year cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``;
       every count and query is evaluated from this stream;
-    - ``doc_ids``, the sorted document ids.
+    - ``doc_ids``, the document ids in document order: ``doc_ids[d]`` is
+      document d's id.
     """
 
     bin_width: int
@@ -224,13 +225,6 @@ class CorpusIndex:
         first, last = self.documents(discipline, _bin_start(time_bin))
         return last - first
 
-    @functools.cached_property
-    def doc_counts(self) -> Mapping[Cell, int]:
-        """Read-only ``{cell: documents}`` over every discipline and bin."""
-        return MappingProxyType(
-            {(d, b.start_year): self.doc_count(d, b) for d in self.disciplines for b in self.bins}
-        )
-
     def term_id(self, term: str) -> int:
         """Position of ``term`` in ``vocabulary``, or -1 if no document has it."""
         i = bisect_left(self.vocabulary, term)
@@ -256,10 +250,11 @@ class CorpusIndex:
         Built from the token stream on first use; the analyses do not read it.
         """
         by_term: list[dict[Cell, int]] = [{} for _ in self.vocabulary]
-        for cell in self.doc_counts:
-            terms, counts = self._term_counts(*self.documents(*cell))
-            for t, n in zip(terms.tolist(), counts.tolist()):
-                by_term[t][cell] = n
+        for d in self.disciplines:
+            for b in self.bins:
+                terms, counts = self._term_counts(*self.documents(d, b.start_year))
+                for t, n in zip(terms.tolist(), counts.tolist()):
+                    by_term[t][d, b.start_year] = n
         return MappingProxyType(dict(zip(self.vocabulary, map(MappingProxyType, by_term))))
 
     @functools.cached_property
@@ -300,7 +295,8 @@ def ingest(
 
     Bins anchor at the earliest ingested year rounded down to a multiple of
     ``bin_width`` unless ``anchor_year`` pins the grid explicitly. Duplicate
-    ids are an error, not a silent overwrite.
+    ids are an error, not a silent overwrite, reported once every record
+    is read.
 
     The texts of each (discipline, year) group are buffered and tokenized in
     one :func:`tokenize` call, joined by :data:`DOC_SEPARATOR`; every open
@@ -312,30 +308,27 @@ def ingest(
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
 
-    seen_ids: set[str] = set()
     # term ids in order of first appearance; _build sorts them. The separator
     # is pinned to -1 while groups are batched, so it takes no term id.
     term_ids = defaultdict(itertools.count().__next__, {DOC_SEPARATOR: -1})
-    # (discipline, year) -> chunks of token ids and per-document token counts
-    by_year: defaultdict[tuple[str, int], list[tuple[Sequence[int], Sequence[int]]]] = (
-        defaultdict(list)
-    )
-    # (discipline, year) -> buffered "title abstract" texts, in record order
-    open_groups: defaultdict[tuple[str, int], list[str]] = defaultdict(list)
+    # flushed groups (year cell, document ids, token ids, per-document token counts)
+    groups: list[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]] = []
+    # (discipline, year) -> buffered (id, "title abstract") pairs, in record order
+    open_groups: defaultdict[Cell, list[tuple[str, str]]] = defaultdict(list)
     buffered = 0
     batching = True
 
     def flush() -> None:
         nonlocal batching
-        for key, texts in open_groups.items():
+        for cell, docs in open_groups.items():
+            doc_ids, texts = zip(*docs)
             if batching:
                 toks = tokenize(_JOIN.join(texts))
                 ids = np.fromiter(map(term_ids.__getitem__, toks), np.int32, len(toks))
                 bounds = np.flatnonzero(ids < 0)
                 if len(bounds) == len(texts) - 1:
-                    by_year[key].append(
-                        (ids[ids >= 0], np.diff(bounds, prepend=-1, append=len(ids)) - 1)
-                    )
+                    lengths = np.diff(bounds, prepend=-1, append=len(ids)) - 1
+                    groups.append((cell, doc_ids, ids[ids >= 0], lengths))
                     continue
                 # some document holds the separator token: from here on it is a term
                 del term_ids[DOC_SEPARATOR]
@@ -345,16 +338,13 @@ def ingest(
                 toks = tokenize(text)
                 ids.extend(map(term_ids.__getitem__, toks))
                 lengths.append(len(toks))
-            by_year[key].append((ids, lengths))
+            groups.append((cell, doc_ids, ids, lengths))
         open_groups.clear()
 
     # one unpacking per record: a named tuple's attribute reads cost more
     for rec_id, discipline, year, title, abstract in records:
-        if rec_id in seen_ids:
-            raise DuplicateId(f"duplicate document id {rec_id!r}")
-        seen_ids.add(rec_id)
         text = title + " " + abstract
-        open_groups[discipline, year].append(text)
+        open_groups[discipline, year].append((rec_id, text))
         buffered += len(text)
         if buffered > BATCH_CHARS:
             flush()
@@ -363,12 +353,9 @@ def ingest(
 
     # the default anchor, the earliest year rounded down, is a multiple of bin_width
     offset = 0 if anchor_year is None else anchor_year % bin_width
-    groups = [(cell, ids, lengths) for cell in sorted(by_year) for ids, lengths in by_year[cell]]
     if batching:
         del term_ids[DOC_SEPARATOR]
-    return _build(
-        bin_width, offset, list(term_ids), groups, np.array(sorted(seen_ids), dtype=object)
-    )
+    return _build(bin_width, offset, list(term_ids), groups)
 
 
 def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
@@ -393,34 +380,39 @@ def _build(
     bin_width: int,
     offset: int,
     terms: Sequence[str],
-    groups: Sequence[tuple[Cell, Sequence[int], Sequence[int]]],
-    doc_ids: np.ndarray,
+    groups: Iterable[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]],
 ) -> CorpusIndex:
     """Assemble an index on the grid (``bin_width``, ``offset``) from its
     documents, grouped by year cell.
 
-    Each group ``(year_cell, term_ids, lengths)`` holds ``len(lengths)``
-    documents in order: document d holds the next ``lengths[d]`` ids of
-    ``term_ids``, and id i stands for ``terms[i]``. Groups come with year
-    cells ascending, and one year cell may span consecutive groups.
-    ``doc_ids`` is the sorted id array.
+    Each group ``(year_cell, doc_ids, term_ids, lengths)`` holds
+    ``len(lengths)`` documents in order: document d has id ``doc_ids[d]``
+    and holds the next ``lengths[d]`` ids of ``term_ids``, and term id i
+    stands for ``terms[i]``. Groups come in any order and are laid out by
+    year cell, stably, so one year cell may span several groups. A document
+    id given twice raises :class:`DuplicateId`.
     """
+    groups = sorted(groups, key=operator.itemgetter(0))
+    doc_ids = [i for _, ids, _, _ in groups for i in ids]
+    if len(set(doc_ids)) < len(doc_ids):
+        repeated = next(i for i, n in Counter(doc_ids).items() if n > 1)
+        raise DuplicateId(f"duplicate document id {repeated!r}")
     cell_counts: dict[Cell, int] = {}
     discipline_totals: dict[str, int] = {}
-    for cell, _, docs in groups:
+    for cell, _, _, docs in groups:
         cell_counts[cell] = cell_counts.get(cell, 0) + len(docs)
         discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(docs)
 
     order = sorted(range(len(terms)), key=terms.__getitem__)
     sorted_id = np.empty(len(terms), np.int32)
     sorted_id[order] = np.arange(len(terms), dtype=np.int32)
-    tokens = _concat([ids for _, ids, _ in groups], np.int32)
-    lengths = _concat([lengths for _, _, lengths in groups], np.int64)
+    tokens = _concat([ids for _, _, ids, _ in groups], np.int32)
+    lengths = _concat([lengths for _, _, _, lengths in groups], np.int64)
     arrays = dict(
         tokens=sorted_id[tokens],
         doc_offsets=_offsets(lengths),
         cell_offsets=_offsets(np.array(list(cell_counts.values()), np.int64)),
-        doc_ids=doc_ids,
+        doc_ids=np.array(doc_ids, dtype=object),
     )
     for a in arrays.values():
         a.flags.writeable = False
@@ -447,28 +439,21 @@ def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
 
     Partitions may be on any bin grids, since they store year cells; the
     merged index reads in the first partition's bins. Document ids must be
-    disjoint across partitions.
+    disjoint across partitions; within a year cell, documents keep their
+    partition order.
     """
     if not parts:
         raise ValueError("nothing to merge")
-
-    doc_ids = np.sort(np.concatenate([p.doc_ids for p in parts]))
-    repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
-    if repeated.size:
-        raise DuplicateId(f"duplicate document id {repeated[0]!r} across partitions")
-
     # merged term ids in order of first appearance, as ingest numbers them
     term_ids = defaultdict(itertools.count().__next__)
     groups = []
     for p in parts:
         remap = np.fromiter(map(term_ids.__getitem__, p.vocabulary), np.int32, len(p.vocabulary))
-        for c, cell in enumerate(p.cells):
-            first, last = p.cell_offsets[c : c + 2]
+        lengths = np.diff(p.doc_offsets)
+        for cell, first, last in zip(p.cells, p.cell_offsets, p.cell_offsets[1:]):
             ids = remap[p.tokens[p.doc_offsets[first] : p.doc_offsets[last]]]
-            groups.append((cell, ids, np.diff(p.doc_offsets[first : last + 1])))
-    # stable: within a year cell, documents keep their part order
-    groups.sort(key=lambda group: group[0])
-    return _build(parts[0].bin_width, parts[0].anchor_offset, list(term_ids), groups, doc_ids)
+            groups.append((cell, p.doc_ids[first:last], ids, lengths[first:last]))
+    return _build(parts[0].bin_width, parts[0].anchor_offset, list(term_ids), groups)
 
 
 def count_matches(
@@ -564,8 +549,8 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
 def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
     """Yield records from a CSV file with header id,discipline,year,title,abstract."""
     handle, owned = _open_read(path)
+    reader = csv.DictReader(handle)
     try:
-        reader = csv.DictReader(handle)
         if reader.fieldnames is None or set(reader.fieldnames) != set(RECORD_FIELDS):
             raise MalformedRecord(
                 f"CSV header must be exactly {', '.join(RECORD_FIELDS)}"
@@ -583,6 +568,9 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
                 raise MalformedRecord(f"{where}: unparsable year {row['year']!r}") from exc
             # a long row's extra values sit under the key None, which this rejects
             yield _record_from_mapping({**row, "year": year}, reader.line_num)
+    # a field past csv's size limit, e.g. one opened by a quote that never closes
+    except csv.Error as exc:
+        raise MalformedRecord(f"line {reader.line_num}: invalid CSV ({exc})") from exc
     finally:
         if owned:
             handle.close()

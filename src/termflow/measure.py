@@ -67,25 +67,29 @@ def load_annotations(path: str) -> AnnotationSet:
     flags: dict[tuple[str, str], bool] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or set(header) != {"term", "discipline", "technical"}:
-            raise MalformedAnnotation("header must be exactly term,discipline,technical")
-        # the last of repeated header names wins, as in DictReader's dict
-        column = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(
-            column["term"], column["discipline"], column["technical"]
-        )
-        width = len(header)
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            if len(row) < width:
-                row += [None] * (width - len(row))
-            term, discipline, value = pick(row)
-            value = (value or "").strip()
-            if value not in ("0", "1"):
-                raise MalformedAnnotation(
-                    f"line {lineno}: technical must be 0 or 1, got {value!r}"
-                )
-            flags[(term, discipline)] = value == "1"
+        try:
+            header = next(reader, None)
+            if header is None or set(header) != {"term", "discipline", "technical"}:
+                raise MalformedAnnotation("header must be exactly term,discipline,technical")
+            # the last of repeated header names wins, as in DictReader's dict
+            column = {name: i for i, name in enumerate(header)}
+            pick = operator.itemgetter(
+                column["term"], column["discipline"], column["technical"]
+            )
+            width = len(header)
+            for lineno, row in enumerate(filter(None, reader), start=2):
+                if len(row) < width:
+                    row += [None] * (width - len(row))
+                term, discipline, value = pick(row)
+                value = (value or "").strip()
+                if value not in ("0", "1"):
+                    raise MalformedAnnotation(
+                        f"line {lineno}: technical must be 0 or 1, got {value!r}"
+                    )
+                flags[(term, discipline)] = value == "1"
+        # a field past csv's size limit; reader.line_num counts blank lines too
+        except csv.Error as exc:
+            raise MalformedAnnotation(f"line {reader.line_num}: invalid CSV ({exc})") from exc
     return AnnotationSet(flags=flags)
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termflow import corpus as corpus_mod
+from termflow import trend as trend_mod
 from termflow.cli import main
 from termflow.corpus import DocumentRecord, TermQuery, write_jsonl_records
 from termflow.diffusion import DiffusionParams
@@ -84,6 +85,28 @@ def test_ingest_reads_and_tokenizes_through_the_corpus_module(
         monkeypatch.setattr(corpus_mod, name, counting(name))
     assert main(["ingest", "--corpus", corpus_path, "--out", str(tmp_path / "out")]) == 0
     assert calls["read_jsonl_records"] == 1 and calls["tokenize"] > 0, calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["trend", "--term", "chaos", "--discipline", "math"], ["migrate", "--term", "chaos"],
+     ["fit", "--term", "chaos", "--discipline", "math"], ["plot", "--series", "chaos@math"]],
+    ids=["trend", "migrate", "fit", "plot"],
+)
+def test_series_commands_count_through_the_trend_module(
+    argv, corpus_path, tmp_path, monkeypatch
+):
+    # perfbench's tracer times every count by swapping this module attribute
+    calls = []
+    real = trend_mod.count_matches
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trend_mod, "count_matches", counting)
+    assert main([*argv, "--corpus", corpus_path, "--out", str(tmp_path / "out")]) == 0
+    assert calls
 
 
 def test_ingest_json_format(corpus_path, capsys):
@@ -370,17 +393,27 @@ BAD_BYTE, SURROGATE_CORPUS, OUT = object(), object(), object()
 DEEP_CORPUS, HUGE_YEAR, DEEP_SPEC, HUGE_DOCS = object(), object(), object(), object()
 # and a scenario past synth's cap, a 10^9 x 12 draw matrix if it were generated
 INFINITE_DOCS, OVER_CAP_DOCS = object(), object()
+# CSV files past csv's field limit (131,072 characters): a long title, a quote
+# that never closes before 20,000 more rows, and a long annotation term; and a
+# JSONL corpus that holds one id twice
+LONG_CSV_FIELD, OPEN_QUOTE_CSV, LONG_ANNOTATION = object(), object(), object()
+REPEATED_ID = object()
+_CSV_HEADER = "id,discipline,year,title,abstract\n"
+_RECORD = '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
 _DEEP = '{"a":' * 5000
 _HUGE = "9" * 5000
 _DOCS_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": %s}], "year_range": [1990, 1991]}'
 RAW_FILES = {
     DEEP_CORPUS: _DEEP + "\n",
-    HUGE_YEAR: '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
-    % _HUGE,
+    HUGE_YEAR: _RECORD % _HUGE,
     DEEP_SPEC: _DEEP,
     HUGE_DOCS: _DOCS_SPEC % _HUGE,
     INFINITE_DOCS: _DOCS_SPEC % "1e400",
     OVER_CAP_DOCS: _DOCS_SPEC % "1000000000",
+    LONG_CSV_FIELD: _CSV_HEADER + "a1,math,1990,%s,chaos\n" % ("x" * 200_000),
+    OPEN_QUOTE_CSV: _CSV_HEADER + 'a0,math,1990,"open,chaos\n' + "a1,math,1990,t,chaos\n" * 20_000,
+    LONG_ANNOTATION: "term,discipline,technical\n%s,math,1\n" % ("x" * 200_000),
+    REPEATED_ID: _RECORD % 1990 + _RECORD % 1991,
 }
 # scenario files, each with its background: SPEC's is valid, the others are not
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
@@ -445,6 +478,13 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", HUGE_DOCS, "--out", OUT], 1),
         ({}, ["synth", "--spec", INFINITE_DOCS, "--out", OUT], 1),
         ({}, ["synth", "--spec", OVER_CAP_DOCS, "--out", OUT], 1),
+        ({}, ["ingest", "--csv", "--corpus", LONG_CSV_FIELD, "--out", OUT],
+         "corpus.MalformedRecord"),
+        ({}, ["ingest", "--csv", "--corpus", OPEN_QUOTE_CSV, "--out", OUT],
+         "corpus.MalformedRecord"),
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", LONG_ANNOTATION, "--out", OUT],
+         "measure.MalformedAnnotation"),
+        ({}, ["ingest", "--corpus", REPEATED_ID, "--out", OUT], "corpus.DuplicateId"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -456,7 +496,8 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "negative-seed", "negative-seed-env", "empty-background",
          "negative-background", "negative-tokens-per-doc", "nan-exponent",
          "overflowing-exponent", "deep-corpus", "huge-year", "deep-spec",
-         "huge-docs-per-bin", "infinite-docs-per-bin", "over-cap-docs"],
+         "huge-docs-per-bin", "infinite-docs-per-bin", "over-cap-docs", "long-csv-field",
+         "open-quote-csv", "long-annotation", "repeated-id"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -489,9 +530,11 @@ def test_invalid_input_follows_cli_contract(
         code = exc.code
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
+    # an expected error code stands for exit 1 with that code
+    error = re.escape(expected) if isinstance(expected, str) else r"\S+"
     if code == 1:
-        assert re.fullmatch(r'error code=\S+ msg=".*"\n', err)
-    assert code == expected
+        assert re.fullmatch(rf'error code={error} msg=".*"\n', err)
+    assert code == (1 if isinstance(expected, str) else expected)
     assert out_path.exists() == (code == 0)
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -720,3 +763,58 @@ def test_csv_corpus_with_wrong_field_count_gives_one_error_line(row, tmp_path, c
         'error code=corpus.MalformedRecord msg="line 3: expected exactly the fields '
         'id, discipline, year, title, abstract"\n'
     )
+
+
+# CSV corpus contents: header names repeated, missing or unknown; ragged rows;
+# stray and unterminated quotes; NUL, a lone "\r" and a BOM in fields; years
+# such as 1e3, 1_990 and 5,000 digits; and bytes that are not UTF-8
+_CSV_CELLS = st.one_of(
+    st.sampled_from(['"', '""', '"a', 'a"b', "\x00", "\r", "a\rb", "\ufeff"]),
+    st.text(max_size=8),
+)
+_CSV_YEARS = st.sampled_from(["1990", "1991", " 1990", "1e3", "1_990", "-1990", "9" * 5000])
+_CSV_TEXT = st.one_of(st.sampled_from(["", "chaos"]), _CSV_CELLS)
+_CSV_RECORD = st.tuples(
+    st.sampled_from(["a1", "a2", "a3", ""]), st.sampled_from(["math", "x", ""]), _CSV_YEARS,
+    _CSV_TEXT, _CSV_TEXT,
+).map(list)
+# a strategy listed twice is drawn twice as often, so that some runs exit 0
+_CSV_HEADER_NAMES = st.one_of(
+    st.permutations(corpus_mod.RECORD_FIELDS),
+    st.permutations(corpus_mod.RECORD_FIELDS),
+    st.lists(st.sampled_from([*corpus_mod.RECORD_FIELDS, "", "extra"]), max_size=7),
+)
+
+
+@st.composite
+def _csv_corpus(draw):
+    rows = [draw(_CSV_HEADER_NAMES)]
+    ragged = st.lists(_CSV_CELLS, max_size=7)
+    rows += draw(st.lists(st.one_of(_CSV_RECORD, _CSV_RECORD, ragged), max_size=6))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    data = "".join(",".join(row) + draw(ends) for row in rows).encode()
+    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
+    if draw(rarely):
+        data = b"\xef\xbb\xbf" + data
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@example(data=b"id,discipline,year,title,abstract\na1,math,1990,,chaos\n")
+@example(data=b"id,discipline,year,title,abstract\na1,math,1990,,chaos\na1,x,1991,,\n")
+@example(data=b"id,discipline,year,title,abstract\na1,math,1_990,,chaos\n")
+@example(data=b'id,discipline,year,"title,abstract\na1,math,1990,,chaos\n')
+@given(data=_csv_corpus())
+def test_any_csv_corpus_follows_cli_contract(data, tmp_path_factory):
+    work = tmp_path_factory.mktemp("csv")
+    (work / "corpus.csv").write_bytes(data)
+    out = work / "artifact"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["ingest", "--csv", "--corpus", str(work / "corpus.csv"), "--out", str(out)])
+    assert code in (0, 1)
+    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
+    assert (err.getvalue() == "") == (code == 0) == out.exists()

@@ -221,8 +221,15 @@ def test_anchor_year_configurable():
     assert index.bins[0].start_year == 1975
 
 
+def _doc_counts(index):
+    """``{(discipline, bin start): documents}`` over every discipline and bin."""
+    return {
+        (d, b.start_year): index.doc_count(d, b) for d in index.disciplines for b in index.bins
+    }
+
+
 def test_doc_counts_sum_to_total(small_index):
-    assert sum(small_index.doc_counts.values()) == small_index.n_documents
+    assert sum(_doc_counts(small_index).values()) == small_index.n_documents
 
 
 def test_count_never_exceeds_cell_total(small_index):
@@ -255,7 +262,7 @@ def test_duplicating_tokens_never_changes_counts(token_lists, dup_factor):
     ]
     a, b = ingest(base), ingest(duplicated)
     assert a.postings == b.postings
-    assert a.doc_counts == b.doc_counts
+    assert _doc_counts(a) == _doc_counts(b)
 
 
 @given(st.permutations(list(range(4))), st.integers(min_value=0, max_value=3))
@@ -269,7 +276,7 @@ def test_partition_merge_is_order_insensitive(order, split_seed):
     parts = [ingest(quarters[i]) for i in order]
     merged = merge_indexes(parts)
     whole = ingest(docs)
-    assert merged.doc_counts == whole.doc_counts
+    assert _doc_counts(merged) == _doc_counts(whole)
     assert merged.postings == whole.postings
     assert merged.bins == whole.bins
 
@@ -601,10 +608,13 @@ def test_count_matches_equals_a_document_scan(records, query_parts, grid):
 
 
 def _cell_documents(index):
-    """Each year cell's documents as term-id tuples, sorted."""
+    """Each year cell's documents as (id, term-id tuple) pairs, sorted."""
     return [
         sorted(
-            tuple(index.tokens[index.doc_offsets[d] : index.doc_offsets[d + 1]].tolist())
+            (
+                index.doc_ids[d],
+                tuple(index.tokens[index.doc_offsets[d] : index.doc_offsets[d + 1]].tolist()),
+            )
             for d in range(index.cell_offsets[c], index.cell_offsets[c + 1])
         )
         for c in range(len(index.cells))
@@ -631,13 +641,12 @@ def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_
         ]
     )
     whole = ingest(records, *grids[0])
-    assert merged.doc_counts == whole.doc_counts
+    assert _doc_counts(merged) == _doc_counts(whole)
     assert merged.bins == whole.bins
     assert merged.n_documents == whole.n_documents
     assert merged.vocabulary == whole.vocabulary
-    assert merged.doc_ids.tolist() == whole.doc_ids.tolist()
     assert merged.cells == whole.cells
-    # each cell holds the same documents, in whatever order
+    # each cell holds the same documents, ids and tokens, in whatever order
     assert _cell_documents(merged) == _cell_documents(whole)
     assert merged.postings == whole.postings
     assert merged.term_counts[0] == whole.term_counts[0]
@@ -709,6 +718,8 @@ def test_batched_ingest_equals_the_merge_of_one_record_ingests(records, batch_ch
     assert whole.cells == merged.cells
     for name in ("tokens", "doc_offsets", "cell_offsets", "doc_ids"):
         assert getattr(whole, name).tolist() == getattr(merged, name).tolist(), name
+    # doc_ids[d] is the id of document d
+    assert whole.doc_ids.tolist() == [r.id for r in in_group_order]
     # and each document holds its own tokens, which one-record ingests share
     terms = np.array(whole.vocabulary, dtype=object)
     assert [
