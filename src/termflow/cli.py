@@ -215,7 +215,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_mdelta(args: argparse.Namespace) -> int:
     index = _read_corpus(args)
-    annotations = measure.load_annotations(args.annotations)
     disciplines = args.discipline or list(index.disciplines)
     dictionaries: dict[str, rank.Dictionary] = {}
     for spec in args.dictionary or []:
@@ -227,14 +226,15 @@ def cmd_mdelta(args: argparse.Namespace) -> int:
             raise TermflowError("use --dictionary DISCIPLINE=PATH with several disciplines")
         dictionaries[disc] = rank.load_dictionary(path, disc)
 
-    reports = []
+    n = args.list_length
+    lists = []  # (top terms, bottom terms, discipline)
     for disc in disciplines:
         ranking = rank.rank_terms(index, disc, dictionaries.get(disc))
-        top = rank.top_terms(ranking, args.list_length)
-        bottom = rank.bottom_terms(ranking, args.list_length)
-        reports.append(
-            measure.m_delta(top, bottom, disc, annotations, smoothing=args.smooth)
-        )
+        lists.append((rank.top_terms(ranking, n), rank.bottom_terms(ranking, n), disc))
+    # every annotation row is checked, but only the pairs the lists hold are kept
+    pairs = {(t, disc) for top, bottom, disc in lists for t in (*top, *bottom)}
+    annotations = measure.load_annotations(args.annotations, pairs)
+    reports = [measure.m_delta(*lst, annotations, smoothing=args.smooth) for lst in lists]
     ordered = measure.hardness_ranking(reports)
     cfg = _config_dict(args)
     buf = io.StringIO()

@@ -562,7 +562,10 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
                 raise MalformedRecord(
                     f"{where}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
                 )
+            # the JSON integer grammar; int() alone also takes "1_990", " +1991 " and "١٩٩٢"
             try:
+                if not re.fullmatch(r"-?(?:0|[1-9][0-9]*)", row["year"]):
+                    raise ValueError
                 year = int(row["year"])
             except ValueError as exc:
                 raise MalformedRecord(f"{where}: unparsable year {row['year']!r}") from exc

@@ -13,7 +13,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import IO, Collection, Iterable, Mapping, Optional, Sequence
 
 from .corpus import write_csv
 from .errors import TermflowError
@@ -57,12 +57,15 @@ class AnnotationSet:
         return self.flags.get((term, discipline))
 
 
-def load_annotations(path: str) -> AnnotationSet:
+def load_annotations(
+    path: str, pairs: Optional[Collection[tuple[str, str]]] = None
+) -> AnnotationSet:
     """Read a CSV with header term,discipline,technical (technical in {0,1}).
 
     Rows are read as ``csv.DictReader`` would: columns in any header order,
     blank rows skipped (they do not count as lines), short rows padded with
-    None.
+    None. Every row is checked; with ``pairs``, only the flags of those
+    (term, discipline) pairs are kept.
     """
     flags: dict[tuple[str, str], bool] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -86,7 +89,8 @@ def load_annotations(path: str) -> AnnotationSet:
                     raise MalformedAnnotation(
                         f"line {lineno}: technical must be 0 or 1, got {value!r}"
                     )
-                flags[(term, discipline)] = value == "1"
+                if pairs is None or (term, discipline) in pairs:
+                    flags[(term, discipline)] = value == "1"
         # a field past csv's size limit; reader.line_num counts blank lines too
         except csv.Error as exc:
             raise MalformedAnnotation(f"line {reader.line_num}: invalid CSV ({exc})") from exc

@@ -135,7 +135,7 @@ def test_mdelta_report(corpus_path, capsys, tmp_path):
 
     index = corpus_mod.ingest(corpus_mod.read_jsonl_records(corpus_path))
     rows = ["term,discipline,technical"]
-    for term in sorted(index.postings):
+    for term in index.vocabulary:
         rows.append(f"{term},math,1")
         rows.append(f"{term},education,{1 if term == 'chaos' else 0}")
     ann_path = tmp_path / "ann.csv"
@@ -485,6 +485,8 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["mdelta", "--corpus", CORPUS, "--annotations", LONG_ANNOTATION, "--out", OUT],
          "measure.MalformedAnnotation"),
         ({}, ["ingest", "--corpus", REPEATED_ID, "--out", OUT], "corpus.DuplicateId"),
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", BAD_BYTE, "--discipline", "x",
+              "--out", OUT], "corpus.UnknownDiscipline"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -497,7 +499,8 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "negative-background", "negative-tokens-per-doc", "nan-exponent",
          "overflowing-exponent", "deep-corpus", "huge-year", "deep-spec",
          "huge-docs-per-bin", "infinite-docs-per-bin", "over-cap-docs", "long-csv-field",
-         "open-quote-csv", "long-annotation", "repeated-id"],
+         "open-quote-csv", "long-annotation", "repeated-id",
+         "unknown-discipline-before-annotations"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -818,3 +821,69 @@ def test_any_csv_corpus_follows_cli_contract(data, tmp_path_factory):
     assert code in (0, 1)
     assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
     assert (err.getvalue() == "") == (code == 0) == out.exists()
+
+
+# Annotation file contents, for mdelta on the golden corpus at --discipline math
+# --list-length 1, which reads the pairs (chaos, math) and (bg026, math): header
+# names repeated or missing; ragged rows; stray quotes, NUL and a BOM in fields;
+# flags other than 0 and 1; and bytes that are not UTF-8
+GOLDEN_CORPUS = str(Path(__file__).parent / "golden" / "corpus.jsonl")
+_ANNOTATION_CELLS = st.sampled_from(['"', '""', 'a"b', "\x00", "\r", "\ufeff", "", "note"])
+_ANNOTATION_TERMS = st.sampled_from(["chaos", "bg026", "bg041"])
+_ANNOTATION_DISCIPLINES = st.sampled_from(["math", "history"])
+_ANNOTATION_ROW = st.tuples(
+    _ANNOTATION_TERMS, _ANNOTATION_DISCIPLINES, st.sampled_from(["0", "1", " 1 "])
+).map(list)
+_BAD_ANNOTATION_ROW = st.tuples(
+    _ANNOTATION_TERMS, _ANNOTATION_DISCIPLINES, st.sampled_from(["2", "", "01", "1\x00"])
+).map(list)
+# a strategy listed twice is drawn twice as often, so that some runs exit 0
+_ANNOTATION_HEADER = st.one_of(
+    st.just(["term", "discipline", "technical"]),
+    st.just(["term", "discipline", "technical"]),
+    st.lists(st.sampled_from(["term", "discipline", "technical", "note", ""]), max_size=4),
+)
+
+
+@st.composite
+def _annotation_file(draw):
+    rows = [draw(_ANNOTATION_HEADER)]
+    if draw(st.booleans()):  # the two pairs mdelta reads, each flagged 0 or 1
+        rows += [[term, "math", draw(st.sampled_from("01"))] for term in ("chaos", "bg026")]
+    ragged = st.lists(st.one_of(_ANNOTATION_CELLS, _ANNOTATION_TERMS), max_size=5)
+    # half the files hold only well-formed rows after the header
+    noisy = st.one_of(_ANNOTATION_ROW, _BAD_ANNOTATION_ROW, ragged)
+    more = draw(st.sampled_from([_ANNOTATION_ROW, noisy]))
+    rows += draw(st.lists(more, max_size=9 - len(rows)))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    data = "".join(",".join(row) + draw(ends) for row in rows).encode()
+    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
+    if draw(rarely):
+        data = b"\xef\xbb\xbf" + data
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@example(data=b"term,discipline,technical\nchaos,math,1\nbg026,math,0\n")
+@example(data=b"term,discipline,technical\nchaos,math,1\nbg026,math,0\nbg041,history,2\n")
+@example(data=b"term,discipline,technical\nchaos,math,1\nbg026,math,0\n\xff\n")
+@given(data=_annotation_file())
+def test_any_annotation_file_follows_cli_contract(data, tmp_path_factory):
+    work = tmp_path_factory.mktemp("annotations")
+    (work / "annotations.csv").write_bytes(data)
+    out = work / "artifact"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["mdelta", "--corpus", GOLDEN_CORPUS, "--annotations",
+                     str(work / "annotations.csv"), "--discipline", "math",
+                     "--list-length", "1", "--smooth", "--out", str(out)])
+    assert code in (0, 1)
+    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
+    assert (err.getvalue() == "") == (code == 0) == out.exists()
+    if code == 0:
+        assert out.read_text().splitlines()[1] == (
+            "discipline,m_top,m_bottom,m_delta,label,smoothed"
+        )

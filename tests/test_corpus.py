@@ -345,6 +345,18 @@ def test_csv_unparsable_year(tmp_path):
         list(read_csv_records(str(path)))
 
 
+def test_csv_year_follows_json_integer_grammar(tmp_path):
+    # int() alone reads each of these refused years as 1990, 1991 or 1992
+    path = tmp_path / "corpus.csv"
+    for year in ("1_990", " +1991 ", "\u0661\u0669\u0669\u0662", "01990"):
+        path.write_text(f'id,discipline,year,title,abstract\na1,math,"{year}",t,chaos\n')
+        with pytest.raises(MalformedRecord) as exc:
+            list(read_csv_records(str(path)))
+        assert str(exc.value) == f"line 2: unparsable year {year!r}"
+    path.write_text("id,discipline,year,title,abstract\na1,math,1990,t,chaos\n")
+    assert [rec.year for rec in read_csv_records(str(path))] == [1990]
+
+
 _FIELDS_MESSAGE = "expected exactly the fields id, discipline, year, title, abstract"
 
 

@@ -271,10 +271,21 @@ def _outcome(load, path):
         return str(exc)
 
 
-@given(annotation_files())
+@given(annotation_files(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_load_annotations_reads_like_dictreader(tmp_path_factory, rows):
+def test_load_annotations_reads_like_dictreader(tmp_path_factory, rows, data):
     path = tmp_path_factory.mktemp("ann") / "ann.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerows(rows)
-    assert _outcome(load_annotations, str(path)) == _outcome(dictreader_annotations, str(path))
+    reference = _outcome(dictreader_annotations, str(path))
+    assert _outcome(load_annotations, str(path)) == reference
+    # pairs the file holds and pairs it lacks; a malformed file gives the same
+    # message whether or not its bad row's pair is listed
+    absent = st.tuples(_FIELD, _FIELD)
+    held = list(reference) if isinstance(reference, dict) else []
+    pairs = data.draw(st.sets(st.sampled_from(held) | absent if held else absent, max_size=6))
+    for keep in (pairs, set()):
+        expected = reference if isinstance(reference, str) else {
+            pair: flag for pair, flag in reference.items() if pair in keep
+        }
+        assert _outcome(lambda p: load_annotations(p, keep), str(path)) == expected
