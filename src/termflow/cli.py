@@ -65,21 +65,6 @@ def _read_corpus(args: argparse.Namespace) -> corpus.CorpusIndex:
     )
 
 
-def _growth(
-    index: corpus.CorpusIndex,
-    query: corpus.TermQuery,
-    discipline: str,
-    args: argparse.Namespace,
-) -> trend.GrowthSeries:
-    return trend.growth_pipeline(
-        index,
-        query,
-        discipline,
-        smoothing_window=args.smoothing_window,
-        support_threshold=args.support_threshold,
-    )
-
-
 def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
     env = os.environ.get("TERMFLOW_SEED")
     if env is not None:
@@ -94,15 +79,13 @@ def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
     return seed
 
 
-def _config_dict(args: argparse.Namespace, **extra) -> dict:
+def _config_dict(args: argparse.Namespace) -> dict:
     """The run configuration; a non-finite float becomes its string form
     (``"inf"``), so the config is strict JSON."""
-    skip = {"func", "out"}
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    cfg.update(extra)
     return {
         k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
-        for k, v in cfg.items()
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "out")
     }
 
 
@@ -149,6 +132,13 @@ def _write_outputs(*artifacts: tuple[str, str]) -> None:
         raise
 
 
+def _text(write, *args, **kwargs) -> str:
+    """What ``write(*args, handle=..., **kwargs)`` writes to its text handle."""
+    handle = io.StringIO()
+    write(*args, handle=handle, **kwargs)
+    return handle.getvalue()
+
+
 def _json_artifact(payload: dict, cfg: dict) -> str:
     return json.dumps({"config": cfg, **payload}, sort_keys=True, indent=2) + "\n"
 
@@ -167,9 +157,8 @@ def _add_trend_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--support-threshold", type=int, default=trend.DEFAULT_SUPPORT_THRESHOLD)
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
-    cfg = _config_dict(args)
     if args.format == "json":
         payload = {
             "documents": index.n_documents,
@@ -182,21 +171,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 for b in index.bins
             ],
         }
-        _write_outputs((_json_artifact(payload, cfg), args.out))
-    else:
-        buf = io.StringIO()
-        rows = (
-            (d, b.start_year, index.doc_count(d, b))
-            for d in index.disciplines
-            for b in index.bins
-        )
-        header = ("discipline", "bin_start", "documents")
-        corpus.write_csv(buf, header, rows, _config_line(cfg))
-        _write_outputs((buf.getvalue(), args.out))
-    return 0
+        return [(_json_artifact(payload, cfg), args.out)]
+    rows = (
+        (d, b.start_year, index.doc_count(d, b))
+        for d in index.disciplines
+        for b in index.bins
+    )
+    header = ("discipline", "bin_start", "documents")
+    csv_text = _text(corpus.write_csv, header=header, rows=rows, config_line=_config_line(cfg))
+    return [(csv_text, args.out)]
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def cmd_rank(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
     dictionary = (
         rank.load_dictionary(args.dictionary, args.discipline)
@@ -206,17 +192,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
     ranking = rank.rank_terms(
         index, args.discipline, dictionary, normal_switch=args.normal_threshold
     )
-    cfg = _config_dict(args)
-    buf = io.StringIO()
-    rank.write_ranking_csv(ranking, buf, config_line=_config_line(cfg))
-    _write_outputs((buf.getvalue(), args.out))
-    return 0
+    return [(_text(rank.write_ranking_csv, ranking, config_line=_config_line(cfg)), args.out)]
 
 
-def cmd_mdelta(args: argparse.Namespace) -> int:
+def cmd_mdelta(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
     disciplines = args.discipline or list(index.disciplines)
-    dictionaries: dict[str, rank.Dictionary] = {}
+    paths = []  # (discipline, dictionary path), all checked before any is opened
     for spec in args.dictionary or []:
         if "=" in spec:
             disc, path = spec.split("=", 1)
@@ -224,7 +206,10 @@ def cmd_mdelta(args: argparse.Namespace) -> int:
             disc, path = disciplines[0], spec
         else:
             raise TermflowError("use --dictionary DISCIPLINE=PATH with several disciplines")
-        dictionaries[disc] = rank.load_dictionary(path, disc)
+        if disc not in disciplines:
+            raise TermflowError(f"--dictionary {spec!r} names no reported discipline")
+        paths.append((disc, path))
+    dictionaries = {disc: rank.load_dictionary(path, disc) for disc, path in paths}
 
     n = args.list_length
     lists = []  # (top terms, bottom terms, discipline)
@@ -236,85 +221,73 @@ def cmd_mdelta(args: argparse.Namespace) -> int:
     annotations = measure.load_annotations(args.annotations, pairs)
     reports = [measure.m_delta(*lst, annotations, smoothing=args.smooth) for lst in lists]
     ordered = measure.hardness_ranking(reports)
-    cfg = _config_dict(args)
-    buf = io.StringIO()
-    measure.write_reports_csv(ordered, buf, config_line=_config_line(cfg))
-    _write_outputs((buf.getvalue(), args.out))
-    return 0
+    return [(_text(measure.write_reports_csv, ordered, config_line=_config_line(cfg)), args.out)]
 
 
-def cmd_trend(args: argparse.Namespace) -> int:
+def cmd_trend(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
     query = _parse_query(args.term)
-    growth = _growth(index, query, args.discipline, args)
-    cfg = _config_dict(args)
-    buf = io.StringIO()
-    trend.write_series_csv(growth, buf, config_line=_config_line(cfg))
-    artifacts = [(buf.getvalue(), args.out)]
+    growth = trend.growth_pipeline(
+        index, query, args.discipline, args.smoothing_window, args.support_threshold
+    )
+    artifacts = [(_text(trend.write_series_csv, growth, config_line=_config_line(cfg)), args.out)]
     if args.plot:
         svg = plotting.growth_chart_svg(
             [growth], title=f"{query.label()} in {args.discipline}", config=cfg
         )
         artifacts.append((svg, args.plot))
     # a chart that cannot be drawn or written leaves no CSV behind
-    _write_outputs(*artifacts)
-    return 0
+    return artifacts
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
+def cmd_migrate(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
     query = _parse_query(args.term)
     disciplines = args.disciplines or list(index.disciplines)
-    series = {d: _growth(index, query, d, args) for d in disciplines}
+    series = {
+        d: trend.growth_pipeline(index, query, d, args.smoothing_window, args.support_threshold)
+        for d in disciplines
+    }
     report = migration.classify_roles(
         series, strong_threshold=args.strong_threshold, query_label=query.label()
     )
-    cfg = _config_dict(args)
-    _write_outputs((_json_artifact(report.to_dict(), cfg), args.out))
-    return 0
+    return [(_json_artifact(report.to_dict(), cfg), args.out)]
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
     query = _parse_query(args.term)
     series = diffusion.adoption_series(index, query, args.discipline)
     result = diffusion.fit(series)
-    cfg = _config_dict(args)
-    _write_outputs((_json_artifact(result.to_dict(), cfg), args.out))
-    return 0
+    return [(_json_artifact(result.to_dict(), cfg), args.out)]
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     params = diffusion.DiffusionParams(c=args.c, p_m=args.pm, p_0=args.p0)
     if args.euler:
         traj = diffusion.trajectory_euler(params, args.t_end, args.dt)
     else:
         times = [i * args.dt for i in range(diffusion.step_count(args.t_end, args.dt) + 1)]
         traj = diffusion.trajectory_closed_form(params, times)
-    cfg = _config_dict(args)
-    buf = io.StringIO()
     rows = ((f"{t:.12g}", f"{p:.12g}") for t, p in zip(traj.times, traj.p))
-    corpus.write_csv(buf, ("t", "p"), rows, _config_line(cfg))
-    _write_outputs((buf.getvalue(), args.out))
-    return 0
+    header = ("t", "p")
+    csv_text = _text(corpus.write_csv, header=header, rows=rows, config_line=_config_line(cfg))
+    return [(csv_text, args.out)]
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = synth.scenario_from_json(handle.read())
     seed = _resolve_seed(args, fallback=spec.seed)
     records, truth = synth.generate(dataclasses.replace(spec, seed=seed))
-    buf = io.StringIO()
-    corpus.write_jsonl_records(records, buf)
-    artifacts = [(buf.getvalue(), args.out)]
+    artifacts = [(_text(corpus.write_jsonl_records, records), args.out)]
     if args.truth:
-        cfg = _config_dict(args, seed=seed)
+        cfg["seed"] = seed
         artifacts.append((_json_artifact(truth.to_dict(), cfg), args.truth))
-    _write_outputs(*artifacts)
-    return 0
+    return artifacts
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
     series = []
     for spec in args.series:
@@ -325,11 +298,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
             term_text, disc = spec, index.disciplines[0]
         else:
             raise TermflowError(f"series {spec!r} needs an @discipline suffix")
-        series.append(_growth(index, _parse_query(term_text), disc, args))
-    cfg = _config_dict(args)
+        series.append(trend.growth_pipeline(
+            index, _parse_query(term_text), disc, args.smoothing_window, args.support_threshold
+        ))
     svg = plotting.growth_chart_svg(series, title=args.title, config=cfg)
-    _write_outputs((svg, args.out))
-    return 0
+    return [(svg, args.out)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,13 +393,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except TermflowError as exc:
-        print(f"error code={exc.code} msg={json.dumps(str(exc))}", file=sys.stderr)
+        # a command returns its (text, path) artifacts; none is written if it fails
+        _write_outputs(*args.func(args, _config_dict(args)))
+    except (TermflowError, OSError, UnicodeError) as exc:
+        code = exc.code if isinstance(exc, TermflowError) else f"io.{type(exc).__name__}"
+        print(f"error code={code} msg={json.dumps(str(exc))}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeError) as exc:
-        print(f"error code=io.{type(exc).__name__} msg={json.dumps(str(exc))}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":
