@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import DocumentRecord, TermQuery
+from .corpus import YEAR_MAX, YEAR_MIN, DocumentRecord, TermQuery
 from .diffusion import DiffusionParams, inflection_time, logistic_value
 from .errors import TermflowError
 
@@ -25,7 +25,7 @@ class InvalidSpec(TermflowError):
     pass
 
 
-# the most documents, document tokens and background terms a scenario may ask for
+# the most bins, documents, document tokens and background terms a scenario may ask for
 MAX_GENERATED = 10**7
 
 
@@ -78,6 +78,8 @@ class ScenarioSpec:
                 f"scenario asks for {docs} documents of {self.background.tokens_per_doc} "
                 f"tokens over {self.background.size} terms; the limit is {MAX_GENERATED}"
             )
+        if n_bins > MAX_GENERATED:  # reached only when no discipline asks for documents
+            raise InvalidSpec(f"scenario asks for {n_bins} bins; the limit is {MAX_GENERATED}")
         if self.background.size < 1:
             raise InvalidSpec("background size must be >= 1")
         if self.background.tokens_per_doc < 0:
@@ -103,6 +105,9 @@ class ScenarioSpec:
                     )
                 if not 0 < d.diffusion.p_0 < d.diffusion.p_m:
                     raise InvalidSpec(f"{d.label}: injection needs 0 < p_0 < p_m")
+        # a year no record may hold would be refused later, or overflow numpy's draw
+        if docs > 0 and not YEAR_MIN <= lo <= hi <= YEAR_MAX:
+            raise InvalidSpec(f"documents need years in [{YEAR_MIN}, {YEAR_MAX}], not {lo}-{hi}")
 
     def bin_starts(self) -> list[int]:
         lo, hi = self.year_range

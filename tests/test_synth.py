@@ -189,6 +189,15 @@ def test_invalid_specs_rejected():
                 year_range=(1990, 1993),
                 background=background,
             )
+    # past the cap on bins, which only a scenario without documents reaches
+    ScenarioSpec(disciplines=(), year_range=(0, 2 * MAX_GENERATED - 1))
+    with pytest.raises(InvalidSpec, match="bins; the limit is 10000000$"):
+        ScenarioSpec(disciplines=(), year_range=(-(10**20), 10**20))
+    # documents only in years a record may hold
+    ScenarioSpec(disciplines=(DisciplineSpec("math", 0),), year_range=(0, 5))
+    for years in ((999, 1005), (2995, 3001), (10**20, 10**20)):
+        with pytest.raises(InvalidSpec, match="documents need years in"):
+            ScenarioSpec(disciplines=(DisciplineSpec("math", 2),), year_range=years)
 
 
 def test_succession_probabilities_rise_and_fall():
