@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from termflow import corpus as corpus_mod
 from termflow import trend as trend_mod
-from termflow.cli import main
+from termflow.cli import build_parser, main
 from termflow.corpus import DocumentRecord, TermQuery, write_jsonl_records
 from termflow.diffusion import DiffusionParams
 from termflow.plotting import EmptySeriesSet, growth_chart_svg
@@ -26,6 +27,7 @@ from termflow.synth import (
     SuccessionStage,
     generate,
     generate_succession,
+    scenario_from_json,
 )
 from termflow.trend import growth_pipeline
 
@@ -48,6 +50,15 @@ def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "corpus.jsonl"
     with open(path, "w") as handle:
         write_jsonl_records(records, handle)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def csv_corpus_path(corpus_path):
+    path = Path(corpus_path).with_suffix(".csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        records = corpus_mod.read_jsonl_records(corpus_path)
+        corpus_mod.write_csv(handle, corpus_mod.RECORD_FIELDS, records)
     return str(path)
 
 
@@ -391,8 +402,9 @@ BAD_BYTE, SURROGATE_CORPUS, OUT = object(), object(), object()
 # corpus and scenario files past json's limits (5,000 nested objects, 5,000
 # digits), and a document count that overflows to an infinite float
 DEEP_CORPUS, HUGE_YEAR, DEEP_SPEC, HUGE_DOCS = object(), object(), object(), object()
-# and a scenario past synth's cap, a 10^9 x 12 draw matrix if it were generated
-INFINITE_DOCS, OVER_CAP_DOCS = object(), object()
+# and scenarios past synth's cap: a 10^9 x 12 draw matrix if it were generated,
+# and 2 x 10^20 bins of no documents; and documents dated 10^20, past numpy's int64
+INFINITE_DOCS, OVER_CAP_DOCS, OVER_CAP_BINS, HUGE_YEARS = object(), object(), object(), object()
 # CSV files past csv's field limit (131,072 characters): a long title, a quote
 # that never closes before 20,000 more rows, and a long annotation term; and a
 # JSONL corpus that holds one id twice
@@ -410,6 +422,9 @@ RAW_FILES = {
     HUGE_DOCS: _DOCS_SPEC % _HUGE,
     INFINITE_DOCS: _DOCS_SPEC % "1e400",
     OVER_CAP_DOCS: _DOCS_SPEC % "1000000000",
+    OVER_CAP_BINS: '{"disciplines": [], "year_range": [-1%s, 1%s]}' % ("0" * 20, "0" * 20),
+    HUGE_YEARS: '{"disciplines": [{"label": "x", "docs_per_bin": 1}], "year_range": [1%s, 1%s]}'
+    % ("0" * 20, "0" * 20),
     LONG_CSV_FIELD: _CSV_HEADER + "a1,math,1990,%s,chaos\n" % ("x" * 200_000),
     OPEN_QUOTE_CSV: _CSV_HEADER + 'a0,math,1990,"open,chaos\n' + "a1,math,1990,t,chaos\n" * 20_000,
     LONG_ANNOTATION: "term,discipline,technical\n%s,math,1\n" % ("x" * 200_000),
@@ -487,6 +502,15 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["ingest", "--corpus", REPEATED_ID, "--out", OUT], "corpus.DuplicateId"),
         ({}, ["mdelta", "--corpus", CORPUS, "--annotations", BAD_BYTE, "--discipline", "x",
               "--out", OUT], "corpus.UnknownDiscipline"),
+        ({}, ["synth", "--spec", OVER_CAP_BINS, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", HUGE_YEARS, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", GOLDEN_ANNOTATIONS, "--smooth",
+              "--discipline", "math", "--dictionary", f"nosuch={GOLDEN_ANNOTATIONS}",
+              "--out", OUT], "errors.TermflowError"),
+        # refused before the reported discipline's missing dictionary is opened
+        ({}, ["mdelta", "--corpus", CORPUS, "--annotations", GOLDEN_ANNOTATIONS, "--smooth",
+              "--dictionary", "math=missing.txt", "--dictionary", "nosuch=missing.txt",
+              "--out", OUT], "errors.TermflowError"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -500,7 +524,8 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "overflowing-exponent", "deep-corpus", "huge-year", "deep-spec",
          "huge-docs-per-bin", "infinite-docs-per-bin", "over-cap-docs", "long-csv-field",
          "open-quote-csv", "long-annotation", "repeated-id",
-         "unknown-discipline-before-annotations"],
+         "unknown-discipline-before-annotations", "over-cap-bins", "huge-years",
+         "unreported-dictionary", "unreported-dictionary-before-any-file"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -565,21 +590,29 @@ def _number(lo, hi):
 _FLAG = st.none()
 _GROWTH_OPTIONS = {"--smoothing-window": _number(-3, 99),
                    "--support-threshold": _number(-10, 10**4)}
-_CORPUS_OPTIONS = {"--bin-width": _number(-3, 10**6), "--anchor-year": _number(-10**4, 10**4)}
+_CORPUS_OPTIONS = {"--bin-width": _number(-3, 10**6), "--anchor-year": _number(-10**4, 10**4),
+                   "--csv": _FLAG}
+# DICTIONARY stands for a dictionary file the test writes
+_DICTIONARY = st.one_of(
+    st.sampled_from(["DICTIONARY", "math=DICTIONARY", "x=DICTIONARY"]), _FREE_TEXT
+)
 # subcommand -> (required options, optional options), each with its values;
 # --t-end <= 100 and --dt >= 0.01 keep simulate at 10^4 steps or fewer
 _SUBCOMMANDS = {
     "ingest": ({}, {**_CORPUS_OPTIONS, "--format": st.sampled_from(["csv", "json"])}),
     "rank": ({"--discipline": _FREE_TEXT},
-             {**_CORPUS_OPTIONS, "--normal-threshold": _number(-10, 10**6)}),
+             {**_CORPUS_OPTIONS, "--normal-threshold": _number(-10, 10**6),
+              "--dictionary": _DICTIONARY}),
     "mdelta": ({"--annotations": st.just(GOLDEN_ANNOTATIONS)},
                {**_CORPUS_OPTIONS, "--discipline": _FREE_TEXT,
-                "--list-length": _number(-3, 10**6), "--smooth": _FLAG}),
+                "--list-length": _number(-3, 10**6), "--smooth": _FLAG,
+                "--dictionary": _DICTIONARY}),
     "trend": ({"--term": _FREE_TEXT, "--discipline": _FREE_TEXT},
               {**_CORPUS_OPTIONS, **_GROWTH_OPTIONS}),
     "migrate": ({"--term": _FREE_TEXT},
                 {**_CORPUS_OPTIONS, **_GROWTH_OPTIONS,
-                 "--strong-threshold": _number(-10**3, 10**3)}),
+                 "--strong-threshold": _number(-10**3, 10**3),
+                 "--disciplines": st.one_of(_FLAG, _FREE_TEXT)}),
     "fit": ({"--term": _FREE_TEXT, "--discipline": _FREE_TEXT}, _CORPUS_OPTIONS),
     "plot": ({"--series": _FREE_TEXT},
              {**_CORPUS_OPTIONS, **_GROWTH_OPTIONS, "--title": _FREE_TEXT}),
@@ -605,9 +638,14 @@ def _cli_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @example(argv=["plot", "--series=chaos@math", "--title=\ud800"])
+@example(argv=["mdelta", f"--annotations={GOLDEN_ANNOTATIONS}", "--discipline=math",
+               "--dictionary=DICTIONARY", "--csv"])
 @given(argv=_cli_argv())
-def test_any_argv_follows_cli_contract(argv, corpus_path, tmp_path_factory):
+def test_any_argv_follows_cli_contract(argv, corpus_path, csv_corpus_path, tmp_path_factory):
     work = tmp_path_factory.mktemp("argv")
+    dictionary = work / "dictionary.txt"
+    dictionary.write_text("chaos\nbg001\n")
+    argv = [a.replace("DICTIONARY", str(dictionary)) for a in argv]
     if argv[0] == "synth":
         spec_path = work / "s.json"
         spec_path.write_text(json.dumps(
@@ -615,7 +653,7 @@ def test_any_argv_follows_cli_contract(argv, corpus_path, tmp_path_factory):
         ))
         argv = [*argv, "--spec", str(spec_path)]
     elif argv[0] != "simulate":
-        argv = [*argv, "--corpus", corpus_path]
+        argv = [*argv, "--corpus", csv_corpus_path if "--csv" in argv else corpus_path]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
@@ -625,6 +663,21 @@ def test_any_argv_follows_cli_contract(argv, corpus_path, tmp_path_factory):
     assert code in (0, 1, 2)
     if code == 1:
         assert re.fullmatch(r'error code=\S+ msg=".*"\n', err.getvalue())
+
+
+# options the argv property does not draw: help, and the files a run reads or writes
+_PATH_OPTIONS = {"-h", "--help", "--corpus", "--spec", "--out", "--plot", "--truth"}
+
+
+def test_argv_property_draws_every_option():
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(_SUBCOMMANDS)
+    for name, subparser in subparsers.choices.items():
+        drawn = {*_SUBCOMMANDS[name][0], *_SUBCOMMANDS[name][1]}
+        for action in subparser._actions:
+            for option in action.option_strings:
+                assert option in drawn | _PATH_OPTIONS, (name, option)
 
 
 def test_infinite_normal_threshold_ranks_every_term_exactly(corpus_path, capsys):
@@ -887,3 +940,146 @@ def test_any_annotation_file_follows_cli_contract(data, tmp_path_factory):
         assert out.read_text().splitlines()[1] == (
             "discipline,m_top,m_bottom,m_delta,label,smoothed"
         )
+
+
+def test_mdelta_dictionary_path_alone_filters_the_one_discipline(tmp_path, capsys):
+    # only chaos and theory are technical, and the dictionary holds neither
+    terms = ["chaos", "theory", *(f"bg{i:03d}" for i in range(60))]
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text("term,discipline,technical\n" + "".join(
+        f"{t},math,{int(t in ('chaos', 'theory'))}\n" for t in terms
+    ))
+    dictionary = tmp_path / "math.txt"
+    dictionary.write_text("# background terms\nBG010\nbg026\nbg031 # rare\nbg040\n")
+    argv = ["mdelta", "--corpus", GOLDEN_CORPUS, "--annotations", str(annotations),
+            "--discipline", "math", "--list-length", "2", "--smooth"]
+    rows = []
+    for extra in ([], ["--dictionary", str(dictionary)], ["--dictionary", f"math={dictionary}"]):
+        code, out, err = run_cli([*argv, *extra], capsys)
+        assert (code, err) == (0, "")
+        rows.append(out.splitlines()[1:])
+    assert rows[1] == rows[2] != rows[0]
+
+
+# Dictionary file lines, for rank and mdelta on the golden corpus at --discipline
+# math: corpus terms in any case, terms the corpus lacks, '#' comments, blank
+# lines, NUL and a BOM; lines end in "\n", "\r\n" or a lone "\r"; and some files
+# hold a byte that is not UTF-8
+_DICTIONARY_LINES = st.sampled_from(
+    ["chaos", "Theory", "BG026", "bg010", "nosuchterm", "zz", "", "  ", "# note",
+     "#chaos", "bg041 # note", "\x00", "bg0\x0010", "\ufeffchaos"]
+)
+
+
+@st.composite
+def _dictionary_file(draw):
+    lines = draw(st.lists(_DICTIONARY_LINES, max_size=8))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    data = "".join(line + draw(ends) for line in lines).encode()
+    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
+    if draw(rarely):
+        data = b"\xef\xbb\xbf" + data
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@example(data=b"chaos\nbg026\n", command="mdelta", named=True)
+@example(data=b"nosuchterm\n", command="mdelta", named=False)
+@example(data=b"# none\n", command="rank", named=False)
+@given(data=_dictionary_file(), command=st.sampled_from(["rank", "mdelta"]),
+       named=st.booleans())
+def test_any_dictionary_file_follows_cli_contract(data, command, named, tmp_path_factory):
+    work = tmp_path_factory.mktemp("dictionary")
+    path = work / "dictionary.txt"
+    path.write_bytes(data)
+    argv = [command, "--corpus", GOLDEN_CORPUS, "--discipline", "math"]
+    if command == "mdelta":
+        argv += ["--annotations", GOLDEN_ANNOTATIONS, "--list-length", "1", "--smooth"]
+    out = work / "artifact"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--dictionary", f"math={path}" if named and command == "mdelta"
+                     else str(path), "--out", str(out)])
+    assert code in (0, 1)
+    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
+    assert (err.getvalue() == "") == (code == 0) == out.exists()
+
+
+# Scenario numbers as JSON text: 0, -1, true, null, strings, 1.5, 1e400 (an
+# infinite float) and 5,000 digits (past the int-string limit). Sizes stay
+# small (docs_per_bin <= 20, background size <= 50, tokens_per_doc <= 8) or go
+# past synth's cap, and year spans are at most 12 or at least 10^19 years.
+# Half the files hold only plain numbers, so that some runs exit 0.
+_EDGE_NUMBERS = ["0", "-1", "true", "null", '"7"', '"x"', "1.5", "1e400", "9" * 5000]
+_BIG = "1" + "0" * 20
+
+
+def _scenario_number(lo, hi, *more):
+    return st.one_of(st.sampled_from([*_EDGE_NUMBERS, *more]), st.integers(lo, hi).map(str))
+
+
+_PLAIN_YEAR_RANGES = st.tuples(st.integers(1985, 1995), st.integers(-1, 12)).map(
+    lambda p: (str(p[0]), str(p[0] + p[1]))
+)
+_YEAR_RANGES = st.one_of(
+    _PLAIN_YEAR_RANGES,
+    st.sampled_from([(f"-{_BIG}", _BIG), ("1990", _BIG), (f"-{_BIG}", "1990"), (_BIG, _BIG)]),
+    # one bound an edge value, with a partner that keeps the span small
+    st.sampled_from(
+        [(e, "5") for e in ("0", "-1", "true", "1.5")]
+        + [(e, "1990") for e in ("null", '"x"', '"1990"', "1e400", "9" * 5000)]
+        + [("1990", e) for e in ("null", '"1995"', "1995.5", "1e400")]
+    ),
+)
+
+
+@st.composite
+def _scenario_file(draw):
+    plain = draw(st.booleans())
+
+    def number(lo, hi, *more):
+        return draw(st.integers(lo, hi).map(str) if plain else _scenario_number(lo, hi, *more))
+
+    disciplines = []
+    for label in draw(st.lists(st.sampled_from(["math", "x"]), max_size=2)):
+        fields = [f'"label": "{label}"', f'"docs_per_bin": {number(0, 20, "1000000000")}']
+        if draw(st.booleans()):
+            fields.append(f'"onset_year": {number(1985, 2000)}')
+            c, p_m, p_0 = number(0, 3), number(1, 1000), number(0, 1000)
+            fields.append(f'"diffusion": {{"c": {c}, "p_m": {p_m}, "p_0": {p_0}}}')
+        disciplines.append("{" + ", ".join(fields) + "}")
+    lo, hi = draw(_PLAIN_YEAR_RANGES if plain else _YEAR_RANGES)
+    size, exponent = number(1, 50, "100000000"), number(0, 3, "1.1", "-1e308")
+    fields = [f'"disciplines": [{", ".join(disciplines)}]', f'"year_range": [{lo}, {hi}]',
+              f'"bin_width": {number(1, 4)}',
+              f'"background": {{"size": {size}, "exponent": {exponent}, '
+              f'"tokens_per_doc": {number(0, 8)}}}',
+              f'"seed": {number(0, 100, _BIG)}']
+    if draw(st.booleans()):
+        fields.append('"injected_term": "chaos"')
+    return "{" + ", ".join(fields) + "}"
+
+
+@settings(max_examples=150, deadline=None)
+@example(text='{"disciplines": [], "year_range": [-%s, %s]}' % (_BIG, _BIG))
+@example(text='{"disciplines": [{"label": "math", "docs_per_bin": 3}], "year_range": [1991, 1994]}')
+@given(text=_scenario_file())
+def test_any_scenario_file_follows_cli_contract(text, tmp_path_factory):
+    work = tmp_path_factory.mktemp("scenario")
+    (work / "scenario.json").write_text(text)
+    out, truth = work / "corpus.jsonl", work / "truth.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["synth", "--spec", str(work / "scenario.json"), "--truth", str(truth),
+                     "--out", str(out)])
+    assert code in (0, 1)
+    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
+    assert (err.getvalue() == "") == (code == 0) == out.exists() == truth.exists()
+    if code == 0:
+        lo, hi = scenario_from_json(text).year_range
+        documents = [json.loads(line) for line in out.read_text().splitlines()]
+        assert all(lo <= d["year"] <= hi for d in documents)
+        assert len({d["id"] for d in documents}) == len(documents)
