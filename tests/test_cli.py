@@ -821,6 +821,31 @@ def test_csv_corpus_with_wrong_field_count_gives_one_error_line(row, tmp_path, c
     )
 
 
+def _run_within_contract(argv, *artifacts) -> int:
+    """Run ``argv``: it must exit 0 with every artifact written and nothing on
+    stderr, or exit 1 with one ``error code=… msg=…`` line and no artifact."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
+    for artifact in artifacts:
+        assert (err.getvalue() == "") == (code == 0) == artifact.exists()
+    return code
+
+
+def _with_rare_bytes(draw, data: bytes) -> bytes:
+    """``data``, one time in eight behind a UTF-8 BOM, and one time in eight
+    holding a stray 0xFF byte, which is not UTF-8."""
+    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
+    if draw(rarely):
+        data = b"\xef\xbb\xbf" + data
+    if draw(rarely):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 # CSV corpus contents: header names repeated, missing or unknown; ragged rows;
 # stray and unterminated quotes; NUL, a lone "\r" and a BOM in fields; years
 # such as 1e3, 1_990 and 5,000 digits; and bytes that are not UTF-8
@@ -849,13 +874,7 @@ def _csv_corpus(draw):
     rows += draw(st.lists(st.one_of(_CSV_RECORD, _CSV_RECORD, ragged), max_size=6))
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     data = "".join(",".join(row) + draw(ends) for row in rows).encode()
-    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
-    if draw(rarely):
-        data = b"\xef\xbb\xbf" + data
-    if draw(rarely):
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return data
+    return _with_rare_bytes(draw, data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -868,12 +887,9 @@ def test_any_csv_corpus_follows_cli_contract(data, tmp_path_factory):
     work = tmp_path_factory.mktemp("csv")
     (work / "corpus.csv").write_bytes(data)
     out = work / "artifact"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["ingest", "--csv", "--corpus", str(work / "corpus.csv"), "--out", str(out)])
-    assert code in (0, 1)
-    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
-    assert (err.getvalue() == "") == (code == 0) == out.exists()
+    _run_within_contract(
+        ["ingest", "--csv", "--corpus", str(work / "corpus.csv"), "--out", str(out)], out
+    )
 
 
 # Annotation file contents, for mdelta on the golden corpus at --discipline math
@@ -910,13 +926,7 @@ def _annotation_file(draw):
     rows += draw(st.lists(more, max_size=9 - len(rows)))
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     data = "".join(",".join(row) + draw(ends) for row in rows).encode()
-    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
-    if draw(rarely):
-        data = b"\xef\xbb\xbf" + data
-    if draw(rarely):
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return data
+    return _with_rare_bytes(draw, data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -928,14 +938,10 @@ def test_any_annotation_file_follows_cli_contract(data, tmp_path_factory):
     work = tmp_path_factory.mktemp("annotations")
     (work / "annotations.csv").write_bytes(data)
     out = work / "artifact"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["mdelta", "--corpus", GOLDEN_CORPUS, "--annotations",
-                     str(work / "annotations.csv"), "--discipline", "math",
-                     "--list-length", "1", "--smooth", "--out", str(out)])
-    assert code in (0, 1)
-    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
-    assert (err.getvalue() == "") == (code == 0) == out.exists()
+    code = _run_within_contract(
+        ["mdelta", "--corpus", GOLDEN_CORPUS, "--annotations", str(work / "annotations.csv"),
+         "--discipline", "math", "--list-length", "1", "--smooth", "--out", str(out)], out
+    )
     if code == 0:
         assert out.read_text().splitlines()[1] == (
             "discipline,m_top,m_bottom,m_delta,label,smoothed"
@@ -976,13 +982,7 @@ def _dictionary_file(draw):
     lines = draw(st.lists(_DICTIONARY_LINES, max_size=8))
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     data = "".join(line + draw(ends) for line in lines).encode()
-    rarely = st.sampled_from(range(8)).map(lambda i: i == 7)
-    if draw(rarely):
-        data = b"\xef\xbb\xbf" + data
-    if draw(rarely):
-        at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
-    return data
+    return _with_rare_bytes(draw, data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -999,13 +999,8 @@ def test_any_dictionary_file_follows_cli_contract(data, command, named, tmp_path
     if command == "mdelta":
         argv += ["--annotations", GOLDEN_ANNOTATIONS, "--list-length", "1", "--smooth"]
     out = work / "artifact"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([*argv, "--dictionary", f"math={path}" if named and command == "mdelta"
-                     else str(path), "--out", str(out)])
-    assert code in (0, 1)
-    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
-    assert (err.getvalue() == "") == (code == 0) == out.exists()
+    spec = f"math={path}" if named and command == "mdelta" else str(path)
+    _run_within_contract([*argv, "--dictionary", spec, "--out", str(out)], out)
 
 
 # Scenario numbers as JSON text: 0, -1, true, null, strings, 1.5, 1e400 (an
@@ -1071,14 +1066,9 @@ def test_any_scenario_file_follows_cli_contract(text, tmp_path_factory):
     work = tmp_path_factory.mktemp("scenario")
     (work / "scenario.json").write_text(text)
     out, truth = work / "corpus.jsonl", work / "truth.json"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["synth", "--spec", str(work / "scenario.json"), "--truth", str(truth),
-                     "--out", str(out)])
-    assert code in (0, 1)
-    assert re.fullmatch(r'(error code=\S+ msg=".*"\n)?', err.getvalue())
-    assert (err.getvalue() == "") == (code == 0) == out.exists() == truth.exists()
-    if code == 0:
+    argv = ["synth", "--spec", str(work / "scenario.json"), "--truth", str(truth),
+            "--out", str(out)]
+    if _run_within_contract(argv, out, truth) == 0:
         lo, hi = scenario_from_json(text).year_range
         documents = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(lo <= d["year"] <= hi for d in documents)
