@@ -4,7 +4,7 @@ Each case runs the CLI from a fixed working directory holding copies of the
 inputs, so the paths recorded in each artifact's ``config`` are relative and
 stable, and compares the written files byte for byte with ``tests/golden/``.
 The synthetic generators are pinned too, by the sha256 of their JSONL output
-for seeds 0-9, and for one scenario over a wide background vocabulary.
+for seeds 0-9, and for two scenarios over wide background vocabularies.
 
 Regenerate the golden files (only for a deliberate change of output) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -149,6 +149,25 @@ def _wide_scenario() -> ScenarioSpec:
     )
 
 
+def _50k_scenario() -> ScenarioSpec:
+    """50,000 background terms at 80 tokens per document, as perfbench's
+    wide_vocab: about a fifth of the token draws fall where one step of the
+    cumulative weights cannot be told from the next at a 2**-16 resolution."""
+    return ScenarioSpec(
+        disciplines=(
+            DisciplineSpec("physics", 4, 1982, DiffusionParams(0.5, 1000.0, 40.0)),
+            DisciplineSpec("biology", 3),
+        ),
+        year_range=(1980, 1991),
+        bin_width=2,
+        injected_query=TermQuery.parse("phase transition", ["lattice"]),
+        background=BackgroundVocabulary(size=50_000, exponent=1.1, tokens_per_doc=80),
+        seed=11,
+    )
+
+
+GENERATE_50K_SHA256 = "2ac86fb2c20dcd37a8c30f0e420b6116f2f0cbf26b03c1c3136816b4d2c0652c"
+
 WIDE_GENERATE_SHA256 = "67872e16ac3d01b55512d2da84a40d258d6e4c1eb4d6ecd32a7f6b1ba9e357d8"
 
 GENERATE_SHA256 = {
@@ -195,6 +214,11 @@ def test_generate_wide_background_jsonl_pinned():
     assert _jsonl_sha256(records) == WIDE_GENERATE_SHA256
 
 
+def test_generate_50k_background_jsonl_pinned():
+    records, _ = generate(_50k_scenario())
+    assert _jsonl_sha256(records) == GENERATE_50K_SHA256
+
+
 def _regenerate() -> None:
     """Rewrite ``tests/golden`` from the current code and print the synth hashes."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -208,6 +232,7 @@ def _regenerate() -> None:
         print("generate", seed, _jsonl_sha256(generate(_scenario(seed))[0]))
         print("succession", seed, _jsonl_sha256(_succession(seed)[0]))
     print("generate wide", _jsonl_sha256(generate(_wide_scenario())[0]))
+    print("generate 50k", _jsonl_sha256(generate(_50k_scenario())[0]))
 
 
 if __name__ == "__main__":
