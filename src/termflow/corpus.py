@@ -52,6 +52,8 @@ _FIELD_SET = frozenset(RECORD_FIELDS)
 _field_values = operator.itemgetter(*RECORD_FIELDS)
 # the C scanner json.loads runs on a line once past its leading whitespace
 _scan_json = json.JSONDecoder().scan_once
+# the string escaper json.dumps runs with its default ensure_ascii
+_json_string = json.encoder.encode_basestring_ascii
 YEAR_MIN = 1000
 YEAR_MAX = 3000
 
@@ -613,6 +615,12 @@ def write_csv(
 
 
 def write_jsonl_records(records: Iterable[DocumentRecord], handle: IO[str]) -> None:
-    for rec in records:
-        handle.write(json.dumps(dict(zip(RECORD_FIELDS, rec)), sort_keys=True))
-        handle.write("\n")
+    """One ``json.dumps(dict(zip(RECORD_FIELDS, rec)), sort_keys=True)`` line
+    per record, byte for byte: the keys in sorted order, each string through
+    json's own escaper and the year as ``int.__repr__``, as json writes it."""
+    q = _json_string
+    handle.writelines(
+        f'{{"abstract": {q(abstract)}, "discipline": {q(discipline)}, "id": {q(id_)}, '
+        f'"title": {q(title)}, "year": {int.__repr__(year)}}}\n'
+        for id_, discipline, year, title, abstract in records
+    )

@@ -156,31 +156,63 @@ def injection_probability(
     return logistic_value(params, float(year - onset_year)) / params.p_m
 
 
+# guide-table buckets over [0, 1): a power of two, so that u * _GUIDE_BUCKETS is exact
+_GUIDE_BUCKETS = 2**16
+
+
+def _token_sampler(background: BackgroundVocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The background's tokens as an object array, their cumulative weights,
+    and a guide table over the cumulative weights (Chen & Asau, 1974).
+
+    Entry ``b`` of the table is ``np.searchsorted(cdf, u)`` for every ``u``
+    in ``[b, b + 1) / _GUIDE_BUCKETS``, or -1 where a step of ``cdf`` falls
+    inside that bucket and only the search can settle ``u``.
+    """
+    cdf = np.cumsum(background.weights())
+    edges = np.searchsorted(cdf, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1).astype(np.int32)
+    return np.array(background.tokens(), dtype=object), cdf, guide
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` for ``u`` in [0, 1), as int32, through ``guide``."""
+    bucket = np.empty(u.shape, np.int32)
+    # float to int truncation is the floor here, without a float temporary
+    np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")
+    found = guide[bucket]
+    unsettled = np.flatnonzero(found < 0)
+    found.flat[unsettled] = np.searchsorted(cdf, u.flat[unsettled])
+    return found
+
+
 def _emit_documents(
     rng: np.random.Generator,
     spec: ScenarioSpec,
     disc: DisciplineSpec,
     injections: dict[int, list[tuple[str, float]]],
-    vocab: list[str],
-    cdf: np.ndarray,
+    sampler: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> list[DocumentRecord]:
     """Background documents per bin, each followed by its injected texts.
 
     ``injections`` maps a bin start to ``(text, probability)`` pairs; every
     listed pair draws one uniform per document, in list order, and a
     document whose draw falls below the probability gets ``text`` appended.
-    ``vocab`` and ``cdf`` are the background's tokens and cumulative weights.
+    ``sampler`` is :func:`_token_sampler` of the background.
 
     Each bin draws, in this order: the documents' years, from the bin's
     years inside ``year_range``, one uniform per (document, token) as a
     docs x tokens matrix, then one uniform vector per
     injection pair in list order. The corpus bytes of a seed depend on that
-    order.
+    order. A token uniform ``u`` picks the first token whose cumulative
+    weight is at least ``u`` (the last token if none is): the guide table
+    settles most draws, and a binary search of the cumulative weights the
+    rest.
     """
     docs_per_bin, tokens_per_doc = disc.docs_per_bin, spec.background.tokens_per_doc
     records: list[DocumentRecord] = []
     if docs_per_bin == 0:
         return records
+    words, cdf, guide = sampler
     # id suffixes, the same in every bin
     suffixes = [f"{j:05d}" for j in range(docs_per_bin)]
     lo, hi = spec.year_range
@@ -190,9 +222,9 @@ def _emit_documents(
         span = min(start + spec.bin_width, hi + 1) - first
         years = (first + rng.integers(0, span, size=docs_per_bin)).tolist()
         # inverse-CDF sampling beats rng.choice(p=...) by a wide margin
-        draws = np.searchsorted(cdf, rng.random((docs_per_bin, tokens_per_doc)))
-        rows = np.minimum(draws, len(vocab) - 1).tolist()
-        bodies = [" ".join(map(vocab.__getitem__, row)) for row in rows]
+        draws = _guided_search(cdf, guide, rng.random((docs_per_bin, tokens_per_doc)))
+        np.minimum(draws, len(words) - 1, out=draws)
+        bodies = list(map(" ".join, words[draws].tolist()))
         for text, q in injections.get(start, ()):
             tail = " " + text
             mask = (rng.random(docs_per_bin) < q).tolist()
@@ -215,7 +247,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
     generation order cannot change the corpus.
     """
     bin_starts = spec.bin_starts()
-    vocab, cdf = spec.background.tokens(), np.cumsum(spec.background.weights())
+    sampler = _token_sampler(spec.background)
     records: list[DocumentRecord] = []
     truths: dict[str, DisciplineTruth] = {}
     for disc_i, disc in enumerate(spec.disciplines):
@@ -233,7 +265,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DocumentRecord], GroundTruth]:
             for start, q in prob_by_bin.items()
             if q > 0
         }
-        records.extend(_emit_documents(rng, spec, disc, injections, vocab, cdf))
+        records.extend(_emit_documents(rng, spec, disc, injections, sampler))
         truths[disc.label] = DisciplineTruth(
             onset_year=disc.onset_year if disc.diffusion is not None else None,
             inflection_year=inflection,
@@ -321,8 +353,8 @@ def generate_succession(
         for bin_i, start in enumerate(bin_starts)
     }
     rng = np.random.default_rng([seed, 0])
-    vocab, cdf = background.tokens(), np.cumsum(background.weights())
-    records = _emit_documents(rng, base, base.disciplines[0], injections, vocab, cdf)
+    sampler = _token_sampler(background)
+    records = _emit_documents(rng, base, base.disciplines[0], injections, sampler)
     return records, SuccessionTruth(bin_starts=tuple(bin_starts), probs=probs)
 
 

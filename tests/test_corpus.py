@@ -301,6 +301,62 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded == records
 
 
+class _Year(int):
+    """An int whose own repr and format differ from the integer's."""
+
+    def __repr__(self):
+        return f"_Year({int(self)})"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "year"
+
+
+# all of Unicode, lone surrogates and controls included, plus the characters
+# an escaper treats specially
+_ANY_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\u2029\ud800\udfff\U0001f600'),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _ANY_TEXT.filter(bool),
+            _ANY_TEXT.filter(str.strip),
+            st.builds(lambda kind, year: kind(year), st.sampled_from([int, _Year]), st.integers(1000, 3000)),
+            _ANY_TEXT,
+            _ANY_TEXT,
+        ),
+        max_size=4,
+    )
+)
+def test_jsonl_lines_equal_json_dumps_and_read_back(fields):
+    records = [DocumentRecord(*f) for f in fields]
+    buf = io.StringIO()
+    write_jsonl_records(records, buf)
+    expected = [json.dumps(dict(zip(corpus.RECORD_FIELDS, rec)), sort_keys=True) for rec in records]
+    assert buf.getvalue() == "".join(line + "\n" for line in expected)
+    # JSON cannot tell a lone high surrogate followed by a lone low one from
+    # the pair of an astral character, so both read back as that character
+    joined = [
+        DocumentRecord(*(
+            f.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+            if isinstance(f, str) else f
+            for f in rec
+        ))
+        for rec in records
+    ]
+    buf.seek(0)
+    assert list(read_jsonl_records(buf)) == joined
+
+
 def test_jsonl_rejects_extra_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termflow import synth
@@ -322,9 +322,44 @@ def test_emit_documents_equals_the_per_document_emitter(
     }
     vocab, cdf = spec.background.tokens(), np.cumsum(spec.background.weights())
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    records = synth._emit_documents(rng, spec, spec.disciplines[0], injections, vocab, cdf)
+    sampler = synth._token_sampler(spec.background)
+    records = synth._emit_documents(rng, spec, spec.disciplines[0], injections, sampler)
     expected = _reference_emit(
         reference_rng, spec, spec.disciplines[0], injections, vocab, cdf
     )
     assert records == expected
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+_BUCKETS = synth._GUIDE_BUCKETS
+
+
+@settings(max_examples=100, deadline=None)
+# equal weights over a power of two: every step of cdf lies on a bucket edge
+@example(size=64, exponent=0.0, buckets=[], steps=[0, 31], seed=0)
+@given(
+    size=st.one_of(st.integers(1, 300), st.integers(1, 60_000)),
+    exponent=st.floats(-1.5, 3.0),
+    buckets=st.lists(st.integers(0, _BUCKETS - 1), max_size=20),
+    steps=st.lists(st.integers(0, 60_000), max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guide_table_lookup_equals_searchsorted(size, exponent, buckets, steps, seed):
+    background = BackgroundVocabulary(size=size, exponent=exponent)
+    words, cdf, guide = synth._token_sampler(background)
+    assert list(words) == background.tokens()
+    assert np.array_equal(cdf, np.cumsum(background.weights()))
+    # bucket edges k/M and their neighbours, steps of the cumulative weights
+    # and theirs, the ends of [0, 1) and plain uniforms
+    edges = np.array(buckets + [0, _BUCKETS - 1]) / _BUCKETS
+    at_steps = cdf[np.minimum(np.array(steps, dtype=int), size - 1)]
+    points = np.concatenate([
+        edges, np.nextafter(edges, -1), np.nextafter(edges, 2),
+        at_steps, np.nextafter(at_steps, -1), np.nextafter(at_steps, 2),
+        [0.0, 1 - 2**-53], np.random.default_rng(seed).random(200),
+    ])
+    u = points[(points >= 0) & (points < 1)]
+    assert np.array_equal(synth._guided_search(cdf, guide, u), np.searchsorted(cdf, u))
+    # a docs x tokens matrix keeps its shape
+    matrix = u[: len(u) // 4 * 4].reshape(4, -1)
+    assert np.array_equal(synth._guided_search(cdf, guide, matrix), np.searchsorted(cdf, matrix))
