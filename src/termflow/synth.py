@@ -363,6 +363,13 @@ def generate_succession(
 # ---------------------------------------------------------------------------
 
 
+def _typed(value, kind: type, field: str, what: str):
+    """``value``, if it is a ``kind``; else an InvalidSpec naming ``field``."""
+    if not isinstance(value, kind):
+        raise InvalidSpec(f"scenario field {field!r} must be {what}")
+    return value
+
+
 def scenario_from_json(text: str) -> ScenarioSpec:
     """Parse a scenario file; see README for the schema."""
     # JSONDecodeError is a ValueError, as a number past the int-string limit is
@@ -372,7 +379,8 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         raise InvalidSpec(f"invalid scenario JSON: {exc}") from exc
     try:
         disciplines = []
-        for d in obj["disciplines"]:
+        for d in _typed(obj["disciplines"], list, "disciplines", "an array"):
+            _typed(d, dict, "disciplines", "an array of objects")
             diffusion = None
             if d.get("diffusion") is not None:
                 diffusion = DiffusionParams(
@@ -388,12 +396,14 @@ def scenario_from_json(text: str) -> ScenarioSpec:
                     diffusion=diffusion,
                 )
             )
+        coterms = _typed(obj.get("injected_coterms", []), list, "injected_coterms", "an array")
+        for c in coterms:
+            _typed(c, str, "injected_coterms", "an array of strings")
+        term = obj.get("injected_term")
         query = None
-        if obj.get("injected_term"):
-            query = TermQuery.parse(
-                obj["injected_term"], obj.get("injected_coterms", ())
-            )
-        bg = obj.get("background", {})
+        if term is not None and _typed(term, str, "injected_term", "a string or null"):
+            query = TermQuery.parse(term, coterms)
+        bg = _typed(obj.get("background", {}), dict, "background", "an object")
         background = BackgroundVocabulary(
             size=int(bg.get("size", 200)),
             exponent=float(bg.get("exponent", 1.1)),

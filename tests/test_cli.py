@@ -410,6 +410,10 @@ INFINITE_DOCS, OVER_CAP_DOCS, OVER_CAP_BINS, HUGE_YEARS = object(), object(), ob
 # JSONL corpus that holds one id twice
 LONG_CSV_FIELD, OPEN_QUOTE_CSV, LONG_ANNOTATION = object(), object(), object()
 REPEATED_ID = object()
+# scenario fields of the wrong JSON type: each printed a traceback or, for the
+# coterms, was read as a list of characters
+INT_TERM, LIST_BACKGROUND, INT_DISCIPLINE = object(), object(), object()
+STRING_DISCIPLINES, STRING_COTERMS = object(), object()
 _CSV_HEADER = "id,discipline,year,title,abstract\n"
 _RECORD = '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
 _DEEP = '{"a":' * 5000
@@ -429,6 +433,12 @@ RAW_FILES = {
     OPEN_QUOTE_CSV: _CSV_HEADER + 'a0,math,1990,"open,chaos\n' + "a1,math,1990,t,chaos\n" * 20_000,
     LONG_ANNOTATION: "term,discipline,technical\n%s,math,1\n" % ("x" * 200_000),
     REPEATED_ID: _RECORD % 1990 + _RECORD % 1991,
+    INT_TERM: '{"disciplines": [], "year_range": [1990, 1991], "injected_term": 5}',
+    LIST_BACKGROUND: '{"disciplines": [], "year_range": [1990, 1991], "background": []}',
+    INT_DISCIPLINE: '{"disciplines": [5], "year_range": [1990, 1991]}',
+    STRING_DISCIPLINES: '{"disciplines": "math", "year_range": [1990, 1991]}',
+    STRING_COTERMS: '{"disciplines": [{"label": "x", "docs_per_bin": 1}], "year_range": '
+    '[1990, 1991], "injected_term": "chaos", "injected_coterms": "nonlinear"}',
 }
 # scenario files, each with its background: SPEC's is valid, the others are not
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
@@ -511,6 +521,11 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["mdelta", "--corpus", CORPUS, "--annotations", GOLDEN_ANNOTATIONS, "--smooth",
               "--dictionary", "math=missing.txt", "--dictionary", "nosuch=missing.txt",
               "--out", OUT], "errors.TermflowError"),
+        ({}, ["synth", "--spec", INT_TERM, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", LIST_BACKGROUND, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", INT_DISCIPLINE, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", STRING_DISCIPLINES, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", STRING_COTERMS, "--out", OUT], "synth.InvalidSpec"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -525,7 +540,9 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "huge-docs-per-bin", "infinite-docs-per-bin", "over-cap-docs", "long-csv-field",
          "open-quote-csv", "long-annotation", "repeated-id",
          "unknown-discipline-before-annotations", "over-cap-bins", "huge-years",
-         "unreported-dictionary", "unreported-dictionary-before-any-file"],
+         "unreported-dictionary", "unreported-dictionary-before-any-file",
+         "int-injected-term", "list-background", "int-discipline", "string-disciplines",
+         "string-coterms"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -1007,8 +1024,11 @@ def test_any_dictionary_file_follows_cli_contract(data, command, named, tmp_path
 # infinite float) and 5,000 digits (past the int-string limit). Sizes stay
 # small (docs_per_bin <= 20, background size <= 50, tokens_per_doc <= 8) or go
 # past synth's cap, and year spans are at most 12 or at least 10^19 years.
-# Half the files hold only plain numbers, so that some runs exit 0.
+# The other half also put a value of any JSON type, one time in four, where
+# an object, an array or a string belongs. Half the files hold only plain
+# numbers and shapes, so that some runs exit 0.
 _EDGE_NUMBERS = ["0", "-1", "true", "null", '"7"', '"x"', "1.5", "1e400", "9" * 5000]
+_EDGE_SHAPES = ["5", "true", "null", '"math"', "[]", '["x", 3]', "{}"]
 _BIG = "1" + "0" * 20
 
 
@@ -1038,6 +1058,9 @@ def _scenario_file(draw):
     def number(lo, hi, *more):
         return draw(st.integers(lo, hi).map(str) if plain else _scenario_number(lo, hi, *more))
 
+    def shape(text):
+        return text if plain or draw(st.integers(0, 3)) else draw(st.sampled_from(_EDGE_SHAPES))
+
     disciplines = []
     for label in draw(st.lists(st.sampled_from(["math", "x"]), max_size=2)):
         fields = [f'"label": "{label}"', f'"docs_per_bin": {number(0, 20, "1000000000")}']
@@ -1045,16 +1068,18 @@ def _scenario_file(draw):
             fields.append(f'"onset_year": {number(1985, 2000)}')
             c, p_m, p_0 = number(0, 3), number(1, 1000), number(0, 1000)
             fields.append(f'"diffusion": {{"c": {c}, "p_m": {p_m}, "p_0": {p_0}}}')
-        disciplines.append("{" + ", ".join(fields) + "}")
+        disciplines.append(shape("{" + ", ".join(fields) + "}"))
     lo, hi = draw(_PLAIN_YEAR_RANGES if plain else _YEAR_RANGES)
     size, exponent = number(1, 50, "100000000"), number(0, 3, "1.1", "-1e308")
-    fields = [f'"disciplines": [{", ".join(disciplines)}]', f'"year_range": [{lo}, {hi}]',
-              f'"bin_width": {number(1, 4)}',
-              f'"background": {{"size": {size}, "exponent": {exponent}, '
-              f'"tokens_per_doc": {number(0, 8)}}}',
-              f'"seed": {number(0, 100, _BIG)}']
+    background = (f'{{"size": {size}, "exponent": {exponent}, '
+                  f'"tokens_per_doc": {number(0, 8)}}}')
+    fields = [f'"disciplines": {shape("[" + ", ".join(disciplines) + "]")}',
+              f'"year_range": [{lo}, {hi}]', f'"bin_width": {number(1, 4)}',
+              f'"background": {shape(background)}', f'"seed": {number(0, 100, _BIG)}']
     if draw(st.booleans()):
-        fields.append('"injected_term": "chaos"')
+        fields.append('"injected_term": ' + shape('"chaos"'))
+    if draw(st.booleans()):
+        fields.append('"injected_coterms": ' + shape('["nonlinear"]'))
     return "{" + ", ".join(fields) + "}"
 
 
