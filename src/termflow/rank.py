@@ -37,6 +37,10 @@ class EmptyDictionary(TermflowError):
     pass
 
 
+class MalformedDictionary(TermflowError):
+    pass
+
+
 class InvalidListLength(TermflowError, ValueError):
     pass
 
@@ -133,7 +137,10 @@ def load_dictionary(path: str, discipline: str = "") -> Dictionary:
     """Read a dictionary file: one normalized term per line, '#' comments."""
     terms: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
+            # the mark would stay on the first term, which then matches nothing
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise MalformedDictionary("dictionary starts with a byte-order mark")
             line = line.split("#", 1)[0].strip()
             if line:
                 terms.add(line.lower())

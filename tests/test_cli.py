@@ -984,6 +984,25 @@ def test_mdelta_dictionary_path_alone_filters_the_one_discipline(tmp_path, capsy
     assert rows[1] == rows[2] != rows[0]
 
 
+def test_dictionary_with_a_byte_order_mark_is_refused(tmp_path, capsys):
+    # with the mark kept on "chaos", rank listed bg010 alone and exited 0
+    dictionary = tmp_path / "dictionary.txt"
+    dictionary.write_bytes(b"\xef\xbb\xbfchaos\nbg010\n")
+    out = tmp_path / "ranking.csv"
+    for command in (["rank"], ["mdelta", "--annotations", GOLDEN_ANNOTATIONS, "--smooth"]):
+        argv = [*command, "--corpus", GOLDEN_CORPUS, "--discipline", "math",
+                "--dictionary", str(dictionary), "--out", str(out)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == 'error code=rank.MalformedDictionary msg="dictionary starts with a byte-order mark"\n'
+        assert not out.exists()
+    # a mark after the first character is no byte-order mark, and stays in its term
+    dictionary.write_bytes(b"bg010\n\xef\xbb\xbfchaos\n")
+    code, _, err = run_cli(["rank", "--corpus", GOLDEN_CORPUS, "--discipline", "math",
+                            "--dictionary", str(dictionary)], capsys)
+    assert (code, err) == (0, "")
+
+
 # Dictionary file lines, for rank and mdelta on the golden corpus at --discipline
 # math: corpus terms in any case, terms the corpus lacks, '#' comments, blank
 # lines, NUL and a BOM; lines end in "\n", "\r\n" or a lone "\r"; and some files
