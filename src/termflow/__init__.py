@@ -50,7 +50,6 @@ from .migration import (
     classify_roles,
     detect_peak,
     detect_succession,
-    importance,
     lag,
 )
 from .plotting import growth_chart_svg

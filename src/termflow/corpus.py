@@ -101,11 +101,6 @@ class TimeBin:
         if self.width_years < 1:
             raise ValueError("width_years must be >= 1")
 
-    @property
-    def end_year(self) -> int:
-        """Last calendar year covered by this bin (inclusive)."""
-        return self.start_year + self.width_years - 1
-
 
 class DocumentRecord(namedtuple("DocumentRecord", RECORD_FIELDS)):
     """One bibliographic item; title/abstract may be empty strings.

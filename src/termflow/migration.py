@@ -124,11 +124,6 @@ def lag(peak_a: GrowthPeak, peak_b: GrowthPeak) -> int:
     return peak_b.bin.start_year - peak_a.bin.start_year
 
 
-def importance(growth: GrowthSeries) -> float:
-    """Peak growth rate, comparable across disciplines for one query."""
-    return detect_peak(growth).peak_rate
-
-
 def classify_roles(
     series_by_discipline: Mapping[str, GrowthSeries],
     strong_threshold: Optional[float] = None,

@@ -604,7 +604,7 @@ def _reference_count(records, query, discipline, time_bin):
     count = 0
     for rec in records:
         if rec.discipline != discipline or not (
-            time_bin.start_year <= rec.year <= time_bin.end_year
+            time_bin.start_year <= rec.year < time_bin.start_year + time_bin.width_years
         ):
             continue
         tokens = tuple(tokenize(rec.title + " " + rec.abstract))
