@@ -86,6 +86,8 @@ def tokenize(text: str) -> list[str]:
     """
     if text.isascii():
         tokens = text.translate(_ASCII_TABLE).split()
+        if _ASCII_LETTERS.isdisjoint(tokens):
+            return tokens
         return list(itertools.filterfalse(_ASCII_LETTERS.__contains__, tokens))
     return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) > 1 or t.isdigit()]
 
@@ -322,6 +324,7 @@ def ingest(
             if batching:
                 toks = tokenize(_JOIN.join(texts))
                 ids = np.fromiter(map(term_ids.__getitem__, toks), np.int32, len(toks))
+                del toks  # before the next group's tokens are made
                 bounds = np.flatnonzero(ids < 0)
                 if len(bounds) == len(texts) - 1:
                     lengths = np.diff(bounds, prepend=-1, append=len(ids)) - 1
@@ -352,7 +355,9 @@ def ingest(
     offset = 0 if anchor_year is None else anchor_year % bin_width
     if batching:
         del term_ids[DOC_SEPARATOR]
-    return _build(bin_width, offset, list(term_ids), groups)
+    terms = list(term_ids)
+    del term_ids  # the interning dict goes before _build allocates the stream
+    return _build(bin_width, offset, terms, groups)
 
 
 def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
@@ -388,6 +393,10 @@ def _build(
     stands for ``terms[i]``. Groups come in any order and are laid out by
     year cell, stably, so one year cell may span several groups. A document
     id given twice raises :class:`DuplicateId`.
+
+    The token stream is allocated once and written in place: each group's
+    ids go into their slice through the map from first-appearance ids to
+    sorted ids, so no concatenated or remapped copy of it is made.
     """
     groups = sorted(groups, key=operator.itemgetter(0))
     doc_ids = [i for _, ids, _, _ in groups for i in ids]
@@ -403,10 +412,14 @@ def _build(
     order = sorted(range(len(terms)), key=terms.__getitem__)
     sorted_id = np.empty(len(terms), np.int32)
     sorted_id[order] = np.arange(len(terms), dtype=np.int32)
-    tokens = _concat([ids for _, _, ids, _ in groups], np.int32)
+    tokens = np.empty(sum(len(ids) for _, _, ids, _ in groups), np.int32)
+    end = 0
+    for _, _, ids, _ in groups:
+        start, end = end, end + len(ids)
+        np.take(sorted_id, ids, out=tokens[start:end])
     lengths = _concat([lengths for _, _, _, lengths in groups], np.int64)
     arrays = dict(
-        tokens=sorted_id[tokens],
+        tokens=tokens,
         doc_offsets=_offsets(lengths),
         cell_offsets=_offsets(np.array(list(cell_counts.values()), np.int64)),
         doc_ids=np.array(doc_ids, dtype=object),

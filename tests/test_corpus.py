@@ -2,6 +2,7 @@ import io
 import json
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from termflow.corpus import (
     tokenize,
     write_jsonl_records,
 )
+from termflow.synth import BackgroundVocabulary, DisciplineSpec, ScenarioSpec, generate
 
 from conftest import make_doc
 
@@ -48,6 +50,14 @@ def test_tokenize_splits_punctuation():
 
 def test_tokenize_drops_single_letters_keeps_digits():
     assert tokenize("a 7 x2 b") == ["7", "x2"]
+
+
+def test_tokenize_keeps_every_token_of_a_text_without_single_letters():
+    assert tokenize("Chaos in 2 nonlinear systems") == ["chaos", "in", "2", "nonlinear", "systems"]
+
+
+def test_tokenize_keeps_letters_that_occur_only_inside_longer_tokens():
+    assert tokenize("MBD ax a1 1b za") == ["mbd", "ax", "a1", "1b", "za"]
 
 
 def test_tokenize_underscore_is_separator():
@@ -794,3 +804,24 @@ def test_batched_ingest_equals_the_merge_of_one_record_ingests(records, batch_ch
         terms[whole.tokens[start:end]].tolist()
         for start, end in zip(whole.doc_offsets[:-1], whole.doc_offsets[1:])
     ] == [tokenize(r.title + " " + r.abstract) for r in in_group_order]
+
+
+def test_ingest_holds_one_copy_of_the_token_stream_while_it_builds_it():
+    # 120,000 tokens, 80 to a document, over a 2,000-term background
+    spec = ScenarioSpec(
+        disciplines=(DisciplineSpec("a", 75), DisciplineSpec("b", 75)),
+        year_range=(1990, 2009),
+        background=BackgroundVocabulary(size=2000, tokens_per_doc=80),
+        seed=3,
+    )
+    records, _ = generate(spec)
+    tracemalloc.start()
+    try:
+        index = ingest(records)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index.tokens) == 120_000
+    # what ingest allocated and freed again, in token streams: the per-group
+    # chunks beside the stream fit, one more whole copy of the stream does not
+    assert peak - current <= 1.75 * index.tokens.nbytes
