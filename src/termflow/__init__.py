@@ -61,7 +61,6 @@ from .rank import (
     load_dictionary,
     normal_percentile,
     poisson_cdf,
-    poisson_percentile,
     rank_terms,
     top_terms,
 )

@@ -147,56 +147,23 @@ def load_dictionary(path: str, discipline: str = "") -> Dictionary:
     return Dictionary(discipline=discipline, terms=frozenset(terms))
 
 
-def poisson_percentile(
-    index: CorpusIndex,
-    term: str,
-    target_discipline: str,
-    normal_switch: float = NORMAL_SWITCH_LAMBDA,
-) -> PoissonRank:
-    """Rank one term by the probability of its observed-or-lower frequency.
-
-    The background per-document rate pools every non-target discipline;
-    the expected count is that rate scaled to the target's document total.
-    A term absent from all backgrounds gets percentile 1 exactly.
-    """
-    if target_discipline not in index.discipline_totals:
-        raise UnknownDiscipline(f"unknown discipline {target_discipline!r}")
-    if len(index.disciplines) < 2:
-        raise SingleDisciplineCorpus(
-            "percentile ranking needs at least two disciplines"
-        )
-
-    t = index.term_id(term)
-    row = index.term_counts[1][t].tolist() if t >= 0 else [0] * len(index.disciplines)
-    k = row[index.disciplines.index(target_discipline)]
-    bg_hits = sum(row) - k
-    lam, pct, method = _percentile(index, target_discipline, k, bg_hits, normal_switch)
-    return PoissonRank(
-        term=term,
-        target_discipline=target_discipline,
-        observed_k=k,
-        lam=lam,
-        percentile=pct,
-        method=method,
-    )
-
-
 def _percentile(
     index: CorpusIndex,
     target_discipline: str,
     k: int,
     bg_hits: int,
     normal_switch: float,
-) -> tuple[float, float, str]:
-    """(lambda, percentile, method) of a term in ``k`` target documents and
-    ``bg_hits`` documents of the other disciplines."""
+) -> tuple[float, float]:
+    """(lambda, percentile) of a term in ``k`` target documents and
+    ``bg_hits`` documents of the other disciplines; above ``normal_switch``
+    the percentile is the normal approximation."""
     bg_docs = sum(
         n for disc, n in index.discipline_totals.items() if disc != target_discipline
     )
     lam = (bg_hits / bg_docs) * index.discipline_totals[target_discipline]
     if lam > normal_switch:
-        return lam, normal_percentile(k, lam), "normal"
-    return lam, poisson_cdf(k, lam), "poisson"
+        return lam, normal_percentile(k, lam)
+    return lam, poisson_cdf(k, lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +244,7 @@ def rank_terms(
     span = int(bg_hits.max(initial=0)) + 1
     pairs, pair_of_row = np.unique(k * span + bg_hits, return_inverse=True)
     stats = [
-        _percentile(index, target_discipline, pair // span, pair % span, normal_switch)[:2]
+        _percentile(index, target_discipline, pair // span, pair % span, normal_switch)
         for pair in pairs.tolist()
     ]
     lam, percentile = np.array(stats, float).reshape(-1, 2)[pair_of_row].T

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from termflow.corpus import TermQuery, ingest, write_csv
+from termflow.corpus import TermQuery, UnknownDiscipline, ingest, write_csv
 from termflow.rank import (
+    NORMAL_SWITCH_LAMBDA,
     Dictionary,
     EmptyDictionary,
     InvalidListLength,
     NegativeLambda,
     NonPositiveLambda,
+    PoissonRank,
     SingleDisciplineCorpus,
     bottom_terms,
     load_dictionary,
     normal_percentile,
     poisson_cdf,
-    poisson_percentile,
     rank_terms,
     top_terms,
     write_ranking_csv,
@@ -111,6 +112,30 @@ def test_normal_within_one_percent_of_exact(lam):
 def test_normal_rejects_nonpositive():
     with pytest.raises(NonPositiveLambda):
         normal_percentile(3, 0.0)
+
+
+def poisson_percentile(index, term, target_discipline, normal_switch=NORMAL_SWITCH_LAMBDA):
+    """The per-term oracle of ``rank_terms``: one term's rank by the probability
+    of its observed-or-lower frequency.
+
+    The background per-document rate pools every non-target discipline;
+    the expected count is that rate scaled to the target's document total.
+    A term absent from all backgrounds gets percentile 1 exactly.
+    """
+    if target_discipline not in index.discipline_totals:
+        raise UnknownDiscipline(f"unknown discipline {target_discipline!r}")
+    if len(index.disciplines) < 2:
+        raise SingleDisciplineCorpus("percentile ranking needs at least two disciplines")
+    t = index.term_id(term)
+    row = index.term_counts[1][t].tolist() if t >= 0 else [0] * len(index.disciplines)
+    k = row[index.disciplines.index(target_discipline)]
+    bg_docs = sum(
+        n for disc, n in index.discipline_totals.items() if disc != target_discipline
+    )
+    lam = ((sum(row) - k) / bg_docs) * index.discipline_totals[target_discipline]
+    if lam > normal_switch:
+        return PoissonRank(term, target_discipline, k, lam, normal_percentile(k, lam), "normal")
+    return PoissonRank(term, target_discipline, k, lam, poisson_cdf(k, lam), "poisson")
 
 
 def _two_discipline_index():
