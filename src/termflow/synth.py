@@ -363,11 +363,22 @@ def generate_succession(
 # ---------------------------------------------------------------------------
 
 
-def _typed(value, kind: type, field: str, what: str):
-    """``value``, if it is a ``kind``; else an InvalidSpec naming ``field``."""
-    if not isinstance(value, kind):
+def _typed(value, kind, field: str, what: str):
+    """``value``, if it is a ``kind`` and not a bool; else an InvalidSpec naming
+    ``field``. No scenario field takes a bool, which Python counts as an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise InvalidSpec(f"scenario field {field!r} must be {what}")
     return value
+
+
+def _int(value, field: str) -> int:
+    """``value``, if it is a JSON integer: not a bool, a fraction or a string."""
+    return _typed(value, int, field, "an integer")
+
+
+def _number(value, field: str) -> float:
+    """``value`` as a float, if it is a JSON number that is not a bool."""
+    return float(_typed(value, (int, float), field, "a number"))
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
@@ -382,17 +393,16 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         for d in _typed(obj["disciplines"], list, "disciplines", "an array"):
             _typed(d, dict, "disciplines", "an array of objects")
             diffusion = None
-            if d.get("diffusion") is not None:
+            if (params := d.get("diffusion")) is not None:
                 diffusion = DiffusionParams(
-                    c=float(d["diffusion"]["c"]),
-                    p_m=float(d["diffusion"]["p_m"]),
-                    p_0=float(d["diffusion"]["p_0"]),
+                    **{k: _number(params[k], f"diffusion.{k}") for k in ("c", "p_m", "p_0")}
                 )
+            onset = d.get("onset_year")
             disciplines.append(
                 DisciplineSpec(
-                    label=d["label"],
-                    docs_per_bin=int(d["docs_per_bin"]),
-                    onset_year=d.get("onset_year"),
+                    label=_typed(d["label"], str, "label", "a string"),
+                    docs_per_bin=_int(d["docs_per_bin"], "docs_per_bin"),
+                    onset_year=None if onset is None else _int(onset, "onset_year"),
                     diffusion=diffusion,
                 )
             )
@@ -405,17 +415,18 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             query = TermQuery.parse(term, coterms)
         bg = _typed(obj.get("background", {}), dict, "background", "an object")
         background = BackgroundVocabulary(
-            size=int(bg.get("size", 200)),
-            exponent=float(bg.get("exponent", 1.1)),
-            tokens_per_doc=int(bg.get("tokens_per_doc", 12)),
+            size=_int(bg.get("size", 200), "background.size"),
+            exponent=_number(bg.get("exponent", 1.1), "background.exponent"),
+            tokens_per_doc=_int(bg.get("tokens_per_doc", 12), "background.tokens_per_doc"),
         )
+        lo, hi = obj["year_range"][0], obj["year_range"][1]
         return ScenarioSpec(
             disciplines=tuple(disciplines),
-            year_range=(int(obj["year_range"][0]), int(obj["year_range"][1])),
-            bin_width=int(obj.get("bin_width", 2)),
+            year_range=(_int(lo, "year_range"), _int(hi, "year_range")),
+            bin_width=_int(obj.get("bin_width", 2), "bin_width"),
             injected_query=query,
             background=background,
-            seed=int(obj.get("seed", 0)),
+            seed=_int(obj.get("seed", 0), "seed"),
         )
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidSpec(f"bad scenario field: {exc}") from exc

@@ -414,11 +414,20 @@ REPEATED_ID = object()
 # coterms, was read as a list of characters
 INT_TERM, LIST_BACKGROUND, INT_DISCIPLINE = object(), object(), object()
 STRING_DISCIPLINES, STRING_COTERMS = object(), object()
+# and scenario numbers of the wrong JSON type: an int label failed as a record,
+# and int() or float() read the others
+INT_LABEL, BOOL_DOCS_PER_BIN, FLOAT_YEAR_RANGE = object(), object(), object()
+STRING_SEED, FLOAT_ONSET_YEAR, BOOL_C = object(), object(), object()
 _CSV_HEADER = "id,discipline,year,title,abstract\n"
 _RECORD = '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
 _DEEP = '{"a":' * 5000
 _HUGE = "9" * 5000
 _DOCS_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": %s}], "year_range": [1990, 1991]}'
+_ONE_DOC_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": 1}], "year_range": %s}'
+_DIFFUSION_SPEC = (
+    '{"disciplines": [{"label": "x", "docs_per_bin": 1, "onset_year": %s, "diffusion": '
+    '{"c": %s, "p_m": 1000, "p_0": 40}}], "year_range": [1990, 1993], "injected_term": "chaos"}'
+)
 RAW_FILES = {
     DEEP_CORPUS: _DEEP + "\n",
     HUGE_YEAR: _RECORD % _HUGE,
@@ -439,6 +448,12 @@ RAW_FILES = {
     STRING_DISCIPLINES: '{"disciplines": "math", "year_range": [1990, 1991]}',
     STRING_COTERMS: '{"disciplines": [{"label": "x", "docs_per_bin": 1}], "year_range": '
     '[1990, 1991], "injected_term": "chaos", "injected_coterms": "nonlinear"}',
+    INT_LABEL: '{"disciplines": [{"label": 5, "docs_per_bin": 1}], "year_range": [1990, 1991]}',
+    BOOL_DOCS_PER_BIN: _DOCS_SPEC % "true",
+    FLOAT_YEAR_RANGE: _ONE_DOC_SPEC % "[1990.9, 1993]",
+    STRING_SEED: _ONE_DOC_SPEC % '[1990, 1991], "seed": "3"',
+    FLOAT_ONSET_YEAR: _DIFFUSION_SPEC % ("1990.5", "0.6"),
+    BOOL_C: _DIFFUSION_SPEC % ("1990", "true"),
 }
 # scenario files, each with its background: SPEC's is valid, the others are not
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
@@ -526,6 +541,12 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", INT_DISCIPLINE, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", STRING_DISCIPLINES, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", STRING_COTERMS, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", INT_LABEL, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", BOOL_DOCS_PER_BIN, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", FLOAT_YEAR_RANGE, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", STRING_SEED, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", FLOAT_ONSET_YEAR, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", BOOL_C, "--out", OUT], "synth.InvalidSpec"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -542,7 +563,8 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "unknown-discipline-before-annotations", "over-cap-bins", "huge-years",
          "unreported-dictionary", "unreported-dictionary-before-any-file",
          "int-injected-term", "list-background", "int-discipline", "string-disciplines",
-         "string-coterms"],
+         "string-coterms", "int-label", "bool-docs-per-bin", "float-year-range",
+         "string-seed", "float-onset-year", "bool-c"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
