@@ -17,7 +17,6 @@ from .corpus import (
     UnknownDiscipline,
     count_matches,
     ingest,
-    merge_indexes,
     read_csv_records,
     read_jsonl_records,
     tokenize,

@@ -188,14 +188,11 @@ class CorpusIndex:
     the grid (``bin_width``, ``anchor_offset``) is read as the contiguous
     run of its year cells, which is exact because each document has one
     year. Terms and year cells are numbered by their positions in the sorted
-    ``vocabulary`` and ``cells``, and every array is read-only:
-
-    - ``tokens``, the int32 term ids of every document in order, documents
-      grouped by year cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
-      and year cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``;
-      every count and query is evaluated from this stream;
-    - ``doc_ids``, the document ids in document order: ``doc_ids[d]`` is
-      document d's id.
+    ``vocabulary`` and ``cells``, and every array is read-only. ``tokens``
+    holds the int32 term ids of every document in order, documents grouped
+    by year cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
+    and year cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``.
+    Every count and query is evaluated from this stream.
     """
 
     bin_width: int
@@ -209,7 +206,6 @@ class CorpusIndex:
     tokens: np.ndarray = field(repr=False)
     doc_offsets: np.ndarray = field(repr=False)
     cell_offsets: np.ndarray = field(repr=False)
-    doc_ids: np.ndarray = field(repr=False)
 
     def documents(self, discipline: str, start: int) -> tuple[int, int]:
         """Documents ``first`` to ``last - 1`` of the bin of ``discipline`` at
@@ -384,15 +380,15 @@ def _build(
     terms: Sequence[str],
     groups: Iterable[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]],
 ) -> CorpusIndex:
-    """Assemble an index on the grid (``bin_width``, ``offset``) from its
-    documents, grouped by year cell.
+    """Assemble an index on the grid (``bin_width``, ``offset``) from the
+    groups :func:`ingest` flushed.
 
     Each group ``(year_cell, doc_ids, term_ids, lengths)`` holds
     ``len(lengths)`` documents in order: document d has id ``doc_ids[d]``
     and holds the next ``lengths[d]`` ids of ``term_ids``, and term id i
-    stands for ``terms[i]``. Groups come in any order and are laid out by
-    year cell, stably, so one year cell may span several groups. A document
-    id given twice raises :class:`DuplicateId`.
+    stands for ``terms[i]``. Groups come in flush order and are laid out by
+    year cell, stably, since one year cell may span several flushes. A
+    document id given twice raises :class:`DuplicateId`; ids are not stored.
 
     The token stream is allocated once and written in place: each group's
     ids go into their slice through the map from first-appearance ids to
@@ -422,7 +418,6 @@ def _build(
         tokens=tokens,
         doc_offsets=_offsets(lengths),
         cell_offsets=_offsets(np.array(list(cell_counts.values()), np.int64)),
-        doc_ids=np.array(doc_ids, dtype=object),
     )
     for a in arrays.values():
         a.flags.writeable = False
@@ -442,28 +437,6 @@ def _build(
         cells=tuple(cell_counts),
         **arrays,
     )
-
-
-def merge_indexes(parts: Sequence[CorpusIndex]) -> CorpusIndex:
-    """Merge partition indexes into the index of their combined documents.
-
-    Partitions may be on any bin grids, since they store year cells; the
-    merged index reads in the first partition's bins. Document ids must be
-    disjoint across partitions; within a year cell, documents keep their
-    partition order.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    # merged term ids in order of first appearance, as ingest numbers them
-    term_ids = defaultdict(itertools.count().__next__)
-    groups = []
-    for p in parts:
-        remap = np.fromiter(map(term_ids.__getitem__, p.vocabulary), np.int32, len(p.vocabulary))
-        lengths = np.diff(p.doc_offsets)
-        for cell, first, last in zip(p.cells, p.cell_offsets, p.cell_offsets[1:]):
-            ids = remap[p.tokens[p.doc_offsets[first] : p.doc_offsets[last]]]
-            groups.append((cell, p.doc_ids[first:last], ids, lengths[first:last]))
-    return _build(parts[0].bin_width, parts[0].anchor_offset, list(term_ids), groups)
 
 
 def count_matches(

@@ -3,6 +3,8 @@ import json
 import pickle
 import re
 import tracemalloc
+from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from termflow.corpus import (
     UnknownDiscipline,
     count_matches,
     ingest,
-    merge_indexes,
     read_csv_records,
     read_jsonl_records,
     tokenize,
@@ -273,28 +274,6 @@ def test_duplicating_tokens_never_changes_counts(token_lists, dup_factor):
     a, b = ingest(base), ingest(duplicated)
     assert a.postings == b.postings
     assert _doc_counts(a) == _doc_counts(b)
-
-
-@given(st.permutations(list(range(4))), st.integers(min_value=0, max_value=3))
-@settings(max_examples=25, deadline=None)
-def test_partition_merge_is_order_insensitive(order, split_seed):
-    docs = [
-        make_doc("math", 1974 + i % 6, f"term{i % 5} chaos word{i % 3}")
-        for i in range(20)
-    ]
-    quarters = [docs[i::4] for i in range(4)]
-    parts = [ingest(quarters[i]) for i in order]
-    merged = merge_indexes(parts)
-    whole = ingest(docs)
-    assert _doc_counts(merged) == _doc_counts(whole)
-    assert merged.postings == whole.postings
-    assert merged.bins == whole.bins
-
-
-def test_merge_rejects_duplicate_ids_across_partitions():
-    doc = make_doc("math", 1990, "chaos")
-    with pytest.raises(DuplicateId):
-        merge_indexes([ingest([doc]), ingest([doc])])
 
 
 def test_index_is_immutable(small_index):
@@ -686,53 +665,54 @@ def test_count_matches_equals_a_document_scan(records, query_parts, grid):
 
 
 def _cell_documents(index):
-    """Each year cell's documents as (id, term-id tuple) pairs, sorted."""
+    """Each year cell's documents as term-id tuples, sorted."""
     return [
         sorted(
-            (
-                index.doc_ids[d],
-                tuple(index.tokens[index.doc_offsets[d] : index.doc_offsets[d + 1]].tolist()),
-            )
+            tuple(index.tokens[index.doc_offsets[d] : index.doc_offsets[d + 1]].tolist())
             for d in range(index.cell_offsets[c], index.cell_offsets[c + 1])
         )
         for c in range(len(index.cells))
     ]
 
 
-@given(_corpora, st.data(), _queries)
+@given(_corpora, st.permutations(range(24)), _grids, st.integers(0, 40), _queries)
+@example(  # the year cell (x, 1990) spans two flushes, with (y, 1990) flushed between
+    [DocumentRecord("d0", "x", 1990, "", "aa"), DocumentRecord("d1", "y", 1990, "", "bb"),
+     DocumentRecord("d2", "x", 1990, "", "cc")],
+    list(range(24)),
+    (2, None),
+    0,
+    (["aa"], frozenset()),
+)
 @settings(max_examples=100, deadline=None)
-def test_merge_of_any_partition_equals_ingest_of_the_whole(records, data, query_parts):
-    n_parts = data.draw(st.integers(min_value=1, max_value=4))
-    part_of = data.draw(
-        st.lists(
-            st.integers(min_value=0, max_value=n_parts - 1),
-            min_size=len(records),
-            max_size=len(records),
-        )
-    )
-    # each part on its own grid; the merge reads in the first part's bins
-    grids = data.draw(st.lists(_grids, min_size=n_parts, max_size=n_parts))
-    merged = merge_indexes(
-        [
-            ingest([r for r, p in zip(records, part_of) if p == i], *grids[i])
-            for i in range(n_parts)
-        ]
-    )
-    whole = ingest(records, *grids[0])
-    assert _doc_counts(merged) == _doc_counts(whole)
-    assert merged.bins == whole.bins
-    assert merged.n_documents == whole.n_documents
-    assert merged.vocabulary == whole.vocabulary
-    assert merged.cells == whole.cells
-    # each cell holds the same documents, ids and tokens, in whatever order
-    assert _cell_documents(merged) == _cell_documents(whole)
-    assert merged.postings == whole.postings
-    assert merged.term_counts[0] == whole.term_counts[0]
-    assert np.array_equal(merged.term_counts[1], whole.term_counts[1])
+def test_ingest_in_any_record_order_and_flushing_equals_ingest_of_the_whole(
+    records, permutation, grid, batch_chars, query_parts
+):
+    shuffled = [records[i] for i in permutation if i < len(records)]
+    # flushes after a few records, so that _build gets one year cell's groups
+    # split and out of year-cell order
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "BATCH_CHARS", batch_chars)
+        flushed = ingest(shuffled, *grid)
+    # flush points move no document: the same records in one flush give the same arrays
+    one_flush = ingest(shuffled, *grid)
+    for name in ("tokens", "doc_offsets", "cell_offsets"):
+        assert getattr(flushed, name).tolist() == getattr(one_flush, name).tolist(), name
+    whole = ingest(records, *grid)
+    assert _doc_counts(flushed) == _doc_counts(whole)
+    assert flushed.bins == whole.bins
+    assert flushed.n_documents == whole.n_documents
+    assert flushed.vocabulary == whole.vocabulary
+    assert flushed.cells == whole.cells
+    # record order moves documents only within their year cell
+    assert _cell_documents(flushed) == _cell_documents(whole)
+    assert flushed.postings == whole.postings
+    assert flushed.term_counts[0] == whole.term_counts[0]
+    assert np.array_equal(flushed.term_counts[1], whole.term_counts[1])
     for query in _three_kinds(*query_parts):
         for disc in whole.disciplines:
             for b in whole.bins:
-                assert count_matches(merged, query, disc, b) == count_matches(
+                assert count_matches(flushed, query, disc, b) == count_matches(
                     whole, query, disc, b
                 )
 
@@ -782,28 +762,31 @@ _batch_records = st.lists(
     2,
 )
 @settings(max_examples=150, deadline=None)
-def test_batched_ingest_equals_the_merge_of_one_record_ingests(records, batch_chars, width):
+def test_batched_ingest_equals_a_per_document_reference(records, batch_chars, width):
     anchor = 1990
     # stable: ingest orders documents by (discipline, year), then as they came
     in_group_order = sorted(records, key=lambda r: (r.discipline, r.year))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus, "BATCH_CHARS", batch_chars)
-        whole = ingest(records, bin_width=width, anchor_year=anchor)
-    merged = merge_indexes(
-        [ingest([r], bin_width=width, anchor_year=anchor) for r in in_group_order]
+        index = ingest(records, bin_width=width, anchor_year=anchor)
+    # the reference: each document's tokens, on the sorted vocabulary and year cells
+    docs = [tokenize(r.title + " " + r.abstract) for r in in_group_order]
+    vocabulary = sorted({t for doc in docs for t in doc})
+    term_id = {t: i for i, t in enumerate(vocabulary)}
+    per_cell = Counter((r.discipline, r.year) for r in in_group_order)
+    assert index.vocabulary == tuple(vocabulary)
+    assert index.cells == tuple(sorted(per_cell))
+    assert index.tokens.tolist() == [term_id[t] for doc in docs for t in doc]
+    assert index.doc_offsets.tolist() == list(accumulate(map(len, docs), initial=0))
+    assert index.cell_offsets.tolist() == list(
+        accumulate((per_cell[c] for c in index.cells), initial=0)
     )
-    assert whole.vocabulary == merged.vocabulary
-    assert whole.cells == merged.cells
-    for name in ("tokens", "doc_offsets", "cell_offsets", "doc_ids"):
-        assert getattr(whole, name).tolist() == getattr(merged, name).tolist(), name
-    # doc_ids[d] is the id of document d
-    assert whole.doc_ids.tolist() == [r.id for r in in_group_order]
-    # and each document holds its own tokens, which one-record ingests share
-    terms = np.array(whole.vocabulary, dtype=object)
+    # and each document holds its own tokens
+    terms = np.array(index.vocabulary, dtype=object)
     assert [
-        terms[whole.tokens[start:end]].tolist()
-        for start, end in zip(whole.doc_offsets[:-1], whole.doc_offsets[1:])
-    ] == [tokenize(r.title + " " + r.abstract) for r in in_group_order]
+        terms[index.tokens[start:end]].tolist()
+        for start, end in zip(index.doc_offsets[:-1], index.doc_offsets[1:])
+    ] == docs
 
 
 def test_ingest_holds_one_copy_of_the_token_stream_while_it_builds_it():
