@@ -92,6 +92,9 @@ class ScenarioSpec:
         if len(labels) != len(set(labels)):
             raise InvalidSpec("discipline labels must be unique")
         for d in self.disciplines:
+            # the rule a record's discipline follows
+            if not isinstance(d.label, str) or not d.label.strip():
+                raise InvalidSpec(f"discipline label must be a non-blank string, got {d.label!r}")
             if d.docs_per_bin < 0:
                 raise InvalidSpec(f"{d.label}: docs_per_bin must be >= 0")
             if d.diffusion is not None:
@@ -381,6 +384,15 @@ def _number(value, field: str) -> float:
     return float(_typed(value, (int, float), field, "a number"))
 
 
+def _object(value, field: str, *keys: str) -> dict:
+    """``value``, if it is a JSON object with no key outside ``keys``; else an
+    InvalidSpec naming ``field`` or the first other key, as ``field.key``."""
+    for key in _typed(value, dict, field, "an object"):
+        if key not in keys:
+            raise InvalidSpec(f"unknown scenario field {(f'{field}.' if field else '') + key!r}")
+    return value
+
+
 def scenario_from_json(text: str) -> ScenarioSpec:
     """Parse a scenario file; see README for the schema."""
     # JSONDecodeError is a ValueError, as a number past the int-string limit is
@@ -388,12 +400,18 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InvalidSpec(f"invalid scenario JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidSpec("a scenario must be a JSON object")
+    _object(obj, "", "disciplines", "year_range", "bin_width", "injected_term",
+            "injected_coterms", "background", "seed")
     try:
         disciplines = []
         for d in _typed(obj["disciplines"], list, "disciplines", "an array"):
             _typed(d, dict, "disciplines", "an array of objects")
+            _object(d, "", "label", "docs_per_bin", "onset_year", "diffusion")
             diffusion = None
             if (params := d.get("diffusion")) is not None:
+                _object(params, "diffusion", "c", "p_m", "p_0")
                 diffusion = DiffusionParams(
                     **{k: _number(params[k], f"diffusion.{k}") for k in ("c", "p_m", "p_0")}
                 )
@@ -413,7 +431,7 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         query = None
         if term is not None and _typed(term, str, "injected_term", "a string or null"):
             query = TermQuery.parse(term, coterms)
-        bg = _typed(obj.get("background", {}), dict, "background", "an object")
+        bg = _object(obj.get("background", {}), "background", "size", "exponent", "tokens_per_doc")
         background = BackgroundVocabulary(
             size=_int(bg.get("size", 200), "background.size"),
             exponent=_number(bg.get("exponent", 1.1), "background.exponent"),

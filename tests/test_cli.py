@@ -418,11 +418,16 @@ STRING_DISCIPLINES, STRING_COTERMS = object(), object()
 # and int() or float() read the others
 INT_LABEL, BOOL_DOCS_PER_BIN, FLOAT_YEAR_RANGE = object(), object(), object()
 STRING_SEED, FLOAT_ONSET_YEAR, BOOL_C = object(), object(), object()
+# discipline labels no record may hold, and keys outside the scenario schema:
+# each exited 0, or for a label with documents failed as a record
+EMPTY_LABEL, BLANK_LABEL, EMPTY_LABEL_NO_DOCS = object(), object(), object()
+UNKNOWN_TOP_KEY, UNKNOWN_DISCIPLINE_KEY, UNKNOWN_BACKGROUND_KEY = object(), object(), object()
 _CSV_HEADER = "id,discipline,year,title,abstract\n"
 _RECORD = '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
 _DEEP = '{"a":' * 5000
 _HUGE = "9" * 5000
 _DOCS_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": %s}], "year_range": [1990, 1991]}'
+_LABEL_SPEC = '{"disciplines": [{"label": %s, "docs_per_bin": %s}], "year_range": [1990, 1991]}'
 _ONE_DOC_SPEC = '{"disciplines": [{"label": "x", "docs_per_bin": 1}], "year_range": %s}'
 _DIFFUSION_SPEC = (
     '{"disciplines": [{"label": "x", "docs_per_bin": 1, "onset_year": %s, "diffusion": '
@@ -454,6 +459,13 @@ RAW_FILES = {
     STRING_SEED: _ONE_DOC_SPEC % '[1990, 1991], "seed": "3"',
     FLOAT_ONSET_YEAR: _DIFFUSION_SPEC % ("1990.5", "0.6"),
     BOOL_C: _DIFFUSION_SPEC % ("1990", "true"),
+    EMPTY_LABEL: _LABEL_SPEC % ('""', 1),
+    BLANK_LABEL: _LABEL_SPEC % ('" "', 1),
+    EMPTY_LABEL_NO_DOCS: _LABEL_SPEC % ('""', 0),
+    UNKNOWN_TOP_KEY: _ONE_DOC_SPEC % '[1990, 1991], "seeed": 5',
+    UNKNOWN_DISCIPLINE_KEY: '{"disciplines": [{"label": "m", "docs_per_bin": 1, '
+    '"onset_yaer": 1991}], "year_range": [1990, 1991]}',
+    UNKNOWN_BACKGROUND_KEY: _ONE_DOC_SPEC % '[1990, 1991], "backgrond": {"size": 3}',
 }
 # scenario files, each with its background: SPEC's is valid, the others are not
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
@@ -547,6 +559,12 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", STRING_SEED, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", FLOAT_ONSET_YEAR, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", BOOL_C, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", EMPTY_LABEL, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", BLANK_LABEL, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", EMPTY_LABEL_NO_DOCS, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", UNKNOWN_TOP_KEY, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", UNKNOWN_DISCIPLINE_KEY, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", UNKNOWN_BACKGROUND_KEY, "--out", OUT], "synth.InvalidSpec"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -564,7 +582,9 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "unreported-dictionary", "unreported-dictionary-before-any-file",
          "int-injected-term", "list-background", "int-discipline", "string-disciplines",
          "string-coterms", "int-label", "bool-docs-per-bin", "float-year-range",
-         "string-seed", "float-onset-year", "bool-c"],
+         "string-seed", "float-onset-year", "bool-c", "empty-label", "blank-label",
+         "empty-label-no-docs", "unknown-top-key", "unknown-discipline-key",
+         "unknown-background-key"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch

@@ -160,6 +160,10 @@ def test_invalid_specs_rejected():
             disciplines=(DisciplineSpec("a", 10), DisciplineSpec("a", 10)),
             year_range=(1974, 1999),
         )
+    # an empty or blank label, which no record may hold, also with no documents
+    for label, docs in (("", 1), (" ", 1), ("", 0)):
+        with pytest.raises(InvalidSpec, match="non-blank string"):
+            ScenarioSpec(disciplines=(DisciplineSpec(label, docs),), year_range=(1990, 1991))
     for background in (
         BackgroundVocabulary(size=0),
         BackgroundVocabulary(size=-5),
@@ -256,6 +260,19 @@ def test_scenario_json_errors():
         scenario_from_json("{not json")
     with pytest.raises(InvalidSpec):
         scenario_from_json('{"disciplines": []}')
+    # a key outside the schema, at each of its four object levels, is refused by name
+    one = '{"label": "m", "docs_per_bin": 1, "onset_year": 1990, "diffusion": %s}'
+    for text, key in (
+        ('{"disciplines": [], "year_range": [1990, 1991], "seeed": 5}', "'seeed'"),
+        ('{"disciplines": [{"label": "m", "docs_per_bin": 1, "onset_yaer": 1991}], '
+         '"year_range": [1990, 1991]}', "'onset_yaer'"),
+        ('{"disciplines": [%s], "year_range": [1990, 1991], "injected_term": "chaos"}'
+         % (one % '{"c": 1, "p_m": 10, "p_0": 1, "q": 2}'), "'diffusion.q'"),
+        ('{"disciplines": [], "year_range": [1990, 1991], "background": {"sise": 3}}',
+         "'background.sise'"),
+    ):
+        with pytest.raises(InvalidSpec, match=f"^unknown scenario field {key}$"):
+            scenario_from_json(text)
 
 
 def _reference_emit(rng, spec, disc, injections, vocab, cdf):
