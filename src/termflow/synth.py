@@ -88,9 +88,6 @@ class ScenarioSpec:
             weights = self.background.weights()
         if not (np.isfinite(self.background.exponent) and np.isfinite(weights).all()):
             raise InvalidSpec("background exponent must be finite and give finite weights")
-        labels = [d.label for d in self.disciplines]
-        if len(labels) != len(set(labels)):
-            raise InvalidSpec("discipline labels must be unique")
         for d in self.disciplines:
             # the rule a record's discipline follows
             if not isinstance(d.label, str) or not d.label.strip():
@@ -108,6 +105,10 @@ class ScenarioSpec:
                     )
                 if not 0 < d.diffusion.p_0 < d.diffusion.p_m:
                     raise InvalidSpec(f"{d.label}: injection needs 0 < p_0 < p_m")
+        # after the label check, so that a label that is no string cannot fail the set
+        labels = [d.label for d in self.disciplines]
+        if len(labels) != len(set(labels)):
+            raise InvalidSpec("discipline labels must be unique")
         # a year no record may hold would be refused later, or overflow numpy's draw
         if docs > 0 and not YEAR_MIN <= lo <= hi <= YEAR_MAX:
             raise InvalidSpec(f"documents need years in [{YEAR_MIN}, {YEAR_MAX}], not {lo}-{hi}")

@@ -160,8 +160,8 @@ def test_invalid_specs_rejected():
             disciplines=(DisciplineSpec("a", 10), DisciplineSpec("a", 10)),
             year_range=(1974, 1999),
         )
-    # an empty or blank label, which no record may hold, also with no documents
-    for label, docs in (("", 1), (" ", 1), ("", 0)):
+    # an empty, blank or non-string label, which no record may hold, also with no documents
+    for label, docs in (("", 1), (" ", 1), ("", 0), (["a"], 1)):
         with pytest.raises(InvalidSpec, match="non-blank string"):
             ScenarioSpec(disciplines=(DisciplineSpec(label, docs),), year_range=(1990, 1991))
     for background in (
