@@ -10,6 +10,7 @@ per-bin injection probabilities) is the oracle for end-to-end tests.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
@@ -54,8 +55,26 @@ class DisciplineSpec:
     diffusion: Optional[DiffusionParams] = None
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it and it is not a
+    bool (numpy integers pass); else an InvalidSpec naming ``field``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidSpec(f"scenario field {field!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario for :func:`generate`, checked when it is built.
+
+    It applies the record rules to what its documents will hold (labels are
+    non-blank strings, years lie in [``YEAR_MIN``, ``YEAR_MAX``]) and takes
+    only integers, not bools, in its integer fields.
+    """
+
     disciplines: tuple[DisciplineSpec, ...]
     year_range: tuple[int, int]
     bin_width: int = 2
@@ -64,25 +83,34 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.year_range
+        # before any arithmetic, which a float or a string would pass or fail untidily
+        lo, hi = (_integer(year, "year_range") for year in self.year_range)
+        bin_width = _integer(self.bin_width, "bin_width")
+        _integer(self.seed, "seed")
+        size = _integer(self.background.size, "background.size")
+        tokens_per_doc = _integer(self.background.tokens_per_doc, "background.tokens_per_doc")
+        docs_per_bin = 0
+        for i, d in enumerate(self.disciplines):
+            docs_per_bin += _integer(d.docs_per_bin, f"disciplines[{i}].docs_per_bin")
+            if d.onset_year is not None:
+                _integer(d.onset_year, f"disciplines[{i}].onset_year")
         if lo > hi:
             raise InvalidSpec(f"empty year range {self.year_range}")
-        if self.bin_width < 1:
+        if bin_width < 1:
             raise InvalidSpec("bin_width must be >= 1")
         # before anything is allocated: the bins, the background and the docs x tokens draws
-        n_bins = (hi - lo + lo % self.bin_width) // self.bin_width + 1
-        docs = n_bins * sum(d.docs_per_bin for d in self.disciplines)
-        tokens = docs * max(self.background.tokens_per_doc, 1)
-        if max(tokens, self.background.size) > MAX_GENERATED:
+        n_bins = (hi - lo + lo % bin_width) // bin_width + 1
+        docs = n_bins * docs_per_bin
+        if max(docs * max(tokens_per_doc, 1), size) > MAX_GENERATED:
             raise InvalidSpec(
-                f"scenario asks for {docs} documents of {self.background.tokens_per_doc} "
-                f"tokens over {self.background.size} terms; the limit is {MAX_GENERATED}"
+                f"scenario asks for {docs} documents of {tokens_per_doc} "
+                f"tokens over {size} terms; the limit is {MAX_GENERATED}"
             )
         if n_bins > MAX_GENERATED:  # reached only when no discipline asks for documents
             raise InvalidSpec(f"scenario asks for {n_bins} bins; the limit is {MAX_GENERATED}")
-        if self.background.size < 1:
+        if size < 1:
             raise InvalidSpec("background size must be >= 1")
-        if self.background.tokens_per_doc < 0:
+        if tokens_per_doc < 0:
             raise InvalidSpec("background tokens_per_doc must be >= 0")
         with np.errstate(all="ignore"):  # an exponent such as -1e308 overflows
             weights = self.background.weights()
@@ -375,11 +403,6 @@ def _typed(value, kind, field: str, what: str):
     return value
 
 
-def _int(value, field: str) -> int:
-    """``value``, if it is a JSON integer: not a bool, a fraction or a string."""
-    return _typed(value, int, field, "an integer")
-
-
 def _number(value, field: str) -> float:
     """``value`` as a float, if it is a JSON number that is not a bool."""
     return float(_typed(value, (int, float), field, "a number"))
@@ -416,12 +439,11 @@ def scenario_from_json(text: str) -> ScenarioSpec:
                 diffusion = DiffusionParams(
                     **{k: _number(params[k], f"diffusion.{k}") for k in ("c", "p_m", "p_0")}
                 )
-            onset = d.get("onset_year")
             disciplines.append(
                 DisciplineSpec(
                     label=_typed(d["label"], str, "label", "a string"),
-                    docs_per_bin=_int(d["docs_per_bin"], "docs_per_bin"),
-                    onset_year=None if onset is None else _int(onset, "onset_year"),
+                    docs_per_bin=d["docs_per_bin"],
+                    onset_year=d.get("onset_year"),
                     diffusion=diffusion,
                 )
             )
@@ -434,18 +456,18 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             query = TermQuery.parse(term, coterms)
         bg = _object(obj.get("background", {}), "background", "size", "exponent", "tokens_per_doc")
         background = BackgroundVocabulary(
-            size=_int(bg.get("size", 200), "background.size"),
+            size=bg.get("size", 200),
             exponent=_number(bg.get("exponent", 1.1), "background.exponent"),
-            tokens_per_doc=_int(bg.get("tokens_per_doc", 12), "background.tokens_per_doc"),
+            tokens_per_doc=bg.get("tokens_per_doc", 12),
         )
-        lo, hi = obj["year_range"][0], obj["year_range"][1]
+        # ScenarioSpec refuses a value of an integer field that is no integer
         return ScenarioSpec(
             disciplines=tuple(disciplines),
-            year_range=(_int(lo, "year_range"), _int(hi, "year_range")),
-            bin_width=_int(obj.get("bin_width", 2), "bin_width"),
+            year_range=(obj["year_range"][0], obj["year_range"][1]),
+            bin_width=obj.get("bin_width", 2),
             injected_query=query,
             background=background,
-            seed=_int(obj.get("seed", 0), "seed"),
+            seed=obj.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidSpec(f"bad scenario field: {exc}") from exc

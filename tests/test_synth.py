@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,38 @@ def test_invalid_specs_rejected():
     for years in ((999, 1005), (2995, 3001), (10**20, 10**20)):
         with pytest.raises(InvalidSpec, match="documents need years in"):
             ScenarioSpec(disciplines=(DisciplineSpec("math", 2),), year_range=years)
+    # integer fields take what operator.index takes, but no bool; each of the
+    # first four built a spec whose generate raised a bare TypeError
+    base = dict(disciplines=(DisciplineSpec("a", 2, 1991),), year_range=(1990, 1993))
+    for changes, name in (
+        (dict(disciplines=(DisciplineSpec("a", 1.5),)), "disciplines[0].docs_per_bin"),
+        (dict(year_range=(1990.5, 1993)), "year_range"),
+        (dict(bin_width=2.0), "bin_width"),
+        (dict(disciplines=(DisciplineSpec("a", True),)), "disciplines[0].docs_per_bin"),
+        (dict(disciplines=(DisciplineSpec("a", 2, "1991"),)), "disciplines[0].onset_year"),
+        (dict(year_range=(1990, np.float64(1993))), "year_range"),
+        (dict(seed=False), "seed"),
+        (dict(background=BackgroundVocabulary(size=np.bool_(True))), "background.size"),
+        (dict(background=BackgroundVocabulary(tokens_per_doc=None)), "background.tokens_per_doc"),
+    ):
+        message = re.escape(f"scenario field '{name}' must be an integer")
+        with pytest.raises(InvalidSpec, match=message):
+            ScenarioSpec(**{**base, **changes})
+    # numpy integers pass, and generate what Python integers do
+    as_numpy = ScenarioSpec(
+        disciplines=(DisciplineSpec("a", np.int8(2), np.uint16(1991)),),
+        year_range=(np.int64(1990), np.int32(1993)),
+        bin_width=np.int64(2),
+        background=BackgroundVocabulary(size=np.int64(50), tokens_per_doc=np.uint8(4)),
+        seed=np.int64(3),
+    )
+    as_python = ScenarioSpec(
+        disciplines=(DisciplineSpec("a", 2, 1991),),
+        year_range=(1990, 1993),
+        background=BackgroundVocabulary(size=50, tokens_per_doc=4),
+        seed=3,
+    )
+    assert generate(as_numpy)[0] == generate(as_python)[0]
 
 
 def test_succession_probabilities_rise_and_fall():
