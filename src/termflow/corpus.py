@@ -111,6 +111,11 @@ class DocumentRecord(namedtuple("DocumentRecord", RECORD_FIELDS)):
     ``_make``, ``_replace``, unpickling) validates the fields and raises
     :class:`MalformedRecord`. A record equals only another record, never the
     plain tuple of its fields, and hashes as that tuple.
+
+    The synthetic generator alone builds records with ``tuple.__new__`` and
+    skips these checks: its ``ScenarioSpec`` has already applied the same
+    rules to the labels and years, and its ids, years and texts are built
+    as non-empty strings, ints and strings.
     """
 
     __slots__ = ()
@@ -308,15 +313,16 @@ def ingest(
     term_ids = defaultdict(itertools.count().__next__, {DOC_SEPARATOR: -1})
     # flushed groups (year cell, document ids, token ids, per-document token counts)
     groups: list[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]] = []
-    # (discipline, year) -> buffered (id, "title abstract") pairs, in record order
-    open_groups: defaultdict[Cell, list[tuple[str, str]]] = defaultdict(list)
+    # (discipline, year) -> the buffered ids and "title abstract" texts, in record order
+    open_groups: defaultdict[Cell, tuple[list[str], list[str]]] = defaultdict(
+        lambda: ([], [])
+    )
     buffered = 0
     batching = True
 
     def flush() -> None:
         nonlocal batching
-        for cell, docs in open_groups.items():
-            doc_ids, texts = zip(*docs)
+        for cell, (doc_ids, texts) in open_groups.items():
             if batching:
                 toks = tokenize(_JOIN.join(texts))
                 ids = np.fromiter(map(term_ids.__getitem__, toks), np.int32, len(toks))
@@ -340,7 +346,9 @@ def ingest(
     # one unpacking per record: a named tuple's attribute reads cost more
     for rec_id, discipline, year, title, abstract in records:
         text = title + " " + abstract
-        open_groups[discipline, year].append((rec_id, text))
+        doc_ids, texts = open_groups[discipline, year]
+        doc_ids.append(rec_id)
+        texts.append(text)
         buffered += len(text)
         if buffered > BATCH_CHARS:
             flush()

@@ -72,7 +72,8 @@ class ScenarioSpec:
 
     It applies the record rules to what its documents will hold (labels are
     non-blank strings, years lie in [``YEAR_MIN``, ``YEAR_MAX``]) and takes
-    only integers, not bools, in its integer fields.
+    only integers, not bools, in its integer fields, so the generator builds
+    its records without checking each one again.
     """
 
     disciplines: tuple[DisciplineSpec, ...]
@@ -263,7 +264,9 @@ def _emit_documents(
             bodies = [body + tail if hit else body for body, hit in zip(bodies, mask)]
         prefix = f"{disc.label}-{start}-"
         ids = [prefix + suffix for suffix in suffixes]
-        records.extend(map(DocumentRecord, ids, repeat(disc.label), years, repeat(""), bodies))
+        # the spec has applied the record rules, so no record is checked again
+        fields = zip(ids, repeat(disc.label), years, repeat(""), bodies)
+        records.extend(map(tuple.__new__, repeat(DocumentRecord), fields))
     return records
 
 

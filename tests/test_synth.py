@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from termflow import synth
 from termflow.corpus import (
+    YEAR_MAX,
+    YEAR_MIN,
     DocumentRecord,
     TermQuery,
     count_matches,
@@ -347,23 +349,29 @@ _INJECTION = st.tuples(
 )
 
 
+def _year_ranges(n_years):
+    """Ranges of ``n_years`` years, some at either end of the years a record may hold."""
+    firsts = st.one_of(st.integers(1990, 1995), st.just(YEAR_MIN), st.just(YEAR_MAX - n_years + 1))
+    return firsts.map(lambda first: (first, first + n_years - 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    label=st.text(st.sampled_from("ab{}-\u00e9\u4e2d"), min_size=1, max_size=6),
+    # leading, trailing and inner spaces, but no blank label, which no spec takes
+    label=st.text(st.sampled_from("ab{}-\u00e9\u4e2d "), min_size=1, max_size=6).filter(str.strip),
     docs_per_bin=st.integers(0, 6),
     tokens_per_doc=st.integers(0, 5),
     width=st.integers(1, 3),
-    first_year=st.integers(1990, 1995),
-    n_years=st.integers(1, 9),
+    year_range=st.integers(1, 9).flatmap(_year_ranges),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_emit_documents_equals_the_per_document_emitter(
-    label, docs_per_bin, tokens_per_doc, width, first_year, n_years, seed, data
+    label, docs_per_bin, tokens_per_doc, width, year_range, seed, data
 ):
     spec = ScenarioSpec(
         disciplines=(DisciplineSpec(label, docs_per_bin),),
-        year_range=(first_year, first_year + n_years - 1),
+        year_range=year_range,
         bin_width=width,
         background=BackgroundVocabulary(size=7, tokens_per_doc=tokens_per_doc),
     )
@@ -378,6 +386,8 @@ def test_emit_documents_equals_the_per_document_emitter(
         reference_rng, spec, spec.disciplines[0], injections, vocab, cdf
     )
     assert records == expected
+    # the emitter skips the record checks: each record must pass them as built
+    assert list(map(DocumentRecord._make, records)) == records
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
