@@ -148,19 +148,17 @@ def load_dictionary(path: str, discipline: str = "") -> Dictionary:
 
 
 def _percentile(
-    index: CorpusIndex,
-    target_discipline: str,
     k: int,
     bg_hits: int,
+    bg_docs: int,
+    target_docs: int,
     normal_switch: float,
 ) -> tuple[float, float]:
-    """(lambda, percentile) of a term in ``k`` target documents and
-    ``bg_hits`` documents of the other disciplines; above ``normal_switch``
-    the percentile is the normal approximation."""
-    bg_docs = sum(
-        n for disc, n in index.discipline_totals.items() if disc != target_discipline
-    )
-    lam = (bg_hits / bg_docs) * index.discipline_totals[target_discipline]
+    """(lambda, percentile) of a term in ``k`` of the ``target_docs`` target
+    documents and ``bg_hits`` of the ``bg_docs`` documents of the other
+    disciplines; above ``normal_switch`` the percentile is the normal
+    approximation."""
+    lam = (bg_hits / bg_docs) * target_docs
     if lam > normal_switch:
         return lam, normal_percentile(k, lam)
     return lam, poisson_cdf(k, lam)
@@ -243,8 +241,11 @@ def rank_terms(
     bg_hits = table[rows].sum(axis=1, dtype=np.int64) - k
     span = int(bg_hits.max(initial=0)) + 1
     pairs, pair_of_row = np.unique(k * span + bg_hits, return_inverse=True)
+    totals = index.discipline_totals
+    bg_docs = sum(n for disc, n in totals.items() if disc != target_discipline)
+    target_docs = totals[target_discipline]
     stats = [
-        _percentile(index, target_discipline, pair // span, pair % span, normal_switch)
+        _percentile(pair // span, pair % span, bg_docs, target_docs, normal_switch)
         for pair in pairs.tolist()
     ]
     lam, percentile = np.array(stats, float).reshape(-1, 2)[pair_of_row].T
