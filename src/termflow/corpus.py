@@ -110,12 +110,8 @@ class DocumentRecord(namedtuple("DocumentRecord", RECORD_FIELDS)):
     An immutable named tuple. Every construction path (positional, keyword,
     ``_make``, ``_replace``, unpickling) validates the fields and raises
     :class:`MalformedRecord`. A record equals only another record, never the
-    plain tuple of its fields, and hashes as that tuple.
-
-    The synthetic generator alone builds records with ``tuple.__new__`` and
-    skips these checks: its ``ScenarioSpec`` has already applied the same
-    rules to the labels and years, and its ids, years and texts are built
-    as non-empty strings, ints and strings.
+    plain tuple of its fields, and hashes as that tuple. The synthetic
+    generator alone skips the checks: its ``ScenarioSpec`` has applied them.
     """
 
     __slots__ = ()
@@ -314,9 +310,7 @@ def ingest(
     # flushed groups (year cell, document ids, token ids, per-document token counts)
     groups: list[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]] = []
     # (discipline, year) -> the buffered ids and "title abstract" texts, in record order
-    open_groups: defaultdict[Cell, tuple[list[str], list[str]]] = defaultdict(
-        lambda: ([], [])
-    )
+    open_groups = defaultdict(lambda: ([], []))
     buffered = 0
     batching = True
 

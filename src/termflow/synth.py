@@ -68,13 +68,9 @@ def _integer(value, field: str) -> int:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A scenario for :func:`generate`, checked when it is built.
-
-    It applies the record rules to what its documents will hold (labels are
-    non-blank strings, years lie in [``YEAR_MIN``, ``YEAR_MAX``]) and takes
-    only integers, not bools, in its integer fields, so the generator builds
-    its records without checking each one again.
-    """
+    """A scenario for :func:`generate`. It applies the record rules to the
+    labels and years its documents will hold and takes only integers in its
+    integer fields, so the generator does not check each record again."""
 
     disciplines: tuple[DisciplineSpec, ...]
     year_range: tuple[int, int]
