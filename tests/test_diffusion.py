@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import signal
 import time
@@ -265,6 +267,35 @@ def test_fit_returns_on_step_series():
         signal.signal(signal.SIGALRM, previous)
     assert elapsed < 5.0
     assert math.isfinite(result.rmse)
+    assert _fit_sha256(result) == STEP_FIT_SHA256
+
+
+def _fit_sha256(result):
+    return hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+# fit's exact output: the step series above (its refinement spends the whole
+# budget with c * t past the exponent clamp), and criterion 4's canonical
+# series under 5% multiplicative noise at seeds 0-4
+STEP_FIT_SHA256 = "5ecd57d7908a85593a26aa455937ecb43a4cc600a5ef75091f2ebf405f502697"
+
+NOISY_FIT_SHA256 = {
+    0: "858460b0959d4f6cf0ff892bd53eeeef7e0e908e7791b0bf68135a8c7dc83323",
+    1: "98bf9af71ce516aedeb681091a43047967d3f8822c64f8887ddedb482b159459",
+    2: "abf522458e661b0611c3ed07e7cb05e66539c22e3f06ef2041e7240d8b80f55d",
+    3: "f1b67363d8efe68a77b55944c185b15e43846e9b255187f9581b0f5d5d361580",
+    4: "caaf18ce73dccbdd792cd010976ced2510f967e00c57eb3028e147b31cf853eb",
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_pinned_on_noisy_series(seed):
+    times = [2.0 * i for i in range(11)]
+    clean = np.array(trajectory_closed_form(CANONICAL, times).p)
+    rng = np.random.default_rng(seed)
+    noisy = np.maximum(clean * (1 + 0.05 * rng.standard_normal(clean.size)), 0.0)
+    result = fit(AdoptionTrajectory(times=tuple(times), p=tuple(noisy)))
+    assert _fit_sha256(result) == NOISY_FIT_SHA256[seed]
 
 
 def test_fit_noisy_median_error():
