@@ -81,9 +81,16 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # before any arithmetic, which a float or a string would pass or fail untidily
-        lo, hi = (_integer(year, "year_range") for year in self.year_range)
+        try:
+            lo, hi = self.year_range
+        except (TypeError, ValueError):
+            raise InvalidSpec(
+                f"scenario field 'year_range' must be a pair of years, got {self.year_range!r}"
+            ) from None
+        lo, hi = _integer(lo, "year_range"), _integer(hi, "year_range")
         bin_width = _integer(self.bin_width, "bin_width")
-        _integer(self.seed, "seed")
+        if _integer(self.seed, "seed") < 0:
+            raise InvalidSpec(f"scenario field 'seed' must be >= 0, got {self.seed!r}")
         size = _integer(self.background.size, "background.size")
         tokens_per_doc = _integer(self.background.tokens_per_doc, "background.tokens_per_doc")
         docs_per_bin = 0

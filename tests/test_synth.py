@@ -222,6 +222,16 @@ def test_invalid_specs_rejected():
         message = re.escape(f"scenario field '{name}' must be an integer")
         with pytest.raises(InvalidSpec, match=message):
             ScenarioSpec(**{**base, **changes})
+    # a year_range that is no pair, and a negative seed: a bare ValueError before
+    for changes, message in (
+        (dict(year_range=(1990,)), "scenario field 'year_range' must be a pair of years"),
+        (dict(year_range=(1990, 1991, 1992)), "scenario field 'year_range' must be a pair"),
+        (dict(year_range=1990), "scenario field 'year_range' must be a pair of years"),
+        (dict(seed=-1), "scenario field 'seed' must be >= 0, got -1"),
+        (dict(seed=np.int64(-3)), "scenario field 'seed' must be >= 0"),
+    ):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            ScenarioSpec(**{**base, **changes})
     # numpy integers pass, and generate what Python integers do
     as_numpy = ScenarioSpec(
         disciplines=(DisciplineSpec("a", np.int8(2), np.uint16(1991)),),
