@@ -227,24 +227,35 @@ def _objective(shifted: np.ndarray, obs: np.ndarray) -> Callable[[Sequence[float
     against ``obs``, or inf unless c > 0, p_m > 0 and 0 < p_0 < p_m.
 
     It equals ``float(_rmse(_predict(c, p_m, p_0, shifted), obs))`` bit for bit:
-    the same operations in the same order, in one scratch array, because on
+    the same operations in the same order, in scratch arrays, because on
     series this short numpy's per-call overhead outweighs the arithmetic.
+    ``e`` keeps exp(clamp(-c * shifted)) for the last admissible c, so a move
+    of p_m or p_0 alone reuses it. The clamp is skipped when the extreme
+    products ``hi * -c`` and ``lo * -c`` lie inside it: a rounded product is
+    monotone in each factor, so then no element lies outside.
     """
-    d = np.empty_like(obs)
+    d, e = np.empty_like(obs), np.empty_like(obs)
+    lo, hi = float(shifted.min()), float(shifted.max())
+    last_c = math.nan
 
     def objective(v: Sequence[float]) -> float:
+        nonlocal last_c
         c, p_m, p_0 = v
         if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
             return math.inf
-        np.multiply(shifted, -c, out=d)
-        np.maximum(d, -_EXP_CLAMP, out=d)
-        np.minimum(d, _EXP_CLAMP, out=d)
-        np.exp(d, out=d)
-        np.multiply(d, (p_m - p_0) / p_0, out=d)
+        if c != last_c:
+            np.multiply(shifted, -c, out=e)
+            if not -_EXP_CLAMP <= hi * -c <= lo * -c <= _EXP_CLAMP:
+                np.maximum(e, -_EXP_CLAMP, out=e)
+                np.minimum(e, _EXP_CLAMP, out=e)
+            np.exp(e, out=e)
+            last_c = c
+        np.multiply(e, (p_m - p_0) / p_0, out=d)
         np.add(d, 1.0, out=d)
         np.divide(p_m, d, out=d)
         np.subtract(d, obs, out=d)
-        return math.sqrt(np.add.reduce(d * d) / d.size)
+        np.multiply(d, d, out=d)
+        return math.sqrt(np.add.reduce(d) / d.size)
 
     return objective
 
@@ -264,6 +275,8 @@ def fit(trajectory: AdoptionTrajectory) -> FitResult:
     obs = np.asarray(trajectory.p, dtype=float)
     if times.size < 5:
         raise DegenerateSeries(f"need at least 5 points, got {times.size}")
+    if not (np.isfinite(times).all() and np.isfinite(obs).all()):
+        raise DegenerateSeries("times and adopter counts must be finite")
     if obs.max() == obs.min():
         raise NoGrowthSignal("series is flat; nothing to fit")
     positive = np.nonzero(obs > 0)[0]

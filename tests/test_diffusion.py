@@ -4,6 +4,7 @@ import json
 import math
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from termflow.diffusion import (
     InvalidStep,
     NoGrowthSignal,
     OutOfRangeP,
+    _EXP_CLAMP,
     _objective,
     _predict,
     _rmse,
@@ -176,6 +178,23 @@ def test_fit_short_series_rejected():
         fit(AdoptionTrajectory(times=(0, 1, 2), p=(1.0, 2.0, 3.0)))
 
 
+@pytest.mark.parametrize(
+    "times, p",
+    [
+        ((0.0, 1.0, math.nan, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0, 5.0)),
+        ((0.0, 1.0, 2.0, 3.0, -math.inf), (1.0, 2.0, 3.0, 4.0, 5.0)),
+        ((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 2.0, math.inf, 4.0, 5.0)),
+        ((0.0, 1.0, 2.0, 3.0, 4.0), (math.nan, 2.0, 3.0, 4.0, 5.0)),
+    ],
+)
+def test_fit_non_finite_series_rejected(times, p):
+    # a NaN time gave rmse nan and no error; an inf count warned from numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSeries, match="must be finite"):
+            fit(AdoptionTrajectory(times=times, p=p))
+
+
 def test_fit_report_shape():
     times = [2.0 * i for i in range(8)]
     result = fit(trajectory_closed_form(CANONICAL, times))
@@ -237,7 +256,55 @@ def _candidate(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_refinement_objective_equals_the_reference_bit_for_bit(series, candidates):
-    shifted, obs = series
+    _assert_objective_equals_the_reference(*series, candidates)
+
+
+@st.composite
+def _repeating_c_run(draw):
+    """A series with unsorted times, and candidates whose c repeats back to back,
+    after another c and after an inadmissible candidate (c = 0, p_0 = 0 or
+    p_0 = p_m). c lies well inside, near the edge of, and past the exponent clamp."""
+    shifted, obs = draw(_shifted_series())
+    order = np.array(draw(st.permutations(range(shifted.size))))
+    shifted, obs = shifted[order] - shifted[order[0]], obs[order]
+    # c near the clamp's edge on the side of the latest or of the earliest time
+    edges = [st.floats(0.5, 2.0).map(lambda f, t=t: f * _EXP_CLAMP / t)
+             for t in (shifted.max(), -shifted.min()) if t > 0]
+    cs = draw(st.lists(st.one_of(st.floats(1e-3, 5.0), *edges, st.floats(1e3, 1e5)),
+                       min_size=1, max_size=3))
+    # the clamp shows in the result only where exp's factor or p_m is huge
+    p_ms = draw(st.lists(st.one_of(st.floats(1.0, 1e7), st.floats(1e290, 1e308)),
+                         min_size=1, max_size=2))
+    fractions = st.one_of(st.floats(0.0, 1.0), st.floats(1e-300, 1e-290))
+    candidates = []
+    for _ in range(draw(st.integers(2, 12))):
+        c = draw(st.one_of(st.sampled_from(cs), st.just(0.0)))
+        p_m = draw(st.sampled_from(p_ms))
+        candidates.append((c, p_m, draw(fractions) * p_m))
+    return shifted, obs, candidates
+
+
+# the clamp on the side of positive exponents shows only in a tiny prediction
+# against an otherwise exact fit: at t = -10 exp(-100 * t) overflows unclamped
+_EARLY = np.array([0.0, 1.0, -10.0, 2.0, 3.0])
+_EARLY_OBS = np.where(_EARLY < 0, 0.0, _predict(100.0, 1e160, 5e159, _EARLY))
+
+
+@given(_repeating_c_run())
+@example(
+    (np.array([0.0, 2.0, -2.0, 4.0, 6.0]), np.array([3.0, 9.0, 0.0, 20.0, 31.0]),
+     [(0.6, 40.0, 3.0), (0.6, 40.0, 5.0), (2.0, 40.0, 5.0), (0.6, 40.0, 5.0),
+      (0.6, 40.0, 40.0), (0.6, 50.0, 5.0), (500.0, 50.0, 5.0), (0.0, 50.0, 5.0),
+      (500.0, 40.0, 1e-300), (500.0, 1e306, 5e305)])
+)
+@example((_EARLY, _EARLY_OBS, [(100.0, 1e160, 5e159), (100.0, 1e160, 4e159)]))
+@settings(max_examples=300, deadline=None)
+def test_refinement_objective_reuses_exp_only_for_a_repeated_c(run):
+    _assert_objective_equals_the_reference(*run)
+
+
+def _assert_objective_equals_the_reference(shifted, obs, candidates):
+    """One ``_objective`` scores the candidates in order, as ``fit`` would."""
     objective = _objective(shifted, obs)
     with np.errstate(over="ignore"):
         for v in candidates:
