@@ -298,7 +298,7 @@ _EARLY_OBS = np.where(_EARLY < 0, 0.0, _predict(100.0, 1e160, 5e159, _EARLY))
       (500.0, 40.0, 1e-300), (500.0, 1e306, 5e305)])
 )
 @example((_EARLY, _EARLY_OBS, [(100.0, 1e160, 5e159), (100.0, 1e160, 4e159)]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_refinement_objective_reuses_exp_only_for_a_repeated_c(run):
     _assert_objective_equals_the_reference(*run)
 
