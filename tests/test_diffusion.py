@@ -355,24 +355,24 @@ NOISY_FIT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_fit_pinned_on_noisy_series(seed):
+def _noisy_canonical(seed):
+    """The canonical logistic at 11 two-year steps under 5% multiplicative noise."""
     times = [2.0 * i for i in range(11)]
     clean = np.array(trajectory_closed_form(CANONICAL, times).p)
     rng = np.random.default_rng(seed)
     noisy = np.maximum(clean * (1 + 0.05 * rng.standard_normal(clean.size)), 0.0)
-    result = fit(AdoptionTrajectory(times=tuple(times), p=tuple(noisy)))
-    assert _fit_sha256(result) == NOISY_FIT_SHA256[seed]
+    return AdoptionTrajectory(times=tuple(times), p=tuple(noisy))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_pinned_on_noisy_series(seed):
+    assert _fit_sha256(fit(_noisy_canonical(seed))) == NOISY_FIT_SHA256[seed]
 
 
 def test_fit_noisy_median_error():
-    times = [2.0 * i for i in range(11)]
-    clean = np.array(trajectory_closed_form(CANONICAL, times).p)
     errors = []
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        noisy = np.maximum(clean * (1 + 0.05 * rng.standard_normal(clean.size)), 0.0)
-        result = fit(AdoptionTrajectory(times=tuple(times), p=tuple(noisy)))
+        result = fit(_noisy_canonical(seed))
         errors.append(abs(result.params.c - 0.6) / 0.6)
     assert sorted(errors)[len(errors) // 2] <= 0.15
 
