@@ -159,24 +159,21 @@ def _add_trend_options(p: argparse.ArgumentParser) -> None:
 
 def cmd_ingest(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args)
+    starts = [b.start_year for b in index.bins]
     if args.format == "json":
         payload = {
             "documents": index.n_documents,
             "disciplines": {d: index.discipline_totals[d] for d in index.disciplines},
             "bins": [
                 {
-                    "start_year": b.start_year,
-                    "counts": {d: n for d in index.disciplines if (n := index.doc_count(d, b))},
+                    "start_year": s,
+                    "counts": {d: n for d in index.disciplines if (n := index.doc_count(d, s))},
                 }
-                for b in index.bins
+                for s in starts
             ],
         }
         return [(_json_artifact(payload, cfg), args.out)]
-    rows = (
-        (d, b.start_year, index.doc_count(d, b))
-        for d in index.disciplines
-        for b in index.bins
-    )
+    rows = ((d, s, index.doc_count(d, s)) for d in index.disciplines for s in starts)
     header = ("discipline", "bin_start", "documents")
     csv_text = _text(corpus.write_csv, header=header, rows=rows, config_line=_config_line(cfg))
     return [(csv_text, args.out)]

@@ -217,8 +217,8 @@ class CorpusIndex:
         hi = bisect_left(self.cells, (discipline, start + self.bin_width), lo)
         return int(self.cell_offsets[lo]), int(self.cell_offsets[hi])
 
-    def doc_count(self, discipline: str, time_bin: Union[TimeBin, int]) -> int:
-        first, last = self.documents(discipline, _bin_start(time_bin))
+    def doc_count(self, discipline: str, start: int) -> int:
+        first, last = self.documents(discipline, start)
         return last - first
 
     def term_id(self, term: str) -> int:
@@ -276,10 +276,6 @@ class CorpusIndex:
                 first = c
         table.flags.writeable = False
         return self.vocabulary, table
-
-
-def _bin_start(time_bin: Union[TimeBin, int]) -> int:
-    return time_bin.start_year if isinstance(time_bin, TimeBin) else int(time_bin)
 
 
 def ingest(
@@ -445,15 +441,14 @@ def count_matches(
     index: CorpusIndex,
     query: TermQuery,
     discipline: str,
-    time_bin: Union[TimeBin, int],
+    time_bin: int,
 ) -> int:
-    """Number of distinct documents in (discipline, bin) matching ``query``."""
+    """Documents matching ``query`` in the bin of ``discipline`` starting at ``time_bin``."""
     if discipline not in index.discipline_totals:
         raise UnknownDiscipline(f"unknown discipline {discipline!r}")
-    start = _bin_start(time_bin)
-    if not any(b.start_year == start for b in index.bins):
-        raise UnknownBin(f"no bin starting at year {start}")
-    first, last = index.documents(discipline, start)
+    if not any(b.start_year == time_bin for b in index.bins):
+        raise UnknownBin(f"no bin starting at year {time_bin}")
+    first, last = index.documents(discipline, time_bin)
     phrase = [index.term_id(t) for t in query.term]
     coterms = [index.term_id(t) for t in query.required_coterms]
     if first == last or min(phrase + coterms) < 0:

@@ -9,15 +9,17 @@ per-bin injection probabilities) is the oracle for end-to-end tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import YEAR_MAX, YEAR_MIN, DocumentRecord, TermQuery
+from .corpus import YEAR_MAX, YEAR_MIN, DocumentRecord, InvalidQuery, TermQuery
 from .diffusion import DiffusionParams, inflection_time, logistic_value
 from .errors import TermflowError
 
@@ -66,6 +68,17 @@ def _integer(value, field: str) -> int:
     raise InvalidSpec(f"scenario field {field!r} must be an integer, got {value!r}")
 
 
+def _number(value, field: str) -> float:
+    """``value`` as a float, if it is a real number that is not a bool and
+    that a float can hold (numpy numbers pass); else an InvalidSpec naming ``field``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidSpec(f"scenario field {field!r} must be a number in a float's range")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A scenario for :func:`generate`. It applies the record rules to the
@@ -93,6 +106,7 @@ class ScenarioSpec:
             raise InvalidSpec(f"scenario field 'seed' must be >= 0, got {self.seed!r}")
         size = _integer(self.background.size, "background.size")
         tokens_per_doc = _integer(self.background.tokens_per_doc, "background.tokens_per_doc")
+        exponent = _number(self.background.exponent, "background.exponent")
         docs_per_bin = 0
         for i, d in enumerate(self.disciplines):
             docs_per_bin += _integer(d.docs_per_bin, f"disciplines[{i}].docs_per_bin")
@@ -118,7 +132,7 @@ class ScenarioSpec:
             raise InvalidSpec("background tokens_per_doc must be >= 0")
         with np.errstate(all="ignore"):  # an exponent such as -1e308 overflows
             weights = self.background.weights()
-        if not (np.isfinite(self.background.exponent) and np.isfinite(weights).all()):
+        if not (np.isfinite(exponent) and np.isfinite(weights).all()):
             raise InvalidSpec("background exponent must be finite and give finite weights")
         for d in self.disciplines:
             # the rule a record's discipline follows
@@ -367,11 +381,12 @@ def generate_succession(
     discipline: str,
     docs_per_bin: int,
     year_range: tuple[int, int],
-    bin_width: int = 2,
+    bin_width: int = ScenarioSpec.bin_width,
     background: Optional[BackgroundVocabulary] = None,
-    seed: int = 0,
+    seed: int = ScenarioSpec.seed,
 ) -> tuple[list[DocumentRecord], SuccessionTruth]:
-    """One-discipline corpus in which successive terms replace one another."""
+    """One-discipline corpus in which successive terms replace one another;
+    ``bin_width``, ``background`` and ``seed`` default as in ScenarioSpec."""
     if not stages:
         raise InvalidSpec("need at least one succession stage")
     background = background or BackgroundVocabulary()
@@ -409,22 +424,25 @@ def _typed(value, kind, field: str, what: str):
     return value
 
 
-def _number(value, field: str) -> float:
-    """``value`` as a float, if it is a JSON number that is not a bool."""
-    return float(_typed(value, (int, float), field, "a number"))
-
-
-def _object(value, field: str, *keys: str) -> dict:
-    """``value``, if it is a JSON object with no key outside ``keys``; else an
-    InvalidSpec naming ``field`` or the first other key, as ``field.key``."""
-    for key in _typed(value, dict, field, "an object"):
+def _fields(obj, cls, at: str, **keys_of: tuple[str, ...]) -> dict:
+    """JSON object ``obj`` as keyword arguments of ``cls``, if it holds only
+    the keys of ``cls``'s fields and each field that has no default; else an
+    InvalidSpec naming the key, prefixed by ``at``. ``keys_of`` maps a field
+    to the keys that stand for it."""
+    fields = dataclasses.fields(cls)
+    keys = [key for f in fields for key in keys_of.get(f.name, (f.name,))]
+    for key in _typed(obj, dict, at.rstrip("."), "an object"):
         if key not in keys:
-            raise InvalidSpec(f"unknown scenario field {(f'{field}.' if field else '') + key!r}")
-    return value
+            raise InvalidSpec(f"unknown scenario field {at + key!r}")
+    for f in fields:
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+            raise InvalidSpec(f"scenario field {at + f.name!r} is missing")
+    return dict(obj)
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
-    """Parse a scenario file; see README for the schema."""
+    """Parse a scenario file; see README for the schema. A key the file omits
+    takes the default of its dataclass field."""
     # JSONDecodeError is a ValueError, as a number past the int-string limit is
     try:
         obj = json.loads(text)
@@ -432,48 +450,28 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         raise InvalidSpec(f"invalid scenario JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidSpec("a scenario must be a JSON object")
-    _object(obj, "", "disciplines", "year_range", "bin_width", "injected_term",
-            "injected_coterms", "background", "seed")
-    try:
-        disciplines = []
-        for d in _typed(obj["disciplines"], list, "disciplines", "an array"):
-            _typed(d, dict, "disciplines", "an array of objects")
-            _object(d, "", "label", "docs_per_bin", "onset_year", "diffusion")
-            diffusion = None
-            if (params := d.get("diffusion")) is not None:
-                _object(params, "diffusion", "c", "p_m", "p_0")
-                diffusion = DiffusionParams(
-                    **{k: _number(params[k], f"diffusion.{k}") for k in ("c", "p_m", "p_0")}
-                )
-            disciplines.append(
-                DisciplineSpec(
-                    label=_typed(d["label"], str, "label", "a string"),
-                    docs_per_bin=d["docs_per_bin"],
-                    onset_year=d.get("onset_year"),
-                    diffusion=diffusion,
-                )
-            )
-        coterms = _typed(obj.get("injected_coterms", []), list, "injected_coterms", "an array")
-        for c in coterms:
-            _typed(c, str, "injected_coterms", "an array of strings")
-        term = obj.get("injected_term")
-        query = None
-        if term is not None and _typed(term, str, "injected_term", "a string or null"):
-            query = TermQuery.parse(term, coterms)
-        bg = _object(obj.get("background", {}), "background", "size", "exponent", "tokens_per_doc")
-        background = BackgroundVocabulary(
-            size=bg.get("size", 200),
-            exponent=_number(bg.get("exponent", 1.1), "background.exponent"),
-            tokens_per_doc=bg.get("tokens_per_doc", 12),
-        )
-        # ScenarioSpec refuses a value of an integer field that is no integer
-        return ScenarioSpec(
-            disciplines=tuple(disciplines),
-            year_range=(obj["year_range"][0], obj["year_range"][1]),
-            bin_width=obj.get("bin_width", 2),
-            injected_query=query,
-            background=background,
-            seed=obj.get("seed", 0),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise InvalidSpec(f"bad scenario field: {exc}") from exc
+    top = _fields(obj, ScenarioSpec, "", injected_query=("injected_term", "injected_coterms"))
+    disciplines = []
+    for i, d in enumerate(_typed(top["disciplines"], list, "disciplines", "an array")):
+        d = _fields(d, DisciplineSpec, f"disciplines[{i}].")
+        if d.get("diffusion") is not None:
+            at = f"disciplines[{i}].diffusion."
+            params = _fields(d["diffusion"], DiffusionParams, at)
+            d["diffusion"] = DiffusionParams(**{k: _number(v, at + k) for k, v in params.items()})
+        disciplines.append(DisciplineSpec(**d))
+    top["disciplines"] = tuple(disciplines)
+    top["year_range"] = tuple(_typed(top["year_range"], list, "year_range", "an array"))
+    coterms = _typed(top.pop("injected_coterms", []), list, "injected_coterms", "an array")
+    for i, c in enumerate(coterms):
+        _typed(c, str, f"injected_coterms[{i}]", "a string")
+    if (term := top.pop("injected_term", None)) is not None:
+        _typed(term, str, "injected_term", "a string or null")
+        try:
+            top["injected_query"] = TermQuery.parse(term, coterms)
+        except InvalidQuery as exc:
+            raise InvalidSpec(f"scenario field 'injected_term': {exc}") from exc
+    if "background" in top:
+        background = _fields(top["background"], BackgroundVocabulary, "background.")
+        top["background"] = BackgroundVocabulary(**background)
+    # ScenarioSpec applies the integer rule and the exponent's number rule
+    return ScenarioSpec(**top)

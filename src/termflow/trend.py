@@ -93,8 +93,8 @@ def frequency_series(
     totals: list[int] = []
     f: list[Optional[float]] = []
     for b in index.bins:
-        total = index.doc_count(discipline, b)
-        matched = count_matches(index, query, discipline, b) if total else 0
+        total = index.doc_count(discipline, b.start_year)
+        matched = count_matches(index, query, discipline, b.start_year) if total else 0
         n.append(matched)
         totals.append(total)
         f.append(matched / total if total > 0 else None)

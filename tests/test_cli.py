@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -422,6 +423,8 @@ STRING_SEED, FLOAT_ONSET_YEAR, BOOL_C = object(), object(), object()
 # each exited 0, or for a label with documents failed as a record
 EMPTY_LABEL, BLANK_LABEL, EMPTY_LABEL_NO_DOCS = object(), object(), object()
 UNKNOWN_TOP_KEY, UNKNOWN_DISCIPLINE_KEY, UNKNOWN_BACKGROUND_KEY = object(), object(), object()
+# a term no token survives, which the query refuses
+BANG_TERM = object()
 _CSV_HEADER = "id,discipline,year,title,abstract\n"
 _RECORD = '{"id": "a", "discipline": "x", "year": %s, "title": "", "abstract": ""}\n'
 _DEEP = '{"a":' * 5000
@@ -466,14 +469,17 @@ RAW_FILES = {
     UNKNOWN_DISCIPLINE_KEY: '{"disciplines": [{"label": "m", "docs_per_bin": 1, '
     '"onset_yaer": 1991}], "year_range": [1990, 1991]}',
     UNKNOWN_BACKGROUND_KEY: _ONE_DOC_SPEC % '[1990, 1991], "backgrond": {"size": 3}',
+    BANG_TERM: '{"disciplines": [], "year_range": [1990, 1991], "injected_term": "!!"}',
 }
-# scenario files, each with its background: SPEC's is valid, the others are not
+# scenario files, each with its background: SPEC's is valid, the others are not;
+# HUGE_EXPONENT's has an exponent of 400 digits, past a float's range
 EMPTY_BG, NEGATIVE_BG, NEGATIVE_TOKENS = object(), object(), object()
-NAN_EXPONENT, OVERFLOWING_EXPONENT = object(), object()
+NAN_EXPONENT, OVERFLOWING_EXPONENT, HUGE_EXPONENT = object(), object(), object()
 SPEC_BACKGROUNDS = {SPEC: {}, EMPTY_BG: {"size": 0}, NEGATIVE_BG: {"size": -5},
                     NEGATIVE_TOKENS: {"tokens_per_doc": -1},
                     NAN_EXPONENT: {"size": 5, "exponent": "nan"},
-                    OVERFLOWING_EXPONENT: {"size": 5, "exponent": -1e308}}
+                    OVERFLOWING_EXPONENT: {"size": 5, "exponent": -1e308},
+                    HUGE_EXPONENT: {"size": 5, "exponent": 10**399}}
 GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
 
 
@@ -565,6 +571,8 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", UNKNOWN_TOP_KEY, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", UNKNOWN_DISCIPLINE_KEY, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", UNKNOWN_BACKGROUND_KEY, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", BANG_TERM, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", HUGE_EXPONENT, "--out", OUT], "synth.InvalidSpec"),
     ],
     ids=["term-plus", "dt-zero", "even-window", "bin-width-zero", "seed-env",
          "negative-threshold", "nan-threshold", "nan-t-end", "inf-t-end-euler",
@@ -584,7 +592,7 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "string-coterms", "int-label", "bool-docs-per-bin", "float-year-range",
          "string-seed", "float-onset-year", "bool-c", "empty-label", "blank-label",
          "empty-label-no-docs", "unknown-top-key", "unknown-discipline-key",
-         "unknown-background-key"],
+         "unknown-background-key", "bang-injected-term", "huge-exponent"],
 )
 def test_invalid_input_follows_cli_contract(
     env, argv, expected, corpus_path, tmp_path, capsys, monkeypatch
@@ -1085,9 +1093,9 @@ def test_any_dictionary_file_follows_cli_contract(data, command, named, tmp_path
 # infinite float) and 5,000 digits (past the int-string limit). Sizes stay
 # small (docs_per_bin <= 20, background size <= 50, tokens_per_doc <= 8) or go
 # past synth's cap, and year spans are at most 12 or at least 10^19 years.
-# The other half also put a value of any JSON type, one time in four, where
-# an object, an array or a string belongs. Half the files hold only plain
-# numbers and shapes, so that some runs exit 0.
+# The other half also leave out every key, one time in twelve, and put a value
+# of each JSON type in its place, one time in twelve. Half the files hold only
+# plain numbers and shapes, so that some runs exit 0.
 _EDGE_NUMBERS = ["0", "-1", "true", "null", '"7"', '"x"', "1.5", "1e400", "9" * 5000]
 _EDGE_SHAPES = ["5", "true", "null", '"math"', "[]", '["x", 3]', "{}"]
 _BIG = "1" + "0" * 20
@@ -1110,6 +1118,15 @@ _YEAR_RANGES = st.one_of(
         + [("1990", e) for e in ("null", '"1995"', "1995.5", "1e400")]
     ),
 )
+# the keys _scenario_file writes in the object of each scenario dataclass;
+# ScenarioSpec's injected_query is written as injected_term and injected_coterms
+_SCENARIO_KEYS = {
+    ScenarioSpec: ("disciplines", "year_range", "bin_width", "injected_term",
+                   "injected_coterms", "background", "seed"),
+    DisciplineSpec: ("label", "docs_per_bin", "onset_year", "diffusion"),
+    DiffusionParams: ("c", "p_m", "p_0"),
+    BackgroundVocabulary: ("size", "exponent", "tokens_per_doc"),
+}
 
 
 @st.composite
@@ -1119,29 +1136,59 @@ def _scenario_file(draw):
     def number(lo, hi, *more):
         return draw(st.integers(lo, hi).map(str) if plain else _scenario_number(lo, hi, *more))
 
-    def shape(text):
-        return text if plain or draw(st.integers(0, 3)) else draw(st.sampled_from(_EDGE_SHAPES))
+    def obj(cls, values):
+        """The JSON object of ``cls`` with the JSON text of ``values`` at each
+        of its keys, or outside plain files one time in twelve with no text
+        or an edge shape; a key whose text is None is left out."""
+        entries = []
+        for key in _SCENARIO_KEYS[cls]:
+            text = values[key]
+            roll = 2 if plain else draw(st.integers(0, 11))
+            if roll == 0:
+                text = None
+            elif roll == 1:
+                text = draw(st.sampled_from(_EDGE_SHAPES))
+            if text is not None:
+                entries.append(f'"{key}": {text}')
+        return "{" + ", ".join(entries) + "}"
 
     disciplines = []
     for label in draw(st.lists(st.sampled_from(["math", "x"]), max_size=2)):
-        fields = [f'"label": "{label}"', f'"docs_per_bin": {number(0, 20, "1000000000")}']
+        onset_year = diffusion = None
         if draw(st.booleans()):
-            fields.append(f'"onset_year": {number(1985, 2000)}')
-            c, p_m, p_0 = number(0, 3), number(1, 1000), number(0, 1000)
-            fields.append(f'"diffusion": {{"c": {c}, "p_m": {p_m}, "p_0": {p_0}}}')
-        disciplines.append(shape("{" + ", ".join(fields) + "}"))
+            onset_year = number(1985, 2000)
+            params = {"c": number(0, 3), "p_m": number(1, 1000), "p_0": number(0, 1000)}
+            diffusion = obj(DiffusionParams, params)
+        disciplines.append(obj(DisciplineSpec, {
+            "label": f'"{label}"',
+            "docs_per_bin": number(0, 20, "1000000000"),
+            "onset_year": onset_year,
+            "diffusion": diffusion,
+        }))
     lo, hi = draw(_PLAIN_YEAR_RANGES if plain else _YEAR_RANGES)
-    size, exponent = number(1, 50, "100000000"), number(0, 3, "1.1", "-1e308")
-    background = (f'{{"size": {size}, "exponent": {exponent}, '
-                  f'"tokens_per_doc": {number(0, 8)}}}')
-    fields = [f'"disciplines": {shape("[" + ", ".join(disciplines) + "]")}',
-              f'"year_range": [{lo}, {hi}]', f'"bin_width": {number(1, 4)}',
-              f'"background": {shape(background)}', f'"seed": {number(0, 100, _BIG)}']
-    if draw(st.booleans()):
-        fields.append('"injected_term": ' + shape('"chaos"'))
-    if draw(st.booleans()):
-        fields.append('"injected_coterms": ' + shape('["nonlinear"]'))
-    return "{" + ", ".join(fields) + "}"
+    background = {"size": number(1, 50, "100000000"), "exponent": number(0, 3, "1.1", "-1e308"),
+                  "tokens_per_doc": number(0, 8)}
+    return obj(ScenarioSpec, {
+        "disciplines": "[" + ", ".join(disciplines) + "]",
+        "year_range": f"[{lo}, {hi}]",
+        "bin_width": number(1, 4),
+        "injected_term": '"chaos"' if draw(st.booleans()) else None,
+        "injected_coterms": '["nonlinear"]' if draw(st.booleans()) else None,
+        "background": obj(BackgroundVocabulary, background),
+        "seed": number(0, 100, _BIG),
+    })
+
+
+def test_scenario_property_draws_every_field():
+    """Each field of the four scenario dataclasses is a key the property writes,
+    leaves out and fills with each JSON type."""
+    assert set(_SCENARIO_KEYS) == {ScenarioSpec, DisciplineSpec, DiffusionParams,
+                                   BackgroundVocabulary}
+    for cls, keys in _SCENARIO_KEYS.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        if cls is ScenarioSpec:
+            names = names - {"injected_query"} | {"injected_term", "injected_coterms"}
+        assert set(keys) == names, cls
 
 
 @settings(max_examples=150, deadline=None)

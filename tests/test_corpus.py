@@ -17,7 +17,6 @@ from termflow.corpus import (
     DuplicateId,
     MalformedRecord,
     TermQuery,
-    TimeBin,
     UnknownBin,
     UnknownDiscipline,
     count_matches,
@@ -217,7 +216,7 @@ def test_bins_anchor_even_and_partition(small_index):
     assert [b.start_year for b in small_index.bins] == [1974, 1976]
     # 1975 joins 1974's bin, 1977 joins 1976's
     assert small_index.doc_count("math", 1974) == 2
-    assert small_index.doc_count("math", TimeBin(1976, 2)) == 2
+    assert small_index.doc_count("math", 1976) == 2
     # a start off the grid is no bin, though years 1975-1976 hold documents
     assert small_index.doc_count("math", 1975) == 0
 
@@ -235,7 +234,9 @@ def test_anchor_year_configurable():
 def _doc_counts(index):
     """``{(discipline, bin start): documents}`` over every discipline and bin."""
     return {
-        (d, b.start_year): index.doc_count(d, b) for d in index.disciplines for b in index.bins
+        (d, b.start_year): index.doc_count(d, b.start_year)
+        for d in index.disciplines
+        for b in index.bins
     }
 
 
@@ -247,9 +248,9 @@ def test_count_never_exceeds_cell_total(small_index):
     for term in list(small_index.postings):
         q = TermQuery(term=(term,))
         for disc in small_index.disciplines:
-            for b in small_index.bins:
-                assert count_matches(small_index, q, disc, b) <= small_index.doc_count(
-                    disc, b
+            for start in (b.start_year for b in small_index.bins):
+                assert count_matches(small_index, q, disc, start) <= small_index.doc_count(
+                    disc, start
                 )
 
 
@@ -630,7 +631,7 @@ def test_count_matches_equals_a_document_scan(records, query_parts, grid):
     for query in _three_kinds(*query_parts):
         for disc in index.disciplines:
             for b in index.bins:
-                assert count_matches(index, query, disc, b) == _reference_count(
+                assert count_matches(index, query, disc, b.start_year) == _reference_count(
                     records, query, disc, b
                 ), (query, disc, b)
     # the derived counts: each term's postings by cell and term_counts by discipline
@@ -712,8 +713,8 @@ def test_ingest_in_any_record_order_and_flushing_equals_ingest_of_the_whole(
     for query in _three_kinds(*query_parts):
         for disc in whole.disciplines:
             for b in whole.bins:
-                assert count_matches(flushed, query, disc, b) == count_matches(
-                    whole, query, disc, b
+                assert count_matches(flushed, query, disc, b.start_year) == count_matches(
+                    whole, query, disc, b.start_year
                 )
 
 

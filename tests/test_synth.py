@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import re
 
@@ -222,13 +223,21 @@ def test_invalid_specs_rejected():
         message = re.escape(f"scenario field '{name}' must be an integer")
         with pytest.raises(InvalidSpec, match=message):
             ScenarioSpec(**{**base, **changes})
-    # a year_range that is no pair, and a negative seed: a bare ValueError before
+    # a year_range that is no pair, and a negative seed: a bare ValueError before;
+    # an exponent that is no number a float holds
     for changes, message in (
         (dict(year_range=(1990,)), "scenario field 'year_range' must be a pair of years"),
         (dict(year_range=(1990, 1991, 1992)), "scenario field 'year_range' must be a pair"),
         (dict(year_range=1990), "scenario field 'year_range' must be a pair of years"),
         (dict(seed=-1), "scenario field 'seed' must be >= 0, got -1"),
         (dict(seed=np.int64(-3)), "scenario field 'seed' must be >= 0"),
+        # a bare TypeError, a spec taken, and an OverflowError before
+        (dict(background=BackgroundVocabulary(exponent="x")),
+         "scenario field 'background.exponent' must be a number"),
+        (dict(background=BackgroundVocabulary(exponent=True)),
+         "scenario field 'background.exponent' must be a number"),
+        (dict(background=BackgroundVocabulary(exponent=10**400)),
+         "scenario field 'background.exponent' must be a number"),
     ):
         with pytest.raises(InvalidSpec, match=re.escape(message)):
             ScenarioSpec(**{**base, **changes})
@@ -310,14 +319,37 @@ def test_scenario_json_errors():
     for text, key in (
         ('{"disciplines": [], "year_range": [1990, 1991], "seeed": 5}', "'seeed'"),
         ('{"disciplines": [{"label": "m", "docs_per_bin": 1, "onset_yaer": 1991}], '
-         '"year_range": [1990, 1991]}', "'onset_yaer'"),
+         '"year_range": [1990, 1991]}', re.escape("'disciplines[0].onset_yaer'")),
         ('{"disciplines": [%s], "year_range": [1990, 1991], "injected_term": "chaos"}'
-         % (one % '{"c": 1, "p_m": 10, "p_0": 1, "q": 2}'), "'diffusion.q'"),
+         % (one % '{"c": 1, "p_m": 10, "p_0": 1, "q": 2}'),
+         re.escape("'disciplines[0].diffusion.q'")),
         ('{"disciplines": [], "year_range": [1990, 1991], "background": {"sise": 3}}',
          "'background.sise'"),
     ):
         with pytest.raises(InvalidSpec, match=f"^unknown scenario field {key}$"):
             scenario_from_json(text)
+    # a year_range that is no array of two: a triple was read as a pair, and
+    # the others failed with Python's own message, or as an integer field
+    for year_range in ("[1990, 1993, 7]", '{"0": 1988}', "5", "[1988]", '"ab"'):
+        with pytest.raises(
+            InvalidSpec, match=r"^scenario field 'year_range' must be (an array|a pair of years)"
+        ):
+            scenario_from_json('{"disciplines": [], "year_range": %s}' % year_range)
+    # each required key, named by its path when it is missing
+    whole = {"disciplines": [{"label": "m", "docs_per_bin": 1, "onset_year": 1990,
+                              "diffusion": {"c": 1, "p_m": 10, "p_0": 1}}],
+             "year_range": [1990, 1991], "injected_term": "chaos"}
+    scenario_from_json(json.dumps(whole))
+    for path in ("disciplines", "year_range", "disciplines[0].label",
+                 "disciplines[0].docs_per_bin", "disciplines[0].diffusion.c",
+                 "disciplines[0].diffusion.p_m", "disciplines[0].diffusion.p_0"):
+        *parents, key = path.replace("[0]", ".0").split(".")
+        obj = spec = json.loads(json.dumps(whole))
+        for parent in parents:
+            obj = obj[int(parent) if parent.isdigit() else parent]
+        del obj[key]
+        with pytest.raises(InvalidSpec, match=re.escape(f"scenario field {path!r} is missing")):
+            scenario_from_json(json.dumps(spec))
 
 
 def _reference_emit(rng, spec, disc, injections, vocab, cdf):
