@@ -425,10 +425,9 @@ def _typed(value, kind, field: str, what: str):
 
 
 def _fields(obj, cls, at: str, **keys_of: tuple[str, ...]) -> dict:
-    """JSON object ``obj`` as keyword arguments of ``cls``, if it holds only
-    the keys of ``cls``'s fields and each field that has no default; else an
-    InvalidSpec naming the key, prefixed by ``at``. ``keys_of`` maps a field
-    to the keys that stand for it."""
+    """A copy of JSON object ``obj``, if its keys are ``cls``'s fields or keys that
+    ``keys_of`` lets stand for a field, and it holds each field without a
+    default; else an InvalidSpec naming the key, prefixed by ``at``."""
     fields = dataclasses.fields(cls)
     keys = [key for f in fields for key in keys_of.get(f.name, (f.name,))]
     for key in _typed(obj, dict, at.rstrip("."), "an object"):
