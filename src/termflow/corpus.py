@@ -486,15 +486,8 @@ def _open_read(path: Union[str, IO[str]]):
         return path, False
     if path == "-":
         return sys.stdin, False
-    return open(path, "r", encoding="utf-8"), True
-
-
-def _record_from_mapping(obj: dict, lineno: int) -> DocumentRecord:
-    if obj.keys() != _FIELD_SET:
-        raise MalformedRecord(
-            f"line {lineno}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
-        )
-    return DocumentRecord(*_field_values(obj))
+    # newline="" keeps a quoted "\r" or "\r\n" in a CSV field as it was written
+    return open(path, "r", encoding="utf-8", newline=""), True
 
 
 def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
@@ -520,7 +513,45 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
                     raise MalformedRecord(f"line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise MalformedRecord(f"line {lineno}: expected a JSON object")
-            yield _record_from_mapping(obj, lineno)
+            if obj.keys() != _FIELD_SET:
+                raise MalformedRecord(
+                    f"line {lineno}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
+                )
+            yield DocumentRecord(*_field_values(obj))
+    finally:
+        if owned:
+            handle.close()
+
+
+def read_csv_rows(
+    path: Union[str, IO[str]], fields: Sequence[str], error: type[TermflowError]
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield ``(line, values)`` for each non-blank row of a CSV file whose
+    header holds exactly the names ``fields``, in any order; ``values`` are
+    the row's fields in ``fields`` order and ``line`` is its physical line.
+
+    The last of a repeated header name wins, as in ``csv.DictReader``. A
+    header with other names, a row wider or narrower than the header, or a
+    ``csv.Error`` raises ``error``, numbered by physical line.
+    """
+    handle, owned = _open_read(path)
+    reader = csv.reader(handle)
+    try:
+        header = next(reader, [])
+        if set(header) != set(fields):
+            raise error(f"CSV header must be exactly {', '.join(fields)}")
+        column = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(*map(column.__getitem__, fields))
+        width = len(header)
+        for row in filter(None, reader):
+            if len(row) != width:
+                raise error(
+                    f"line {reader.line_num}: expected exactly the fields {', '.join(fields)}"
+                )
+            yield reader.line_num, pick(row)
+    # a field past csv's size limit, e.g. one opened by a quote that never closes
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num}: invalid CSV ({exc})") from exc
     finally:
         if owned:
             handle.close()
@@ -528,35 +559,17 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
 
 def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
     """Yield records from a CSV file with header id,discipline,year,title,abstract."""
-    handle, owned = _open_read(path)
-    reader = csv.DictReader(handle)
-    try:
-        if reader.fieldnames is None or set(reader.fieldnames) != set(RECORD_FIELDS):
-            raise MalformedRecord(
-                f"CSV header must be exactly {', '.join(RECORD_FIELDS)}"
-            )
-        for row in reader:
-            where = f"line {reader.line_num}"
-            # DictReader fills a short row's missing fields with None
-            if None in row.values():
-                raise MalformedRecord(
-                    f"{where}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
-                )
-            # the JSON integer grammar; int() alone also takes "1_990", " +1991 " and "١٩٩٢"
-            try:
-                if not re.fullmatch(r"-?(?:0|[1-9][0-9]*)", row["year"]):
-                    raise ValueError
-                year = int(row["year"])
-            except ValueError as exc:
-                raise MalformedRecord(f"{where}: unparsable year {row['year']!r}") from exc
-            # a long row's extra values sit under the key None, which this rejects
-            yield _record_from_mapping({**row, "year": year}, reader.line_num)
-    # a field past csv's size limit, e.g. one opened by a quote that never closes
-    except csv.Error as exc:
-        raise MalformedRecord(f"line {reader.line_num}: invalid CSV ({exc})") from exc
-    finally:
-        if owned:
-            handle.close()
+    for line, (id_, discipline, year, title, abstract) in read_csv_rows(
+        path, RECORD_FIELDS, MalformedRecord
+    ):
+        # the JSON integer grammar; int() alone also takes "1_990", " +1991 " and "١٩٩٢"
+        try:
+            if not re.fullmatch(r"-?(?:0|[1-9][0-9]*)", year):
+                raise ValueError
+            number = int(year)
+        except ValueError as exc:
+            raise MalformedRecord(f"line {line}: unparsable year {year!r}") from exc
+        yield DocumentRecord(id_, discipline, number, title, abstract)
 
 
 class _RowEnds:

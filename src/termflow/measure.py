@@ -9,13 +9,11 @@ donor-leaning from borrower-leaning fields.
 
 from __future__ import annotations
 
-import csv
 import math
-import operator
 from dataclasses import dataclass
 from typing import IO, Collection, Iterable, Mapping, Optional, Sequence
 
-from .corpus import write_csv
+from .corpus import read_csv_rows, write_csv
 from .errors import TermflowError
 
 
@@ -62,38 +60,18 @@ def load_annotations(
 ) -> AnnotationSet:
     """Read a CSV with header term,discipline,technical (technical in {0,1}).
 
-    Rows are read as ``csv.DictReader`` would: columns in any header order,
-    blank rows skipped (they do not count as lines), short rows padded with
-    None. Every row is checked; with ``pairs``, only the flags of those
-    (term, discipline) pairs are kept.
+    Rows come from :func:`corpus.read_csv_rows`, which checks the header and
+    each row's width. Every row's flag is checked; with ``pairs``, only the
+    flags of those (term, discipline) pairs are kept.
     """
     flags: dict[tuple[str, str], bool] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None or set(header) != {"term", "discipline", "technical"}:
-                raise MalformedAnnotation("header must be exactly term,discipline,technical")
-            # the last of repeated header names wins, as in DictReader's dict
-            column = {name: i for i, name in enumerate(header)}
-            pick = operator.itemgetter(
-                column["term"], column["discipline"], column["technical"]
-            )
-            width = len(header)
-            for lineno, row in enumerate(filter(None, reader), start=2):
-                if len(row) < width:
-                    row += [None] * (width - len(row))
-                term, discipline, value = pick(row)
-                value = (value or "").strip()
-                if value not in ("0", "1"):
-                    raise MalformedAnnotation(
-                        f"line {lineno}: technical must be 0 or 1, got {value!r}"
-                    )
-                if pairs is None or (term, discipline) in pairs:
-                    flags[(term, discipline)] = value == "1"
-        # a field past csv's size limit; reader.line_num counts blank lines too
-        except csv.Error as exc:
-            raise MalformedAnnotation(f"line {reader.line_num}: invalid CSV ({exc})") from exc
+    fields = ("term", "discipline", "technical")
+    for line, (term, discipline, value) in read_csv_rows(path, fields, MalformedAnnotation):
+        value = value.strip()
+        if value not in ("0", "1"):
+            raise MalformedAnnotation(f"line {line}: technical must be 0 or 1, got {value!r}")
+        if pairs is None or (term, discipline) in pairs:
+            flags[(term, discipline)] = value == "1"
     return AnnotationSet(flags=flags)
 
 

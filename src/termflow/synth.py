@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .corpus import YEAR_MAX, YEAR_MIN, DocumentRecord, InvalidQuery, TermQuery
-from .diffusion import DiffusionParams, inflection_time, logistic_value
+from .diffusion import DiffusionParams, InvalidParams, inflection_time, logistic_value
 from .errors import TermflowError
 
 
@@ -57,14 +57,19 @@ class DisciplineSpec:
     diffusion: Optional[DiffusionParams] = None
 
 
-def _integer(value, field: str) -> int:
-    """``value`` as an int, if ``operator.index`` takes it and it is not a
-    bool (numpy integers pass); else an InvalidSpec naming ``field``."""
+def _integer(value, field: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an int, if ``operator.index`` takes it, it is not a bool
+    (numpy integers pass) and it is at least ``minimum``, when given; else an
+    InvalidSpec naming ``field``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            number = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is not None and number < minimum:
+                raise InvalidSpec(f"scenario field {field!r} must be >= {minimum}, got {number}")
+            return number
     raise InvalidSpec(f"scenario field {field!r} must be an integer, got {value!r}")
 
 
@@ -101,21 +106,18 @@ class ScenarioSpec:
                 f"scenario field 'year_range' must be a pair of years, got {self.year_range!r}"
             ) from None
         lo, hi = _integer(lo, "year_range"), _integer(hi, "year_range")
-        bin_width = _integer(self.bin_width, "bin_width")
-        if _integer(self.seed, "seed") < 0:
-            raise InvalidSpec(f"scenario field 'seed' must be >= 0, got {self.seed!r}")
-        size = _integer(self.background.size, "background.size")
-        tokens_per_doc = _integer(self.background.tokens_per_doc, "background.tokens_per_doc")
+        bin_width = _integer(self.bin_width, "bin_width", 1)
+        _integer(self.seed, "seed", 0)
+        size = _integer(self.background.size, "background.size", 1)
+        tokens_per_doc = _integer(self.background.tokens_per_doc, "background.tokens_per_doc", 0)
         exponent = _number(self.background.exponent, "background.exponent")
         docs_per_bin = 0
         for i, d in enumerate(self.disciplines):
-            docs_per_bin += _integer(d.docs_per_bin, f"disciplines[{i}].docs_per_bin")
+            docs_per_bin += _integer(d.docs_per_bin, f"disciplines[{i}].docs_per_bin", 0)
             if d.onset_year is not None:
                 _integer(d.onset_year, f"disciplines[{i}].onset_year")
         if lo > hi:
             raise InvalidSpec(f"empty year range {self.year_range}")
-        if bin_width < 1:
-            raise InvalidSpec("bin_width must be >= 1")
         # before anything is allocated: the bins, the background and the docs x tokens draws
         n_bins = (hi - lo + lo % bin_width) // bin_width + 1
         docs = n_bins * docs_per_bin
@@ -126,10 +128,6 @@ class ScenarioSpec:
             )
         if n_bins > MAX_GENERATED:  # reached only when no discipline asks for documents
             raise InvalidSpec(f"scenario asks for {n_bins} bins; the limit is {MAX_GENERATED}")
-        if size < 1:
-            raise InvalidSpec("background size must be >= 1")
-        if tokens_per_doc < 0:
-            raise InvalidSpec("background tokens_per_doc must be >= 0")
         with np.errstate(all="ignore"):  # an exponent such as -1e308 overflows
             weights = self.background.weights()
         if not (np.isfinite(exponent) and np.isfinite(weights).all()):
@@ -138,8 +136,6 @@ class ScenarioSpec:
             # the rule a record's discipline follows
             if not isinstance(d.label, str) or not d.label.strip():
                 raise InvalidSpec(f"discipline label must be a non-blank string, got {d.label!r}")
-            if d.docs_per_bin < 0:
-                raise InvalidSpec(f"{d.label}: docs_per_bin must be >= 0")
             if d.diffusion is not None:
                 if d.onset_year is None:
                     raise InvalidSpec(f"{d.label}: diffusion needs an onset_year")
@@ -456,7 +452,11 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         if d.get("diffusion") is not None:
             at = f"disciplines[{i}].diffusion."
             params = _fields(d["diffusion"], DiffusionParams, at)
-            d["diffusion"] = DiffusionParams(**{k: _number(v, at + k) for k, v in params.items()})
+            params = {k: _number(v, at + k) for k, v in params.items()}
+            try:
+                d["diffusion"] = DiffusionParams(**params)
+            except InvalidParams as exc:
+                raise InvalidSpec(f"scenario field {at.rstrip('.')!r}: {exc}") from exc
         disciplines.append(DisciplineSpec(**d))
     top["disciplines"] = tuple(disciplines)
     top["year_range"] = tuple(_typed(top["year_range"], list, "year_range", "an array"))

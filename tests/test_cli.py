@@ -419,6 +419,8 @@ STRING_DISCIPLINES, STRING_COTERMS = object(), object()
 # and int() or float() read the others
 INT_LABEL, BOOL_DOCS_PER_BIN, FLOAT_YEAR_RANGE = object(), object(), object()
 STRING_SEED, FLOAT_ONSET_YEAR, BOOL_C = object(), object(), object()
+# a diffusion block DiffusionParams refuses, which exited as diffusion.InvalidParams
+ZERO_C = object()
 # discipline labels no record may hold, and keys outside the scenario schema:
 # each exited 0, or for a label with documents failed as a record
 EMPTY_LABEL, BLANK_LABEL, EMPTY_LABEL_NO_DOCS = object(), object(), object()
@@ -462,6 +464,7 @@ RAW_FILES = {
     STRING_SEED: _ONE_DOC_SPEC % '[1990, 1991], "seed": "3"',
     FLOAT_ONSET_YEAR: _DIFFUSION_SPEC % ("1990.5", "0.6"),
     BOOL_C: _DIFFUSION_SPEC % ("1990", "true"),
+    ZERO_C: _DIFFUSION_SPEC % ("1990", "0"),
     EMPTY_LABEL: _LABEL_SPEC % ('""', 1),
     BLANK_LABEL: _LABEL_SPEC % ('" "', 1),
     EMPTY_LABEL_NO_DOCS: _LABEL_SPEC % ('""', 0),
@@ -565,6 +568,7 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
         ({}, ["synth", "--spec", STRING_SEED, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", FLOAT_ONSET_YEAR, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", BOOL_C, "--out", OUT], "synth.InvalidSpec"),
+        ({}, ["synth", "--spec", ZERO_C, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", EMPTY_LABEL, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", BLANK_LABEL, "--out", OUT], "synth.InvalidSpec"),
         ({}, ["synth", "--spec", EMPTY_LABEL_NO_DOCS, "--out", OUT], "synth.InvalidSpec"),
@@ -590,7 +594,7 @@ GOLDEN_ANNOTATIONS = str(Path(__file__).parent / "golden" / "annotations.csv")
          "unreported-dictionary", "unreported-dictionary-before-any-file",
          "int-injected-term", "list-background", "int-discipline", "string-disciplines",
          "string-coterms", "int-label", "bool-docs-per-bin", "float-year-range",
-         "string-seed", "float-onset-year", "bool-c", "empty-label", "blank-label",
+         "string-seed", "float-onset-year", "bool-c", "zero-c", "empty-label", "blank-label",
          "empty-label-no-docs", "unknown-top-key", "unknown-discipline-key",
          "unknown-background-key", "bang-injected-term", "huge-exponent"],
 )
@@ -886,6 +890,18 @@ def test_csv_corpus_with_wrong_field_count_gives_one_error_line(row, tmp_path, c
         'error code=corpus.MalformedRecord msg="line 3: expected exactly the fields '
         'id, discipline, year, title, abstract"\n'
     )
+
+
+def test_csv_corpus_keeps_carriage_returns_in_quoted_ids(tmp_path, capsys):
+    # read back as "a\nb" twice, the two ids failed as a corpus.DuplicateId
+    path = tmp_path / "corpus.csv"
+    records = [DocumentRecord(i, "math", 1990, "", "chaos") for i in ("a\rb", "a\nb")]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        corpus_mod.write_csv(handle, corpus_mod.RECORD_FIELDS, records)
+    argv = ["ingest", "--csv", "--corpus", str(path), "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["documents"] == 2
 
 
 def _run_within_contract(argv, *artifacts) -> int:

@@ -24,6 +24,7 @@ from termflow.corpus import (
     read_csv_records,
     read_jsonl_records,
     tokenize,
+    write_csv,
     write_jsonl_records,
 )
 from termflow.synth import BackgroundVocabulary, DisciplineSpec, ScenarioSpec, generate
@@ -373,15 +374,32 @@ def test_jsonl_rejects_missing_fields(tmp_path):
         list(read_jsonl_records(str(path)))
 
 
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "corpus.csv"
-    path.write_text(
-        'id,discipline,year,title,abstract\n'
-        'a1,math,1990,"On Chaos","chaos, strange attractors"\n'
+# field text that CSV must quote: commas, double quotes, "\r" and "\n"
+_CSV_TEXT = st.text(alphabet='ab ,"\r\n', max_size=6)
+
+
+@given(
+    st.lists(
+        st.builds(
+            DocumentRecord,
+            _CSV_TEXT.filter(bool),
+            _CSV_TEXT.filter(str.strip),
+            st.integers(corpus.YEAR_MIN, corpus.YEAR_MAX),
+            _CSV_TEXT,
+            _CSV_TEXT,
+        ),
+        max_size=5,
     )
-    (rec,) = list(read_csv_records(str(path)))
-    assert rec.year == 1990
-    assert rec.abstract == "chaos, strange attractors"
+)
+@example([DocumentRecord("a1", "math", 1990, "On Chaos", "chaos, strange attractors")])
+# a quoted "\r" or "\r\n" read back as "\n" while files were opened without newline=""
+@example([DocumentRecord("a\rb", "math", 1990, "x\r\ny", "")])
+@settings(max_examples=150, deadline=None)
+def test_csv_round_trip(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("csv") / "corpus.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        write_csv(handle, corpus.RECORD_FIELDS, records)
+    assert list(read_csv_records(str(path))) == records
 
 
 def test_csv_unparsable_year(tmp_path):

@@ -2,7 +2,7 @@ import csv
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from termflow.measure import (
@@ -231,18 +231,25 @@ def test_load_annotations_rejects_bad_flag(tmp_path):
 
 
 def dictreader_annotations(path):
-    """Reference reader: csv.DictReader, one dict per row."""
+    """Reference reader: csv.DictReader, one dict per row. A row it pads with
+    None or whose extra values it puts under the key None is refused, and
+    lines are numbered by the reader's physical line count."""
     flags = {}
+    fields = "term, discipline, technical"
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         expected = {"term", "discipline", "technical"}
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise MalformedAnnotation("header must be exactly term,discipline,technical")
-        for lineno, row in enumerate(reader, start=2):
-            value = (row["technical"] or "").strip()
+            raise MalformedAnnotation(f"CSV header must be exactly {fields}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise MalformedAnnotation(
+                    f"line {reader.line_num}: expected exactly the fields {fields}"
+                )
+            value = row["technical"].strip()
             if value not in ("0", "1"):
                 raise MalformedAnnotation(
-                    f"line {lineno}: technical must be 0 or 1, got {value!r}"
+                    f"line {reader.line_num}: technical must be 0 or 1, got {value!r}"
                 )
             flags[(row["term"], row["discipline"])] = value == "1"
     return AnnotationSet(flags=flags)
@@ -272,6 +279,11 @@ def _outcome(load, path):
 
 
 @given(annotation_files(), st.data())
+# a short row was padded with None and a long row's extra values dropped, and a
+# blank line before a bad row made it line 2; the explicit files draw no pairs
+@example([["technical", "term", "discipline"], ["1", "chaos"]], None)
+@example([["term", "discipline", "technical"], ["chaos", "math", "1", "x"]], None)
+@example([["term", "discipline", "technical"], [], ["chaos", "math", "2"]], None)
 @settings(max_examples=150, deadline=None)
 def test_load_annotations_reads_like_dictreader(tmp_path_factory, rows, data):
     path = tmp_path_factory.mktemp("ann") / "ann.csv"
@@ -283,7 +295,9 @@ def test_load_annotations_reads_like_dictreader(tmp_path_factory, rows, data):
     # file gives the same message whether or not its bad row's pair is listed
     any_pair = st.tuples(_FIELD, _FIELD)
     held = list(reference) if isinstance(reference, dict) else []
-    pairs = data.draw(st.sets(st.sampled_from(held) | any_pair if held else any_pair, max_size=6))
+    pairs = set() if data is None else data.draw(
+        st.sets(st.sampled_from(held) | any_pair if held else any_pair, max_size=6)
+    )
     for keep in (pairs, set()):
         expected = reference if isinstance(reference, str) else {
             pair: flag for pair, flag in reference.items() if pair in keep

@@ -230,7 +230,15 @@ def test_invalid_specs_rejected():
         (dict(year_range=(1990, 1991, 1992)), "scenario field 'year_range' must be a pair"),
         (dict(year_range=1990), "scenario field 'year_range' must be a pair of years"),
         (dict(seed=-1), "scenario field 'seed' must be >= 0, got -1"),
-        (dict(seed=np.int64(-3)), "scenario field 'seed' must be >= 0"),
+        (dict(seed=np.int64(-3)), "scenario field 'seed' must be >= 0, got -3"),
+        # each range refusal below named no field path, or the label in its place
+        (dict(bin_width=0), "scenario field 'bin_width' must be >= 1, got 0"),
+        (dict(background=BackgroundVocabulary(size=0)),
+         "scenario field 'background.size' must be >= 1, got 0"),
+        (dict(background=BackgroundVocabulary(tokens_per_doc=-1)),
+         "scenario field 'background.tokens_per_doc' must be >= 0, got -1"),
+        (dict(disciplines=(DisciplineSpec("a", -2),)),
+         "scenario field 'disciplines[0].docs_per_bin' must be >= 0, got -2"),
         # a bare TypeError, a spec taken, and an OverflowError before
         (dict(background=BackgroundVocabulary(exponent="x")),
          "scenario field 'background.exponent' must be a number"),
@@ -340,6 +348,12 @@ def test_scenario_json_errors():
                               "diffusion": {"c": 1, "p_m": 10, "p_0": 1}}],
              "year_range": [1990, 1991], "injected_term": "chaos"}
     scenario_from_json(json.dumps(whole))
+    # a diffusion block DiffusionParams refuses, by its path: a diffusion.InvalidParams before
+    zero_c = json.loads(json.dumps(whole))
+    zero_c["disciplines"][0]["diffusion"]["c"] = 0
+    message = "scenario field 'disciplines[0].diffusion': growth constant must be > 0, got 0.0"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        scenario_from_json(json.dumps(zero_c))
     for path in ("disciplines", "year_range", "disciplines[0].label",
                  "disciplines[0].docs_per_bin", "disciplines[0].diffusion.c",
                  "disciplines[0].diffusion.p_m", "disciplines[0].diffusion.p_0"):
