@@ -15,7 +15,6 @@ import json
 import operator
 import re
 import sys
-from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
@@ -67,10 +66,11 @@ _ASCII_TABLE = "".join(
 # the only one-character tokens that translate table leaves and tokenize drops
 _ASCII_LETTERS = frozenset(map(chr, range(ord("a"), ord("z") + 1)))
 
-# ingest joins the texts of a (discipline, year) group with this token, which
-# tokenize keeps as it is, and flushes its open groups past BATCH_CHARS
-DOC_SEPARATOR = "termflowdocsep0"
-_JOIN = f" {DOC_SEPARATOR} "
+# ingest joins the texts of a (discipline, year) group with the first of
+# termflowdocsep0, termflowdocsep1, ... that is no term yet, a token tokenize
+# keeps as it is, and flushes its open groups past BATCH_CHARS
+_SEPARATOR = "termflowdocsep{}"
+DOC_SEPARATOR = _SEPARATOR.format(0)
 BATCH_CHARS = 1 << 18
 # term_counts sorts one int64 key per token of a run of year cells up to this size
 COUNT_TOKENS = 1 << 15
@@ -291,46 +291,42 @@ def ingest(
     is read.
 
     The texts of each (discipline, year) group are buffered and tokenized in
-    one :func:`tokenize` call, joined by :data:`DOC_SEPARATOR`; every open
-    group is flushed once ``BATCH_CHARS`` characters are buffered. A group in
-    which the separator count shows that some document holds the separator
-    token itself is tokenized document by document, as is every later group,
-    with the separator interned as an ordinary term.
+    one :func:`tokenize` call, joined by a separator token: the first of
+    :data:`DOC_SEPARATOR`, ``termflowdocsep1``, ... that is no term yet. Every
+    open group is flushed once ``BATCH_CHARS`` characters are buffered. If
+    the group's separator count shows that some document holds the separator
+    token itself, that token becomes an ordinary term and the group is
+    tokenized once more with the next candidate, which none of its tokens is.
     """
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
 
-    # term ids in order of first appearance; _build sorts them. The separator
-    # is pinned to -1 while groups are batched, so it takes no term id.
-    term_ids = defaultdict(itertools.count().__next__, {DOC_SEPARATOR: -1})
+    # term ids in order of first appearance; _build sorts them
+    term_ids = defaultdict(itertools.count().__next__)
     # flushed groups (year cell, document ids, token ids, per-document token counts)
-    groups: list[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]] = []
+    groups: list[tuple[Cell, Sequence[str], np.ndarray, np.ndarray]] = []
     # (discipline, year) -> the buffered ids and "title abstract" texts, in record order
     open_groups = defaultdict(lambda: ([], []))
     buffered = 0
-    batching = True
 
     def flush() -> None:
-        nonlocal batching
         for cell, (doc_ids, texts) in open_groups.items():
-            if batching:
-                toks = tokenize(_JOIN.join(texts))
+            while True:
+                sep = next(
+                    s for s in map(_SEPARATOR.format, itertools.count()) if s not in term_ids
+                )
+                toks = tokenize(f" {sep} ".join(texts))
+                term_ids[sep] = -1  # pinned while the group is mapped: it takes no term id
                 ids = np.fromiter(map(term_ids.__getitem__, toks), np.int32, len(toks))
-                del toks  # before the next group's tokens are made
+                del toks, term_ids[sep]  # before the next group's tokens are made
                 bounds = np.flatnonzero(ids < 0)
                 if len(bounds) == len(texts) - 1:
-                    lengths = np.diff(bounds, prepend=-1, append=len(ids)) - 1
-                    groups.append((cell, doc_ids, ids[ids >= 0], lengths))
-                    continue
-                # some document holds the separator token: from here on it is a term
-                del term_ids[DOC_SEPARATOR]
-                batching = False
-            ids, lengths = array("i"), array("q")
-            for text in texts:
-                toks = tokenize(text)
-                ids.extend(map(term_ids.__getitem__, toks))
-                lengths.append(len(toks))
-            groups.append((cell, doc_ids, ids, lengths))
+                    break
+                # a document holds sep: make it a term, as every other token of the
+                # group now is, so that the next candidate is none of those tokens
+                term_ids[sep]
+            lengths = np.diff(bounds, prepend=-1, append=len(ids)) - 1
+            groups.append((cell, doc_ids, ids[ids >= 0], lengths))
         open_groups.clear()
 
     # one unpacking per record: a named tuple's attribute reads cost more
@@ -347,8 +343,6 @@ def ingest(
 
     # the default anchor, the earliest year rounded down, is a multiple of bin_width
     offset = 0 if anchor_year is None else anchor_year % bin_width
-    if batching:
-        del term_ids[DOC_SEPARATOR]
     terms = list(term_ids)
     del term_ids  # the interning dict goes before _build allocates the stream
     return _build(bin_width, offset, terms, groups)
@@ -376,7 +370,7 @@ def _build(
     bin_width: int,
     offset: int,
     terms: Sequence[str],
-    groups: Iterable[tuple[Cell, Sequence[str], Sequence[int], Sequence[int]]],
+    groups: Iterable[tuple[Cell, Sequence[str], np.ndarray, np.ndarray]],
 ) -> CorpusIndex:
     """Assemble an index on the grid (``bin_width``, ``offset``) from the
     groups :func:`ingest` flushed.
@@ -481,13 +475,12 @@ def count_matches(
 # ---------------------------------------------------------------------------
 
 
-def _open_read(path: Union[str, IO[str]]):
+def _open_read(path: Union[str, IO[str]], newline: Optional[str] = None):
     if hasattr(path, "read"):
         return path, False
     if path == "-":
         return sys.stdin, False
-    # newline="" keeps a quoted "\r" or "\r\n" in a CSV field as it was written
-    return open(path, "r", encoding="utf-8", newline=""), True
+    return open(path, "r", encoding="utf-8", newline=newline), True
 
 
 def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
@@ -534,7 +527,8 @@ def read_csv_rows(
     header with other names, a row wider or narrower than the header, or a
     ``csv.Error`` raises ``error``, numbered by physical line.
     """
-    handle, owned = _open_read(path)
+    # newline="" keeps a quoted "\r" or "\r\n" in a field as it was written
+    handle, owned = _open_read(path, newline="")
     reader = csv.reader(handle)
     try:
         header = next(reader, [])

@@ -66,8 +66,9 @@ def run_case(case_dir: Path, inputs: Path, argv: list[str], env: dict | None = N
 
 def write_inputs(inputs: Path, synth_dir: Path, query: str, target: str,
                  annotations: Path | None) -> None:
-    """The corpus in JSONL and CSV, a corpus that repeats an id, the
-    annotations and a dictionary, all derived from the synth case's output."""
+    """The corpus in JSONL and CSV, a corpus that repeats an id, a corpus
+    whose titles hold ingest's separator tokens, the annotations and a
+    dictionary, all derived from the synth case's output."""
     shutil.copyfile(synth_dir / "corpus.jsonl", inputs / "corpus.jsonl")
     lines = (inputs / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     with open(inputs / "corpus.csv", "w", encoding="utf-8", newline="") as handle:
@@ -77,6 +78,13 @@ def write_inputs(inputs: Path, synth_dir: Path, query: str, target: str,
             record = json.loads(line)
             writer.writerow([record[f] for f in RECORD_FIELDS])
     (inputs / "repeated.jsonl").write_text("".join(lines + lines[:1]), encoding="utf-8")
+    # the first separator ingest tries in three titles, and the second in one of them
+    records = [json.loads(line) for line in lines]
+    for i in (0, len(records) // 3, 2 * len(records) // 3):
+        records[i]["title"] += " termflowdocsep0" + (" termflowdocsep1" if i == 0 else "")
+    (inputs / "separator.jsonl").write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
+    )
     oracle = checks.corpus_oracle(str(inputs / "corpus.jsonl"), str(synth_dir / "truth.json"),
                                   query)
     if annotations is None:
@@ -93,6 +101,7 @@ def write_inputs(inputs: Path, synth_dir: Path, query: str, target: str,
 def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[str]]]:
     """(case name, argv) of every run on one corpus, after its synth cases."""
     c = ["--corpus", "corpus.jsonl"]
+    sep = ["--corpus", "separator.jsonl"]
     g = ["--term", query, "--discipline", target]
     simulate = ["simulate", "--c", "0.6", "--pm", "100", "--p0", "5", "--t-end", "20",
                 "--dt", "0.5"]
@@ -127,6 +136,9 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
         ("fit", ["fit", *c, *g, "--out", "fit.json"]),
         ("plot", ["plot", *c, *(a for d in labels for a in ("--series", f"{query}@{d}")),
                   "--out", "plot.svg"]),
+        ("ingest_separator", ["ingest", *sep, "--out", "ingest.csv"]),
+        ("rank_separator", ["rank", *sep, "--discipline", target, "--out", "rank.csv"]),
+        ("trend_separator", ["trend", *sep, *g, "--out", "trend.csv"]),
         ("simulate", [*simulate, "--out", "simulate.csv"]),
         ("simulate_euler", [*simulate, "--euler", "--out", "simulate.csv"]),
         # error runs: exit 1 with one error line, and no artifact

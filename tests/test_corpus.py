@@ -471,9 +471,14 @@ def _reference_jsonl_records(handle):
 
 def _read_outcome(reader, text, newline):
     """The records ``reader`` yields from ``text``, then its error type and message."""
+    return _outcome(reader(io.StringIO(text, newline=newline)))
+
+
+def _outcome(read):
+    """The records the iterator ``read`` yields, then its error type and message."""
     records = []
     try:
-        for rec in reader(io.StringIO(text, newline=newline)):
+        for rec in read:
             records.append(rec)
     except Exception as exc:  # the outcome is compared, not handled
         return records, type(exc), str(exc)
@@ -572,6 +577,18 @@ def _with_edge_examples(test):
 def test_jsonl_reader_equals_a_json_loads_loop(text, newline):
     assert _read_outcome(read_jsonl_records, text, newline) == _read_outcome(
         _reference_jsonl_records, text, newline
+    )
+
+
+# its "\r\n" read as "\n", json.loads places this line's error at "char 11", not 12
+@example(text='{"id": "a"\r\n')
+@given(text=_jsonl_files())
+@settings(max_examples=40, deadline=None)
+def test_jsonl_file_reads_with_newline_translation(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(read_jsonl_records(str(path))) == _read_outcome(
+        _reference_jsonl_records, text, None
     )
 
 
@@ -736,8 +753,8 @@ def test_ingest_in_any_record_order_and_flushing_equals_ingest_of_the_whole(
                 )
 
 
-# Texts that are empty, non-ASCII or hold "\x00", and the separator ingest
-# joins a group's texts with, in any letter case.
+# Texts that are empty, non-ASCII or hold "\x00", the first separator ingest
+# tries to join a group's texts with, in any letter case, and the second.
 _any_case_separator = st.integers(0, 2 ** len(corpus.DOC_SEPARATOR) - 1).map(
     lambda upper: "".join(
         c.upper() if upper >> i & 1 else c for i, c in enumerate(corpus.DOC_SEPARATOR)
@@ -747,7 +764,9 @@ _texts = st.tuples(
     st.sampled_from((" ", "", "\x00", "-")),
     st.lists(
         st.one_of(
-            st.sampled_from(("", "aa", "Éé", "ΣΑΣ", "x\x00y", "\x00", "42")),
+            st.sampled_from(
+                ("", "aa", "Éé", "ΣΑΣ", "x\x00y", "\x00", "42", "termflowdocsep1")
+            ),
             _any_case_separator,
             st.text(max_size=6),
         ),
@@ -780,6 +799,27 @@ _batch_records = st.lists(
     12,
     2,
 )
+@example(  # one group holds both the first and the second separator
+    [
+        DocumentRecord("d0", "x", 1990, "termflowdocsep0 aa", "bb"),
+        DocumentRecord("d1", "x", 1990, "TermflowDocSep1", "termflowdocsep0"),
+        DocumentRecord("d2", "x", 1990, "", "aa"),
+    ],
+    40,
+    1,
+)
+@example(  # a later group's first separator is a term of an earlier group
+    [
+        DocumentRecord("d0", "x", 1990, "aa", "termflowdocsep0"),
+        DocumentRecord("d1", "x", 1990, "bb", ""),
+        DocumentRecord("d2", "y", 1990, "aa bb", "cc"),
+        DocumentRecord("d3", "y", 1990, "", "cc aa"),
+        DocumentRecord("d4", "x", 1991, "cc", "aa"),
+        DocumentRecord("d5", "x", 1991, "bb", "termflowdocsep1"),
+    ],
+    40,
+    2,
+)
 @settings(max_examples=150, deadline=None)
 def test_batched_ingest_equals_a_per_document_reference(records, batch_chars, width):
     anchor = 1990
@@ -806,6 +846,21 @@ def test_batched_ingest_equals_a_per_document_reference(records, batch_chars, wi
         terms[index.tokens[start:end]].tolist()
         for start, end in zip(index.doc_offsets[:-1], index.doc_offsets[1:])
     ] == docs
+
+
+def test_ingest_tokenizes_each_group_once_and_a_group_holding_the_separator_twice():
+    records = [
+        DocumentRecord("d0", "x", 1990, corpus.DOC_SEPARATOR, "aa"),
+        DocumentRecord("d1", "x", 1990, "bb", "cc"),
+    ] + [DocumentRecord(f"d{i}", "x", 1991 + i % 3, "aa bb", "cc") for i in range(2, 32)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        index = ingest(records)
+    # four year cells in one flush, and the first tokenized again with another separator
+    assert len(calls) == 5
+    assert index.n_documents == 32
+    assert corpus.DOC_SEPARATOR in index.vocabulary
 
 
 def test_ingest_holds_one_copy_of_the_token_stream_while_it_builds_it():
