@@ -235,7 +235,9 @@ def _objective(shifted: np.ndarray, obs: np.ndarray) -> Callable[[Sequence[float
     monotone in each factor, so then no element lies outside.
     """
     d, e = np.empty_like(obs), np.empty_like(obs)
+    n = d.size
     lo, hi = float(shifted.min()), float(shifted.max())
+    multiply, add, divide, subtract, exp = np.multiply, np.add, np.divide, np.subtract, np.exp
     last_c = math.nan
 
     def objective(v: Sequence[float]) -> float:
@@ -244,18 +246,19 @@ def _objective(shifted: np.ndarray, obs: np.ndarray) -> Callable[[Sequence[float
         if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
             return math.inf
         if c != last_c:
-            np.multiply(shifted, -c, out=e)
+            multiply(shifted, -c, e)
             if not -_EXP_CLAMP <= hi * -c <= lo * -c <= _EXP_CLAMP:
+                # numpy deprecates a positional output for these two
                 np.maximum(e, -_EXP_CLAMP, out=e)
                 np.minimum(e, _EXP_CLAMP, out=e)
-            np.exp(e, out=e)
+            exp(e, e)
             last_c = c
-        np.multiply(e, (p_m - p_0) / p_0, out=d)
-        np.add(d, 1.0, out=d)
-        np.divide(p_m, d, out=d)
-        np.subtract(d, obs, out=d)
-        np.multiply(d, d, out=d)
-        return math.sqrt(np.add.reduce(d) / d.size)
+        multiply(e, (p_m - p_0) / p_0, d)
+        add(d, 1.0, d)
+        divide(p_m, d, d)
+        subtract(d, obs, d)
+        multiply(d, d, d)
+        return math.sqrt(float(add.reduce(d)) / n)
 
     return objective
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Optional
@@ -165,11 +164,11 @@ def _percentile(
 
 
 @dataclass(frozen=True, eq=False)
-class Ranking(Sequence[PoissonRank]):
+class Ranking:
     """Ranked terms as aligned read-only columns: position i, best first, is
     ``terms[rows[i]]`` with ``k[i]``, ``lam[i]`` and ``percentile[i]``. Its
     method is "normal" exactly where ``lam > normal_switch``, as in
-    ``_percentile``. Indexing and iteration build each :class:`PoissonRank`.
+    ``_percentile``. Iteration builds each :class:`PoissonRank`; it cannot be indexed.
     """
 
     target_discipline: str
@@ -183,14 +182,9 @@ class Ranking(Sequence[PoissonRank]):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> PoissonRank:
-        i = operator.index(i)
-        return self._row(
-            self.terms[self.rows[i]], int(self.k[i]), float(self.lam[i]), float(self.percentile[i])
-        )
-
     def __iter__(self):
-        return itertools.starmap(self._row, self._values())
+        for term, k, lam, percentile in self._values():
+            yield PoissonRank(term, self.target_discipline, k, lam, percentile, self.method(lam))
 
     def term_list(self, start: Optional[int] = None, stop: Optional[int] = None) -> list[str]:
         """The terms of positions ``start:stop``, in rank order."""
@@ -202,9 +196,6 @@ class Ranking(Sequence[PoissonRank]):
     def _values(self):
         """(term, k, lam, percentile) of each position, as Python values."""
         return zip(self.term_list(), self.k.tolist(), self.lam.tolist(), self.percentile.tolist())
-
-    def _row(self, term: str, k: int, lam: float, percentile: float) -> PoissonRank:
-        return PoissonRank(term, self.target_discipline, k, lam, percentile, self.method(lam))
 
 
 def rank_terms(

@@ -106,13 +106,13 @@ def test_criterion_2_percentile_ordering():
             seed=seed,
         )
         records, _ = generate(spec)
-        ranking = rank_terms(ingest(records), "psychology")
+        rows = list(rank_terms(ingest(records), "psychology"))
         injected_pos = next(
-            i for i, r in enumerate(ranking) if r.term == "neuroplasticity"
+            i for i, r in enumerate(rows) if r.term == "neuroplasticity"
         )
-        injected = ranking[injected_pos]
+        injected = rows[injected_pos]
         background_positions = [
-            i for i, r in enumerate(ranking) if r.term != "neuroplasticity"
+            i for i, r in enumerate(rows) if r.term != "neuroplasticity"
         ]
         if injected.percentile == 1.0 and injected_pos < min(background_positions):
             successes += 1

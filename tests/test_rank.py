@@ -194,8 +194,8 @@ def test_single_discipline_rejected():
 def test_rank_unique_term_first():
     index = _two_discipline_index()
     ranking = rank_terms(index, "math")
-    assert ranking[0].term == "chaos"
-    assert ranking[0].percentile == 1.0
+    assert ranking.term_list(stop=1) == ["chaos"]
+    assert ranking.percentile[0] == 1.0
 
 
 def test_rank_ties_deterministic():
@@ -317,11 +317,16 @@ def test_ranking_columns_agree_with_its_rows(corpus, data):
     buf = io.StringIO()
     write_ranking_csv(ranking, buf, config_line="config {}")
     assert buf.getvalue() == reference_ranking_csv(rows, "config {}")
-    for i in range(-len(rows), len(rows)):
-        assert ranking[i] == rows[i]
-    for i in (len(rows), -len(rows) - 1):
-        with pytest.raises(IndexError):
-            ranking[i]
+    terms, k, lam, percentile = ranking.terms, ranking.k, ranking.lam, ranking.percentile
+    for i, row in enumerate(rows):
+        assert row == PoissonRank(
+            terms[ranking.rows[i]],
+            target,
+            int(k[i]),
+            float(lam[i]),
+            float(percentile[i]),
+            ranking.method(lam[i]),
+        )
 
 
 def test_load_dictionary(tmp_path):
