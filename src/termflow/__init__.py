@@ -7,6 +7,7 @@ logistic diffusion fitting, and donor/borrower migration classification.
 """
 
 from .corpus import (
+    CellCounts,
     CorpusIndex,
     DocumentRecord,
     DuplicateId,
@@ -15,6 +16,7 @@ from .corpus import (
     TimeBin,
     UnknownBin,
     UnknownDiscipline,
+    census,
     count_matches,
     ingest,
     read_csv_records,

@@ -58,9 +58,11 @@ def _parse_query(text: str) -> corpus.TermQuery:
     return corpus.TermQuery.parse(parts[0], coterms=parts[1:])
 
 
-def _read_corpus(args: argparse.Namespace) -> corpus.CorpusIndex:
+def _read_corpus(args: argparse.Namespace, build=None) -> corpus.CellCounts:
+    """``build`` over the records of ``--corpus``; by default ``corpus.ingest``,
+    looked up at each call, which builds a :class:`corpus.CorpusIndex`."""
     reader = corpus.read_csv_records if args.csv else corpus.read_jsonl_records
-    return corpus.ingest(
+    return (build or corpus.ingest)(
         reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year
     )
 
@@ -158,7 +160,7 @@ def _add_trend_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
+    index = _read_corpus(args, corpus.census)
     starts = [b.start_year for b in index.bins]
     if args.format == "json":
         payload = {
@@ -309,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ingest", help="validate a corpus and report cell counts")
+    p = sub.add_parser("ingest", help="check every record and id and count documents per "
+                       "cell, without building the token index")
     _add_corpus_options(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")

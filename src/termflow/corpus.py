@@ -182,18 +182,14 @@ Cell = tuple[str, int]  # (discipline, year) of a year cell, or of a bin by its 
 
 
 @dataclass(frozen=True, eq=False)
-class CorpusIndex:
-    """Immutable per-discipline, per-time-bin term occurrence index.
+class CellCounts:
+    """How many documents each year cell, discipline and bin of a corpus holds.
 
-    Documents are stored by year cell, a (discipline, year) pair. A bin of
-    the grid (``bin_width``, ``anchor_offset``) is read as the contiguous
-    run of its year cells, which is exact because each document has one
-    year. Terms and year cells are numbered by their positions in the sorted
-    ``vocabulary`` and ``cells``, and every array is read-only. ``tokens``
-    holds the int32 term ids of every document in order, documents grouped
-    by year cell: document d is ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``
-    and year cell c holds documents ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``.
-    Every count and query is evaluated from this stream.
+    Documents are laid out by year cell, a (discipline, year) pair: year
+    cell c is ``cells[c]`` in sorted order and holds documents
+    ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``. A bin of the grid
+    (``bin_width``, ``anchor_offset``) is read as the contiguous run of its
+    year cells, which is exact because each document has one year.
     """
 
     bin_width: int
@@ -202,10 +198,7 @@ class CorpusIndex:
     bins: tuple[TimeBin, ...]
     discipline_totals: Mapping[str, int]
     n_documents: int
-    vocabulary: tuple[str, ...] = field(repr=False)
     cells: tuple[Cell, ...] = field(repr=False)
-    tokens: np.ndarray = field(repr=False)
-    doc_offsets: np.ndarray = field(repr=False)
     cell_offsets: np.ndarray = field(repr=False)
 
     def documents(self, discipline: str, start: int) -> tuple[int, int]:
@@ -220,6 +213,23 @@ class CorpusIndex:
     def doc_count(self, discipline: str, start: int) -> int:
         first, last = self.documents(discipline, start)
         return last - first
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusIndex(CellCounts):
+    """Immutable per-discipline, per-time-bin term occurrence index.
+
+    The :class:`CellCounts` layout plus the documents' terms. Terms are
+    numbered by their positions in the sorted ``vocabulary``, and every
+    array is read-only. ``tokens`` holds the int32 term ids of every
+    document in order, documents grouped by year cell: document d is
+    ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``. Every count and query is
+    evaluated from this stream.
+    """
+
+    vocabulary: tuple[str, ...] = field(repr=False)
+    tokens: np.ndarray = field(repr=False)
+    doc_offsets: np.ndarray = field(repr=False)
 
     def term_id(self, term: str) -> int:
         """Position of ``term`` in ``vocabulary``, or -1 if no document has it."""
@@ -298,9 +308,7 @@ def ingest(
     token itself, that token becomes an ordinary term and the group is
     tokenized once more with the next candidate, which none of its tokens is.
     """
-    if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
-
+    offset = _grid_offset(bin_width, anchor_year)
     # term ids in order of first appearance; _build sorts them
     term_ids = defaultdict(itertools.count().__next__)
     # flushed groups (year cell, document ids, token ids, per-document token counts)
@@ -341,11 +349,30 @@ def ingest(
             buffered = 0
     flush()
 
-    # the default anchor, the earliest year rounded down, is a multiple of bin_width
-    offset = 0 if anchor_year is None else anchor_year % bin_width
     terms = list(term_ids)
     del term_ids  # the interning dict goes before _build allocates the stream
     return _build(bin_width, offset, terms, groups)
+
+
+def census(
+    records: Iterable[DocumentRecord],
+    bin_width: int = 2,
+    anchor_year: Optional[int] = None,
+) -> CellCounts:
+    """The :class:`CellCounts` of a stream of records, as :func:`ingest`
+    lays them out and with its id check, without tokenizing any text."""
+    offset = _grid_offset(bin_width, anchor_year)
+    cells: defaultdict[Cell, list[str]] = defaultdict(list)
+    for rec_id, discipline, year, _, _ in records:
+        cells[discipline, year].append(rec_id)
+    return CellCounts(**_layout(bin_width, offset, sorted(cells.items())))
+
+
+def _grid_offset(bin_width: int, anchor_year: Optional[int]) -> int:
+    # the default anchor, the earliest year rounded down, is a multiple of bin_width
+    if bin_width < 1:
+        raise ValueError("bin_width must be >= 1")
+    return 0 if anchor_year is None else anchor_year % bin_width
 
 
 def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
@@ -366,6 +393,44 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _layout(
+    bin_width: int, offset: int, cells: Sequence[tuple[Cell, Sequence[str]]]
+) -> dict:
+    """The :class:`CellCounts` fields, on the grid (``bin_width``, ``offset``),
+    of documents given as ``(year_cell, doc_ids)`` pairs in year-cell order;
+    one year cell may come in several adjacent pairs.
+
+    A document id given twice raises :class:`DuplicateId`, naming the
+    repeated id that occurs first in that order; ids are not stored.
+    """
+    doc_ids = [i for _, ids in cells for i in ids]
+    if len(set(doc_ids)) < len(doc_ids):
+        repeated = next(i for i, n in Counter(doc_ids).items() if n > 1)
+        raise DuplicateId(f"duplicate document id {repeated!r}")
+    cell_counts: dict[Cell, int] = {}
+    discipline_totals: dict[str, int] = {}
+    for cell, ids in cells:
+        cell_counts[cell] = cell_counts.get(cell, 0) + len(ids)
+        discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(ids)
+    bins: tuple[TimeBin, ...] = ()
+    if cell_counts:
+        years = [year for _, year in cell_counts]
+        first = min(years) - (min(years) - offset) % bin_width
+        bins = tuple(TimeBin(s, bin_width) for s in range(first, max(years) + 1, bin_width))
+    cell_offsets = _offsets(np.array(list(cell_counts.values()), np.int64))
+    cell_offsets.flags.writeable = False
+    return dict(
+        bin_width=bin_width,
+        anchor_offset=offset,
+        disciplines=tuple(discipline_totals),
+        bins=bins,
+        discipline_totals=discipline_totals,
+        n_documents=len(doc_ids),
+        cells=tuple(cell_counts),
+        cell_offsets=cell_offsets,
+    )
+
+
 def _build(
     bin_width: int,
     offset: int,
@@ -379,23 +444,15 @@ def _build(
     ``len(lengths)`` documents in order: document d has id ``doc_ids[d]``
     and holds the next ``lengths[d]`` ids of ``term_ids``, and term id i
     stands for ``terms[i]``. Groups come in flush order and are laid out by
-    year cell, stably, since one year cell may span several flushes. A
-    document id given twice raises :class:`DuplicateId`; ids are not stored.
+    year cell, stably, since one year cell may span several flushes; the
+    layout and its id check are :func:`_layout`'s.
 
     The token stream is allocated once and written in place: each group's
     ids go into their slice through the map from first-appearance ids to
     sorted ids, so no concatenated or remapped copy of it is made.
     """
     groups = sorted(groups, key=operator.itemgetter(0))
-    doc_ids = [i for _, ids, _, _ in groups for i in ids]
-    if len(set(doc_ids)) < len(doc_ids):
-        repeated = next(i for i, n in Counter(doc_ids).items() if n > 1)
-        raise DuplicateId(f"duplicate document id {repeated!r}")
-    cell_counts: dict[Cell, int] = {}
-    discipline_totals: dict[str, int] = {}
-    for cell, _, _, docs in groups:
-        cell_counts[cell] = cell_counts.get(cell, 0) + len(docs)
-        discipline_totals[cell[0]] = discipline_totals.get(cell[0], 0) + len(docs)
+    layout = _layout(bin_width, offset, [(cell, ids) for cell, ids, _, _ in groups])
 
     order = sorted(range(len(terms)), key=terms.__getitem__)
     sorted_id = np.empty(len(terms), np.int32)
@@ -405,29 +462,13 @@ def _build(
     for _, _, ids, _ in groups:
         start, end = end, end + len(ids)
         np.take(sorted_id, ids, out=tokens[start:end])
-    lengths = _concat([lengths for _, _, _, lengths in groups], np.int64)
-    arrays = dict(
-        tokens=tokens,
-        doc_offsets=_offsets(lengths),
-        cell_offsets=_offsets(np.array(list(cell_counts.values()), np.int64)),
-    )
-    for a in arrays.values():
-        a.flags.writeable = False
-    bins: tuple[TimeBin, ...] = ()
-    if cell_counts:
-        years = [year for _, year in cell_counts]
-        first = min(years) - (min(years) - offset) % bin_width
-        bins = tuple(TimeBin(s, bin_width) for s in range(first, max(years) + 1, bin_width))
+    doc_offsets = _offsets(_concat([lengths for _, _, _, lengths in groups], np.int64))
+    tokens.flags.writeable = doc_offsets.flags.writeable = False
     return CorpusIndex(
-        bin_width=bin_width,
-        anchor_offset=offset,
-        disciplines=tuple(discipline_totals),
-        bins=bins,
-        discipline_totals=discipline_totals,
-        n_documents=len(lengths),
+        **layout,
         vocabulary=tuple(map(terms.__getitem__, order)),
-        cells=tuple(cell_counts),
-        **arrays,
+        tokens=tokens,
+        doc_offsets=doc_offsets,
     )
 
 

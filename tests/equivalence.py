@@ -66,9 +66,10 @@ def run_case(case_dir: Path, inputs: Path, argv: list[str], env: dict | None = N
 
 def write_inputs(inputs: Path, synth_dir: Path, query: str, target: str,
                  annotations: Path | None) -> None:
-    """The corpus in JSONL and CSV, a corpus that repeats an id, a corpus
-    whose titles hold ingest's separator tokens, the annotations and a
-    dictionary, all derived from the synth case's output."""
+    """The corpus in JSONL and CSV, a corpus that repeats an id, one that
+    repeats two ids whose year cells sort in the opposite order to their
+    lines, a corpus whose titles hold ingest's separator tokens, the
+    annotations and a dictionary, all derived from the synth case's output."""
     shutil.copyfile(synth_dir / "corpus.jsonl", inputs / "corpus.jsonl")
     lines = (inputs / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     with open(inputs / "corpus.csv", "w", encoding="utf-8", newline="") as handle:
@@ -78,8 +79,15 @@ def write_inputs(inputs: Path, synth_dir: Path, query: str, target: str,
             record = json.loads(line)
             writer.writerow([record[f] for f in RECORD_FIELDS])
     (inputs / "repeated.jsonl").write_text("".join(lines + lines[:1]), encoding="utf-8")
-    # the first separator ingest tries in three titles, and the second in one of them
     records = [json.loads(line) for line in lines]
+    # line 1 and the first later line whose (discipline, year) cell sorts before
+    # line 1's, each repeated: a DuplicateId names the later line's id
+    cell = [(r["discipline"], r["year"]) for r in records]
+    later = next(i for i, c in enumerate(cell) if c < cell[0])
+    (inputs / "repeated_ids.jsonl").write_text(
+        "".join(lines + [lines[0], lines[later]]), encoding="utf-8"
+    )
+    # the first separator ingest tries in three titles, and the second in one of them
     for i in (0, len(records) // 3, 2 * len(records) // 3):
         records[i]["title"] += " termflowdocsep0" + (" termflowdocsep1" if i == 0 else "")
     (inputs / "separator.jsonl").write_text(
@@ -143,6 +151,7 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
         ("simulate_euler", [*simulate, "--euler", "--out", "simulate.csv"]),
         # error runs: exit 1 with one error line, and no artifact
         ("repeated_id", ["ingest", "--corpus", "repeated.jsonl", "--out", "ingest.csv"]),
+        ("repeated_ids", ["ingest", "--corpus", "repeated_ids.jsonl", "--out", "ingest.csv"]),
         ("unknown_discipline", ["rank", *c, "--discipline", "no such discipline",
                                 "--out", "rank.csv"]),
     ]
@@ -173,7 +182,7 @@ def run_corpus(out: Path, name: str, seed: int, tiny: bool) -> list[str]:
         unexpected.append("synth_env")
     for case, argv in cases(query, target, labels):
         code = run_case(root / case, inputs, argv)
-        if code != (1 if case in ("repeated_id", "unknown_discipline") else 0):
+        if code != (1 if case in ("repeated_id", "repeated_ids", "unknown_discipline") else 0):
             unexpected.append(case)
     return unexpected
 

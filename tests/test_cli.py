@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,25 +79,42 @@ def test_ingest_summary(corpus_path, capsys):
     assert any(line.startswith("math,1978,150") for line in lines)
 
 
-def test_ingest_reads_and_tokenizes_through_the_corpus_module(
+def test_commands_read_and_tokenize_through_the_corpus_module(
     corpus_path, tmp_path, monkeypatch
 ):
-    # perfbench's tracer times a run by swapping these two module attributes
-    calls = {"read_jsonl_records": 0, "tokenize": 0}
+    # perfbench's tracer times a run by swapping these module attributes, and
+    # the ingest command counts its cells without the token index
+    calls = Counter()
 
     def counting(name):
         real = getattr(corpus_mod, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
+    for name in ("read_jsonl_records", "tokenize", "ingest", "census"):
         monkeypatch.setattr(corpus_mod, name, counting(name))
-    assert main(["ingest", "--corpus", corpus_path, "--out", str(tmp_path / "out")]) == 0
-    assert calls["read_jsonl_records"] == 1 and calls["tokenize"] > 0, calls
+    argv = ["--corpus", corpus_path, "--out", str(tmp_path / "out")]
+    assert main(["rank", *argv, "--discipline", "math"]) == 0
+    assert calls["read_jsonl_records"] == calls["ingest"] == 1 and calls["tokenize"] > 0, calls
+    assert not calls["census"], calls
+    calls.clear()
+    assert main(["ingest", *argv]) == 0
+    assert calls == {"read_jsonl_records": 1, "census": 1}, calls
+
+
+@pytest.mark.parametrize("command", ["ingest", "rank"])
+def test_a_late_malformed_line_is_reported_before_a_repeated_id(command, tmp_path, capsys):
+    record = '{"id": "a", "discipline": "math", "year": 1990, "title": "", "abstract": ""}\n'
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(record * 2 + "{\n", encoding="utf-8")
+    argv = [command, "--corpus", str(path), "--out", str(tmp_path / "out")]
+    code, _, err = run_cli(argv + (["--discipline", "math"] if command == "rank" else []), capsys)
+    assert code == 1
+    assert err.startswith('error code=corpus.MalformedRecord msg="line 3: invalid JSON'), err
 
 
 @pytest.mark.parametrize(

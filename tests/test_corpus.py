@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import pickle
@@ -19,6 +20,7 @@ from termflow.corpus import (
     TermQuery,
     UnknownBin,
     UnknownDiscipline,
+    census,
     count_matches,
     ingest,
     read_csv_records,
@@ -882,3 +884,70 @@ def test_ingest_holds_one_copy_of_the_token_stream_while_it_builds_it():
     # what ingest allocated and freed again, in token streams: the per-group
     # chunks beside the stream fit, one more whole copy of the stream does not
     assert peak - current <= 1.75 * index.tokens.nbytes
+
+
+@st.composite
+def _census_records(draw):
+    """Records over a few year cells; in half the draws some ids come from a
+    pool of two, so that ids repeat across cells in any order."""
+    pool = ("r0", "r1", None) if draw(st.booleans()) else (None,)
+    docs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("x", "y", "z")),
+                st.integers(min_value=1990, max_value=1996),
+                st.sampled_from(("", "Chaos!", "aa aa bb")),
+                st.sampled_from(pool),
+            ),
+            max_size=16,
+        )
+    )
+    return [
+        DocumentRecord(rec_id or f"d{i}", disc, year, title, "")
+        for i, (disc, year, title, rec_id) in enumerate(docs)
+    ]
+
+
+def _layout_or_error(build, records, width, anchor):
+    try:
+        layout = build(iter(records), width, anchor)
+    except DuplicateId as exc:
+        return str(exc)
+    return {
+        f.name: getattr(layout, f.name).tolist() if f.name == "cell_offsets"
+        else getattr(layout, f.name)
+        for f in dataclasses.fields(corpus.CellCounts)
+    }
+
+
+@given(_census_records(), st.integers(1, 3), st.none() | st.integers(1985, 1997))
+@example([], 2, None)
+@example(  # the repeat of r0 comes first in the file, the cell of r1 first in cell order
+    [DocumentRecord("r0", "y", 1990, "", ""), DocumentRecord("r1", "x", 1991, "", ""),
+     DocumentRecord("r0", "y", 1990, "", ""), DocumentRecord("r1", "x", 1991, "", "")],
+    1,
+    None,
+)
+@settings(max_examples=200, deadline=None)
+def test_census_equals_the_layout_of_ingest(records, width, anchor):
+    indexed = _layout_or_error(ingest, records, width, anchor)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "tokenize", None)  # census never tokenizes
+        counted = _layout_or_error(census, records, width, anchor)
+    if isinstance(indexed, str):
+        assert counted == indexed
+    else:
+        for name, value in indexed.items():
+            assert counted[name] == value, name
+
+
+def test_duplicate_id_names_the_first_repeat_in_cell_order():
+    records = [
+        DocumentRecord("r0", "y", 1990, "", ""),
+        DocumentRecord("r1", "x", 1990, "", ""),
+        DocumentRecord("r0", "y", 1991, "", ""),
+        DocumentRecord("r1", "x", 1991, "", ""),
+    ]
+    for build in (ingest, census):
+        with pytest.raises(DuplicateId, match="^duplicate document id 'r1'$"):
+            build(records)
