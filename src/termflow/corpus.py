@@ -424,7 +424,7 @@ def _layout(
         anchor_offset=offset,
         disciplines=tuple(discipline_totals),
         bins=bins,
-        discipline_totals=discipline_totals,
+        discipline_totals=MappingProxyType(discipline_totals),
         n_documents=len(doc_ids),
         cells=tuple(cell_counts),
         cell_offsets=cell_offsets,

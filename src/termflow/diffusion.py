@@ -209,28 +209,17 @@ class FitResult:
         }
 
 
-def _predict(
-    c: float, p_m: float, p_0: float, times: np.ndarray
-) -> np.ndarray:
-    a = (p_m - p_0) / p_0
-    exponent = np.clip(-c * times, -_EXP_CLAMP, _EXP_CLAMP)
-    return p_m / (1.0 + a * np.exp(exponent))
-
-
-def _rmse(pred: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Root-mean-square residual along the last (time) axis."""
-    return np.sqrt(np.mean((pred - obs) ** 2, axis=-1))
-
-
 def _objective(shifted: np.ndarray, obs: np.ndarray) -> Callable[[Sequence[float]], float]:
-    """``fit``'s refinement objective: the RMSE of the logistic ``(c, p_m, p_0)``
-    against ``obs``, or inf unless c > 0, p_m > 0 and 0 < p_0 < p_m.
+    """``fit``'s one objective, for its grid scan and its refinement alike: the
+    RMSE of the logistic ``(c, p_m, p_0)`` against ``obs``, or inf unless
+    c > 0, p_m > 0 and 0 < p_0 < p_m.
 
-    It equals ``float(_rmse(_predict(c, p_m, p_0, shifted), obs))`` bit for bit:
-    the same operations in the same order, in scratch arrays, because on
-    series this short numpy's per-call overhead outweighs the arithmetic.
-    ``e`` keeps exp(clamp(-c * shifted)) for the last admissible c, so a move
-    of p_m or p_0 alone reuses it. The clamp is skipped when the extreme
+    It evaluates ``p_m / (1 + (p_m - p_0) / p_0 * exp(clamp(-c * shifted)))``
+    and the root of the mean squared residual one numpy operation at a time,
+    in scratch arrays, because on series this short numpy's per-call
+    overhead outweighs the arithmetic. ``e`` keeps exp(clamp(-c * shifted))
+    for the last admissible c, so a move of p_m or p_0 alone, or the next
+    ceiling of a scan row, reuses it. The clamp is skipped when the extreme
     products ``hi * -c`` and ``lo * -c`` lie inside it: a rounded product is
     monotone in each factor, so then no element lies outside.
     """
@@ -272,7 +261,8 @@ def fit(trajectory: AdoptionTrajectory) -> FitResult:
     observation. The best candidate is then refined one coordinate at a
     time with multiplicative steps until the relative step falls below
     ``_TOL``, or until a fixed budget of objective evaluations is spent; the
-    best point found is returned either way.
+    best point found is returned either way. The scan and the refinement
+    score candidates with one objective, :func:`_objective`.
     """
     times = np.asarray(trajectory.times, dtype=float)
     obs = np.asarray(trajectory.p, dtype=float)
@@ -289,32 +279,27 @@ def fit(trajectory: AdoptionTrajectory) -> FitResult:
     t0 = times[0]
     shifted = times - t0
     anchor_i = int(positive[0])
-    t_anchor = shifted[anchor_i]
-    p_anchor = obs[anchor_i]
+    t_anchor = float(shifted[anchor_i])
+    p_anchor = float(obs[anchor_i])
     p_max = obs.max()
 
-    c_candidates = np.geomspace(_C_BOUNDS[0], _C_BOUNDS[1], _C_GRID)
-    pm_candidates = np.geomspace(p_max * 1.001, p_max * _PM_MAX_FACTOR, _PM_GRID)
+    c_candidates = np.geomspace(_C_BOUNDS[0], _C_BOUNDS[1], _C_GRID).tolist()
+    pm_candidates = np.geomspace(p_max * 1.001, p_max * _PM_MAX_FACTOR, _PM_GRID).tolist()
 
-    # Scan every (c, p_m) pair at once, c major, so that argmin keeps the
-    # first best candidate: p_0 is solved from the first positive
-    # observation, and each candidate logistic is scored by its RMSE.
-    anchor_factor = np.array(
-        [math.exp(min(c * t_anchor, _EXP_CLAMP)) for c in c_candidates]
-    )[:, None]
-    p0_grid = pm_candidates / (1.0 + (pm_candidates / p_anchor - 1.0) * anchor_factor)
-    admissible = (0 < p0_grid) & (p0_grid < pm_candidates)
+    # Scan every (c, p_m) pair, c major, keeping the first best candidate:
+    # p_0 is solved from the first positive observation.
+    objective = _objective(shifted, obs)
+    best_err, vec = math.inf, []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pred = _predict(
-            c_candidates[:, None, None], pm_candidates[:, None], p0_grid[..., None], shifted
-        )
-        grid_err = np.where(admissible, _rmse(pred, obs), math.inf)
-    i, j = np.unravel_index(np.argmin(grid_err), grid_err.shape)
-    best_err = float(grid_err[i, j])
+        for c in c_candidates:
+            anchor_factor = math.exp(min(c * t_anchor, _EXP_CLAMP))
+            for p_m in pm_candidates:
+                p_0 = p_m / (1.0 + (p_m / p_anchor - 1.0) * anchor_factor)
+                err = objective((c, p_m, p_0))
+                if err < best_err:
+                    vec, best_err = [c, p_m, p_0], err
     if best_err == math.inf:
         raise NoGrowthSignal("no admissible logistic candidate found")
-    vec = [float(c_candidates[i]), float(pm_candidates[j]), float(p0_grid[i, j])]
-    objective = _objective(shifted, obs)
 
     step = 0.5
     budget = _REFINE_EVALUATIONS

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import IO, Optional, Sequence
 
 from .corpus import (
@@ -52,17 +53,20 @@ class GrowthSeries:
     """Log growth per bin transition, aligned to the transition's later bin.
 
     Element i covers the transition bins[i] -> bins[i+1]; ``mask`` holds one
-    reason per omitted point and None where the point is kept. ``smoothed_r``
-    is recomputed whenever the mask changes so masked points never leak into
-    downstream peak or lag computations.
+    reason per omitted point and None where the point is kept.
     """
 
     freq: FrequencySeries
     r: tuple[Optional[float], ...]
-    smoothed_r: tuple[Optional[float], ...]
     mask: tuple[Optional[str], ...]
     smoothing_window: int
     support_threshold: Optional[int] = None
+
+    @cached_property
+    def smoothed_r(self) -> tuple[Optional[float], ...]:
+        """``r`` smoothed over the kept points only, so masked points never
+        leak into downstream peak or lag computations."""
+        return _smooth(self.r, [m is None for m in self.mask], self.smoothing_window)
 
     @property
     def transition_bins(self) -> tuple[TimeBin, ...]:
@@ -162,14 +166,8 @@ def growth_series(
         else:
             r.append(math.log(cur / prev))
             mask.append(None)
-    defined = [m is None for m in mask]
-    smoothed = _smooth(r, defined, smoothing_window)
     return GrowthSeries(
-        freq=freq,
-        r=tuple(r),
-        smoothed_r=smoothed,
-        mask=tuple(mask),
-        smoothing_window=smoothing_window,
+        freq=freq, r=tuple(r), mask=tuple(mask), smoothing_window=smoothing_window
     )
 
 
@@ -180,22 +178,15 @@ def apply_support_filter(
 
     For the default two-year bins the pair of adjacent bins is the four-year
     window a growth point is derived from; the boundary is inclusive (a
-    combined support equal to the threshold is kept). Smoothing is then
-    recomputed over the surviving points.
+    combined support equal to the threshold is kept). The result's
+    ``smoothed_r`` covers the surviving points only.
     """
     n = growth.freq.n
     mask = list(growth.mask)
     for i in range(len(growth.r)):
         if mask[i] is None and n[i] + n[i + 1] < threshold:
             mask[i] = LOW_SUPPORT
-    defined = [m is None for m in mask]
-    smoothed = _smooth(growth.r, defined, growth.smoothing_window)
-    return replace(
-        growth,
-        mask=tuple(mask),
-        smoothed_r=smoothed,
-        support_threshold=threshold,
-    )
+    return replace(growth, mask=tuple(mask), support_threshold=threshold)
 
 
 def growth_pipeline(

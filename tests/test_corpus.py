@@ -283,6 +283,11 @@ def test_duplicating_tokens_never_changes_counts(token_lists, dup_factor):
 def test_index_is_immutable(small_index):
     with pytest.raises(Exception):
         small_index.n_documents = 99
+    counted = census([make_doc("math", 1974, "chaos")])
+    for layout in (small_index, counted):
+        with pytest.raises(TypeError):
+            layout.discipline_totals["math"] = 1000
+    assert (small_index.discipline_totals["math"], counted.discipline_totals["math"]) == (4, 1)
 
 
 def test_jsonl_round_trip(tmp_path):

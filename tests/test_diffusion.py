@@ -8,9 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from termflow import diffusion
 from termflow.corpus import TermQuery, ingest
 from termflow.diffusion import (
     AdoptionTrajectory,
@@ -20,10 +21,12 @@ from termflow.diffusion import (
     InvalidStep,
     NoGrowthSignal,
     OutOfRangeP,
+    _C_BOUNDS,
+    _C_GRID,
     _EXP_CLAMP,
+    _PM_GRID,
+    _PM_MAX_FACTOR,
     _objective,
-    _predict,
-    _rmse,
     adoption_rate,
     adoption_series,
     fit,
@@ -218,8 +221,20 @@ def test_fit_generate_round_trip(c, p_m, p0_frac):
     assert result.params.p_m == pytest.approx(p_m, rel=0.01)
 
 
+def _predict(c, p_m, p_0, times):
+    """The logistic at ``times``, broadcast over arrays of parameters."""
+    a = (p_m - p_0) / p_0
+    exponent = np.clip(-c * times, -_EXP_CLAMP, _EXP_CLAMP)
+    return p_m / (1.0 + a * np.exp(exponent))
+
+
+def _rmse(pred, obs):
+    """Root-mean-square residual along the last (time) axis."""
+    return np.sqrt(np.mean((pred - obs) ** 2, axis=-1))
+
+
 def _reference_objective(v, shifted, obs):
-    """The refinement objective written with ``_predict`` and ``_rmse``."""
+    """``fit``'s objective written with ``_predict`` and ``_rmse``."""
     c, p_m, p_0 = v
     if not (c > 0 and p_m > 0 and 0 < p_0 < p_m):
         return math.inf
@@ -310,6 +325,67 @@ def _assert_objective_equals_the_reference(shifted, obs, candidates):
         for v in candidates:
             got, want = objective(v), _reference_objective(v, shifted, obs)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), v
+
+
+def _reference_grid_start(times, obs):
+    """``fit``'s grid scan in one broadcast numpy evaluation: the first best
+    candidate, c major, as ``(best_err, [c, p_m, p_0])``."""
+    shifted = times - times[0]
+    anchor_i = int(np.nonzero(obs > 0)[0][0])
+    t_anchor, p_anchor, p_max = shifted[anchor_i], obs[anchor_i], obs.max()
+    c_candidates = np.geomspace(_C_BOUNDS[0], _C_BOUNDS[1], _C_GRID)
+    pm_candidates = np.geomspace(p_max * 1.001, p_max * _PM_MAX_FACTOR, _PM_GRID)
+    anchor_factor = np.array(
+        [math.exp(min(c * t_anchor, _EXP_CLAMP)) for c in c_candidates]
+    )[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p0_grid = pm_candidates / (1.0 + (pm_candidates / p_anchor - 1.0) * anchor_factor)
+        admissible = (0 < p0_grid) & (p0_grid < pm_candidates)
+        pred = _predict(
+            c_candidates[:, None, None], pm_candidates[:, None], p0_grid[..., None], shifted
+        )
+        grid_err = np.where(admissible, _rmse(pred, obs), math.inf)
+    i, j = np.unravel_index(np.argmin(grid_err), grid_err.shape)
+    return float(grid_err[i, j]), [c_candidates[i], pm_candidates[j], p0_grid[i, j]]
+
+
+@st.composite
+def _grid_series(draw):
+    """5-30 points: up to all but one leading zeros, then values from a small
+    pool so that maxima repeat. Gaps past 70 years put c * t beyond the
+    exponent clamp for the largest c, where candidates can tie exactly."""
+    size = draw(st.integers(5, 30))
+    zeros = draw(st.integers(0, size - 1))
+    pool = draw(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=3))
+    tail = draw(st.lists(st.sampled_from(pool), min_size=size - zeros, max_size=size - zeros))
+    gaps = draw(st.lists(st.one_of(st.floats(0.5, 20.0), st.floats(70.0, 1000.0)),
+                         min_size=size - 1, max_size=size - 1))
+    times = np.array([0.0, *itertools.accumulate(gaps)]) + draw(st.floats(1900.0, 2100.0))
+    return times, np.array([0.0] * zeros + tail)
+
+
+@given(_grid_series())
+@example((np.arange(1970.0, 1983.0, 2.0), np.array([0.0] + [2.0] * 6)))
+# the largest growth constants tie exactly, and the first of them must win
+@example((np.array([*range(1900, 1910), 1914, 1919], float), np.array([0.0] * 10 + [1.0] * 2)))
+@settings(max_examples=200, deadline=None)
+def test_fit_grid_start_equals_the_broadcast_scan(series):
+    times, obs = series
+    assume(obs.max() > obs.min())
+    want_err, want = _reference_grid_start(times, obs)
+    trajectory = AdoptionTrajectory(times=tuple(times), p=tuple(obs))
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        # no refinement: fit returns its grid start, and an overflowing
+        # candidate (a late first adopter, say) warns of nothing
+        patch.setattr(diffusion, "_REFINE_EVALUATIONS", 0)
+        warnings.simplefilter("error")
+        if want_err == math.inf:
+            with pytest.raises(NoGrowthSignal, match="no admissible"):
+                fit(trajectory)
+            return
+        result = fit(trajectory)
+    got = (result.rmse, result.params.c, result.params.p_m, result.params.p_0)
+    assert got == (want_err, *want)
 
 
 def _interrupt(signum, frame):

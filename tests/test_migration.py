@@ -72,7 +72,7 @@ def test_peak_tie_breaks_to_earlier_bin():
     base = growth_from_f([0.1, 0.2, 0.1, 0.2, 0.1])
     from dataclasses import replace
 
-    tied = replace(base, smoothed_r=(0.2, 0.9, 0.5, 0.9), mask=(None,) * 4)
+    tied = replace(base, r=(0.2, 0.9, 0.5, 0.9), mask=(None,) * 4, smoothing_window=1)
     peak = detect_peak(tied)
     assert peak.peak_rate == 0.9
     # transitions land on bins 1978 and 1982; the earlier one wins
