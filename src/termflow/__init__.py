@@ -12,6 +12,7 @@ from .corpus import (
     DocumentRecord,
     DuplicateId,
     MalformedRecord,
+    QueryCounts,
     TermQuery,
     TimeBin,
     UnknownBin,
@@ -19,6 +20,7 @@ from .corpus import (
     census,
     count_matches,
     ingest,
+    query_counts,
     read_csv_records,
     read_jsonl_records,
     tokenize,

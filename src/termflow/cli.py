@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -59,12 +60,32 @@ def _parse_query(text: str) -> corpus.TermQuery:
 
 
 def _read_corpus(args: argparse.Namespace, build=None) -> corpus.CellCounts:
-    """``build`` over the records of ``--corpus``; by default ``corpus.ingest``,
-    looked up at each call, which builds a :class:`corpus.CorpusIndex`."""
+    """``build`` over the records of ``--corpus``, with ``--bin-width`` and
+    ``--anchor-year``; by default ``corpus.ingest``, looked up at each call,
+    which builds a :class:`corpus.CorpusIndex`. ``corpus.census`` and
+    ``corpus.query_counts`` check every record and id too, but tokenize no
+    text or only the documents that could match a query."""
     reader = corpus.read_csv_records if args.csv else corpus.read_jsonl_records
     return (build or corpus.ingest)(
         reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year
     )
+
+
+def _read_counting(args: argparse.Namespace, texts: list[str]) -> corpus.QueryCounts:
+    """The ``corpus.query_counts`` of ``--corpus`` for the query ``texts``.
+
+    Texts are parsed in order up to the first that does not parse. The
+    command parses each text again where it reads it, so that one raises
+    after every record and id is checked and after the errors of the texts
+    before it, as it would if the counts held every term.
+    """
+    queries = []
+    for text in texts:
+        try:
+            queries.append(_parse_query(text))
+        except corpus.InvalidQuery:
+            break
+    return _read_corpus(args, functools.partial(corpus.query_counts, queries=queries))
 
 
 def _resolve_seed(args: argparse.Namespace, fallback: int = 0) -> int:
@@ -224,7 +245,7 @@ def cmd_mdelta(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 
 def cmd_trend(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
+    index = _read_counting(args, [args.term])
     query = _parse_query(args.term)
     growth = trend.growth_pipeline(
         index, query, args.discipline, args.smoothing_window, args.support_threshold
@@ -240,7 +261,7 @@ def cmd_trend(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 
 def cmd_migrate(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
+    index = _read_counting(args, [args.term])
     query = _parse_query(args.term)
     disciplines = args.disciplines or list(index.disciplines)
     series = {
@@ -254,7 +275,7 @@ def cmd_migrate(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 
 def cmd_fit(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
+    index = _read_counting(args, [args.term])
     query = _parse_query(args.term)
     series = diffusion.adoption_series(index, query, args.discipline)
     result = diffusion.fit(series)
@@ -287,11 +308,11 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 
 def cmd_plot(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
+    # a term's tokens hold no "@", so the first one ends the term
+    index = _read_counting(args, [spec.split("@", 1)[0] for spec in args.series])
     series = []
     for spec in args.series:
         if "@" in spec:
-            # a term's tokens hold no "@", so the first one ends the term
             term_text, disc = spec.split("@", 1)
         elif len(index.disciplines) == 1:
             term_text, disc = spec, index.disciplines[0]

@@ -249,6 +249,35 @@ class CorpusIndex(CellCounts):
         first_of = _run_starts(terms)
         return terms[first_of], np.diff(np.append(np.flatnonzero(first_of), len(terms)))
 
+    def matches(self, query: TermQuery, first: int, last: int) -> int:
+        """Documents ``first`` to ``last - 1`` that match ``query``, counted
+        by a scan of their slice of the token stream."""
+        phrase = [self.term_id(t) for t in query.term]
+        coterms = [self.term_id(t) for t in query.required_coterms]
+        if first == last or min(phrase + coterms) < 0:
+            return 0
+        # the documents' slice of the token stream, and their bounds within it
+        base = self.doc_offsets[first]
+        bounds = self.doc_offsets[first : last + 1] - base
+        stream = self.tokens[base : self.doc_offsets[last]]
+
+        span = len(stream) - len(phrase) + 1
+        if span <= 0:
+            return 0
+        at = stream[:span] == phrase[0]
+        for i, t in enumerate(phrase[1:], start=1):
+            at &= stream[i : i + span] == t
+        pos = np.flatnonzero(at)
+        doc = np.searchsorted(bounds, pos, side="right") - 1
+        matched = np.zeros(last - first, bool)
+        # a phrase counts only where it ends inside the document it starts in
+        matched[doc[pos + len(phrase) <= bounds[doc + 1]]] = True
+        for t in coterms:
+            holding = np.zeros_like(matched)
+            holding[np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1] = True
+            matched &= holding
+        return int(np.count_nonzero(matched))
+
     @functools.cached_property
     def postings(self) -> Mapping[str, Mapping[Cell, int]]:
         """Read-only ``{term: {cell: documents}}`` view, cells ascending.
@@ -368,6 +397,93 @@ def census(
     return CellCounts(**_layout(bin_width, offset, sorted(cells.items())))
 
 
+@dataclass(frozen=True, eq=False)
+class QueryCounts(CellCounts):
+    """The :class:`CellCounts` layout plus, for each query it was taken for,
+    which documents match it: ``flags[query][d]`` is document d's flag, in
+    layout order, and every flag array is read-only."""
+
+    flags: Mapping[TermQuery, np.ndarray] = field(repr=False)
+
+    def matches(self, query: TermQuery, first: int, last: int) -> int:
+        """Documents ``first`` to ``last - 1`` that match ``query``, one of the
+        queries these counts were taken for."""
+        if query not in self.flags:
+            raise InvalidQuery(f"no counts were taken for query {query.label()!r}")
+        return int(np.count_nonzero(self.flags[query][first:last]))
+
+
+# what count_matches reads a bin's matches from
+MatchCounts = Union[CorpusIndex, QueryCounts]
+
+
+def query_counts(
+    records: Iterable[DocumentRecord],
+    queries: Iterable[TermQuery],
+    bin_width: int = 2,
+    anchor_year: Optional[int] = None,
+) -> QueryCounts:
+    """The :class:`CellCounts` of a stream of records, as :func:`census`
+    takes them, plus which documents match each of ``queries``, by
+    :func:`count_matches`' rule, without building a token index.
+
+    Only a document whose lowered ``title + " " + abstract`` holds every
+    phrase and co-term token of a query is tokenized: every token
+    :func:`tokenize` returns is a substring of that text, so no other
+    document can match. A tokenized document matches if its tokens hold the
+    phrase as adjacent tokens and every co-term.
+    """
+    offset = _grid_offset(bin_width, anchor_year)
+    queries = tuple(dict.fromkeys(queries))
+    needles = [(q.term + tuple(q.required_coterms), list(q.term), q.required_coterms)
+               for q in queries]
+    # (discipline, year) -> the ids, and for each query the positions of its matches
+    cells: defaultdict[Cell, tuple[list[str], list[list[int]]]] = defaultdict(
+        lambda: ([], [[] for _ in queries])
+    )
+    for rec_id, discipline, year, title, abstract in records:
+        doc_ids, hits = cells[discipline, year]
+        text = title + " " + abstract
+        lowered = text.lower()
+        tokens = None
+        for (needle, phrase, coterms), hit in zip(needles, hits):
+            for n in needle:
+                if n not in lowered:
+                    break
+            else:
+                if tokens is None:
+                    tokens = tokenize(text)
+                if _holds(tokens, phrase, coterms):
+                    hit.append(len(doc_ids))
+        doc_ids.append(rec_id)
+    ordered = sorted(cells.items())
+    layout = _layout(bin_width, offset, [(cell, ids) for cell, (ids, _) in ordered])
+    flags = {}
+    for j, query in enumerate(queries):
+        matched = np.zeros(layout["n_documents"], bool)
+        for start, (_, (_, hits)) in zip(layout["cell_offsets"].tolist(), ordered):
+            matched[[start + h for h in hits[j]]] = True
+        matched.flags.writeable = False
+        flags[query] = matched
+    return QueryCounts(**layout, flags=MappingProxyType(flags))
+
+
+def _holds(tokens: list[str], phrase: list[str], coterms: frozenset[str]) -> bool:
+    """Whether a document's ``tokens`` hold ``phrase`` as adjacent tokens and
+    every one of ``coterms``."""
+    for t in coterms:
+        if t not in tokens:
+            return False
+    i = -1
+    try:
+        while True:
+            i = tokens.index(phrase[0], i + 1)
+            if tokens[i : i + len(phrase)] == phrase:
+                return True
+    except ValueError:
+        return False
+
+
 def _grid_offset(bin_width: int, anchor_year: Optional[int]) -> int:
     # the default anchor, the earliest year rounded down, is a multiple of bin_width
     if bin_width < 1:
@@ -473,7 +589,7 @@ def _build(
 
 
 def count_matches(
-    index: CorpusIndex,
+    index: MatchCounts,
     query: TermQuery,
     discipline: str,
     time_bin: int,
@@ -483,32 +599,7 @@ def count_matches(
         raise UnknownDiscipline(f"unknown discipline {discipline!r}")
     if not any(b.start_year == time_bin for b in index.bins):
         raise UnknownBin(f"no bin starting at year {time_bin}")
-    first, last = index.documents(discipline, time_bin)
-    phrase = [index.term_id(t) for t in query.term]
-    coterms = [index.term_id(t) for t in query.required_coterms]
-    if first == last or min(phrase + coterms) < 0:
-        return 0
-    # the bin's slice of the token stream, and its document bounds within it
-    base = index.doc_offsets[first]
-    bounds = index.doc_offsets[first : last + 1] - base
-    stream = index.tokens[base : index.doc_offsets[last]]
-
-    span = len(stream) - len(phrase) + 1
-    if span <= 0:
-        return 0
-    at = stream[:span] == phrase[0]
-    for i, t in enumerate(phrase[1:], start=1):
-        at &= stream[i : i + span] == t
-    pos = np.flatnonzero(at)
-    doc = np.searchsorted(bounds, pos, side="right") - 1
-    matched = np.zeros(last - first, bool)
-    # a phrase counts only where it ends inside the document it starts in
-    matched[doc[pos + len(phrase) <= bounds[doc + 1]]] = True
-    for t in coterms:
-        holding = np.zeros_like(matched)
-        holding[np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1] = True
-        matched &= holding
-    return int(np.count_nonzero(matched))
+    return index.matches(query, *index.documents(discipline, time_bin))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, TermQuery
+from .corpus import MatchCounts, TermQuery
 from .errors import TermflowError
 from .trend import frequency_series
 
@@ -177,9 +177,10 @@ def trajectory_euler(
 
 
 def adoption_series(
-    index: CorpusIndex, query: TermQuery, discipline: str
+    index: MatchCounts, query: TermQuery, discipline: str
 ) -> AdoptionTrajectory:
-    """Cumulative distinct matching documents per bin, as an adopter proxy."""
+    """Cumulative distinct matching documents per bin, as an adopter proxy,
+    over any counts :func:`frequency_series` reads."""
     freq = frequency_series(index, query, discipline)
     return AdoptionTrajectory(
         times=tuple(float(b.start_year) for b in freq.bins),

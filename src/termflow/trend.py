@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import IO, Optional, Sequence
 
 from .corpus import (
-    CorpusIndex,
+    MatchCounts,
     TermQuery,
     TimeBin,
     UnknownDiscipline,
@@ -84,11 +84,13 @@ class GrowthSeries:
 
 
 def frequency_series(
-    index: CorpusIndex, query: TermQuery, discipline: str
+    index: MatchCounts, query: TermQuery, discipline: str
 ) -> FrequencySeries:
     """Normalized per-bin frequency of ``query`` in one discipline.
 
-    Bins with no documents at all get an undefined frequency rather than a
+    ``index`` is any counts :func:`count_matches` reads: a
+    :class:`CorpusIndex`, or :class:`QueryCounts` taken for ``query``. Bins
+    with no documents at all get an undefined frequency rather than a
     fabricated zero.
     """
     if discipline not in index.discipline_totals:
@@ -190,13 +192,14 @@ def apply_support_filter(
 
 
 def growth_pipeline(
-    index: CorpusIndex,
+    index: MatchCounts,
     query: TermQuery,
     discipline: str,
     smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,
     support_threshold: int = DEFAULT_SUPPORT_THRESHOLD,
 ) -> GrowthSeries:
-    """frequency_series -> growth_series -> apply_support_filter in one call."""
+    """frequency_series -> growth_series -> apply_support_filter in one call,
+    over any counts :func:`frequency_series` reads."""
     freq = frequency_series(index, query, discipline)
     return apply_support_filter(
         growth_series(freq, smoothing_window), support_threshold

@@ -40,6 +40,8 @@ import checks  # noqa: E402  (perfbench's oracle and annotation writer)
 import workloads  # noqa: E402  (perfbench's scenarios)
 
 RECORD_FIELDS = ("id", "discipline", "year", "title", "abstract")
+# the cases that must exit 1
+FAILING = ("repeated_id", "repeated_ids", "unknown_discipline", "trend_bad_term_repeated")
 # the options whose value names an input file
 READS = ("--corpus", "--spec", "--annotations", "--dictionary")
 
@@ -110,20 +112,21 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
     """(case name, argv) of every run on one corpus, after its synth cases."""
     c = ["--corpus", "corpus.jsonl"]
     sep = ["--corpus", "separator.jsonl"]
+    csv_corpus = ["--corpus", "corpus.csv", "--csv"]
+    series = [a for d in labels for a in ("--series", f"{query}@{d}")]
     g = ["--term", query, "--discipline", target]
     simulate = ["simulate", "--c", "0.6", "--pm", "100", "--p0", "5", "--t-end", "20",
                 "--dt", "0.5"]
     return [
         ("ingest", ["ingest", *c, "--out", "ingest.csv"]),
         ("ingest_stdout", ["ingest", *c]),
-        ("ingest_csv", ["ingest", "--corpus", "corpus.csv", "--csv", "--out", "ingest.csv"]),
+        ("ingest_csv", ["ingest", *csv_corpus, "--out", "ingest.csv"]),
         ("ingest_json", ["ingest", *c, "--format", "json", "--out", "ingest.json"]),
         ("ingest_bin1", ["ingest", *c, "--bin-width", "1", "--out", "ingest.csv"]),
         ("ingest_bin3", ["ingest", *c, "--bin-width", "3", "--out", "ingest.csv"]),
         ("ingest_anchor", ["ingest", *c, "--anchor-year", "1975", "--out", "ingest.csv"]),
         ("rank", ["rank", *c, "--discipline", target, "--out", "rank.csv"]),
-        ("rank_csv", ["rank", "--corpus", "corpus.csv", "--csv", "--discipline", target,
-                      "--out", "rank.csv"]),
+        ("rank_csv", ["rank", *csv_corpus, "--discipline", target, "--out", "rank.csv"]),
         ("rank_dictionary", ["rank", *c, "--discipline", target, "--dictionary",
                              "dictionary.txt", "--out", "rank.csv"]),
         ("mdelta", ["mdelta", *c, "--annotations", "annotations.csv", "--smooth",
@@ -135,18 +138,23 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
                                     "--dictionary", f"{target}=dictionary.txt",
                                     "--smooth", "--out", "mdelta.csv"]),
         ("trend", ["trend", *c, *g, "--out", "trend.csv"]),
+        ("trend_csv", ["trend", *csv_corpus, *g, "--out", "trend.csv"]),
         ("trend_bin1", ["trend", *c, *g, "--bin-width", "1", "--out", "trend.csv"]),
         ("trend_bin3", ["trend", *c, *g, "--bin-width", "3", "--out", "trend.csv"]),
         ("trend_anchor", ["trend", *c, *g, "--anchor-year", "1975", "--out", "trend.csv"]),
         ("trend_plot", ["trend", *c, *g, "--plot", "trend.svg", "--out", "trend.csv"]),
         ("trend_plot_stdout", ["trend", *c, *g, "--plot", "-", "--out", "trend.csv"]),
         ("migrate", ["migrate", *c, "--term", query, "--out", "migrate.json"]),
+        ("migrate_bin1", ["migrate", *c, "--term", query, "--bin-width", "1",
+                          "--out", "migrate.json"]),
         ("fit", ["fit", *c, *g, "--out", "fit.json"]),
-        ("plot", ["plot", *c, *(a for d in labels for a in ("--series", f"{query}@{d}")),
-                  "--out", "plot.svg"]),
+        ("plot", ["plot", *c, *series, "--out", "plot.svg"]),
+        ("plot_csv", ["plot", *csv_corpus, *series, "--out", "plot.svg"]),
         ("ingest_separator", ["ingest", *sep, "--out", "ingest.csv"]),
         ("rank_separator", ["rank", *sep, "--discipline", target, "--out", "rank.csv"]),
         ("trend_separator", ["trend", *sep, *g, "--out", "trend.csv"]),
+        ("migrate_separator", ["migrate", *sep, "--term", query, "--out", "migrate.json"]),
+        ("fit_separator", ["fit", *sep, *g, "--out", "fit.json"]),
         ("simulate", [*simulate, "--out", "simulate.csv"]),
         ("simulate_euler", [*simulate, "--euler", "--out", "simulate.csv"]),
         # error runs: exit 1 with one error line, and no artifact
@@ -154,6 +162,8 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
         ("repeated_ids", ["ingest", "--corpus", "repeated_ids.jsonl", "--out", "ingest.csv"]),
         ("unknown_discipline", ["rank", *c, "--discipline", "no such discipline",
                                 "--out", "rank.csv"]),
+        ("trend_bad_term_repeated", ["trend", "--corpus", "repeated.jsonl", "--term", "!!",
+                                     "--discipline", target, "--out", "trend.csv"]),
     ]
 
 
@@ -182,7 +192,7 @@ def run_corpus(out: Path, name: str, seed: int, tiny: bool) -> list[str]:
         unexpected.append("synth_env")
     for case, argv in cases(query, target, labels):
         code = run_case(root / case, inputs, argv)
-        if code != (1 if case in ("repeated_id", "repeated_ids", "unknown_discipline") else 0):
+        if code != (1 if case in FAILING else 0):
             unexpected.append(case)
     return unexpected
 

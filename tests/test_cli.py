@@ -95,7 +95,7 @@ def test_commands_read_and_tokenize_through_the_corpus_module(
 
         return wrapper
 
-    for name in ("read_jsonl_records", "tokenize", "ingest", "census"):
+    for name in ("read_jsonl_records", "tokenize", "ingest", "census", "query_counts"):
         monkeypatch.setattr(corpus_mod, name, counting(name))
     argv = ["--corpus", corpus_path, "--out", str(tmp_path / "out")]
     assert main(["rank", *argv, "--discipline", "math"]) == 0
@@ -104,6 +104,15 @@ def test_commands_read_and_tokenize_through_the_corpus_module(
     calls.clear()
     assert main(["ingest", *argv]) == 0
     assert calls == {"read_jsonl_records": 1, "census": 1}, calls
+    # the query commands tokenize only the documents that hold "chaos"
+    for command in (["trend", "--term", "chaos", "--discipline", "math"],
+                    ["migrate", "--term", "chaos"],
+                    ["fit", "--term", "chaos", "--discipline", "math"],
+                    ["plot", "--series", "chaos@math", "--series", "chaos@education"]):
+        calls.clear()
+        assert main([*command, *argv]) == 0
+        assert calls["read_jsonl_records"] == calls["query_counts"] == 1, (command, calls)
+        assert not calls["ingest"] and not calls["census"], (command, calls)
 
 
 @pytest.mark.parametrize("command", ["ingest", "rank"])
@@ -115,6 +124,41 @@ def test_a_late_malformed_line_is_reported_before_a_repeated_id(command, tmp_pat
     code, _, err = run_cli(argv + (["--discipline", "math"] if command == "rank" else []), capsys)
     assert code == 1
     assert err.startswith('error code=corpus.MalformedRecord msg="line 3: invalid JSON'), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["trend", "--term", "!!", "--discipline", "math"], ["migrate", "--term", "!!"],
+     ["fit", "--term", "!!", "--discipline", "math"], ["plot", "--series", "!!@math"],
+     ["plot", "--series", "chaos@math", "--series", "!!@math"]],
+    ids=["trend", "migrate", "fit", "plot", "plot_second"],
+)
+def test_query_commands_report_a_repeated_id_before_an_unparsable_query(
+    argv, tmp_path, capsys
+):
+    record = '{"id": "a", "discipline": "math", "year": 1990, "title": "chaos", "abstract": ""}\n'
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(record * 2, encoding="utf-8")
+    code, _, err = run_cli([*argv, "--corpus", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == 'error code=corpus.DuplicateId msg="duplicate document id \'a\'"\n', err
+
+
+def test_plot_reports_a_missing_discipline_suffix_before_an_unparsable_query(
+    corpus_path, tmp_path, capsys
+):
+    argv = ["plot", "--corpus", corpus_path, "--series", "chaos", "--series", "!!@math",
+            "--out", str(tmp_path / "out")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err == (
+        'error code=errors.TermflowError msg="series \'chaos\' needs an @discipline suffix"\n'
+    ), err
+    # and an unknown discipline of an earlier series before a later unparsable query
+    argv[4:7] = ["chaos@nowhere", "--series", "!!@math"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error code=corpus.UnknownDiscipline"), err
 
 
 @pytest.mark.parametrize(

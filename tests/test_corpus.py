@@ -23,12 +23,14 @@ from termflow.corpus import (
     census,
     count_matches,
     ingest,
+    query_counts,
     read_csv_records,
     read_jsonl_records,
     tokenize,
     write_csv,
     write_jsonl_records,
 )
+from termflow.errors import TermflowError
 from termflow.synth import BackgroundVocabulary, DisciplineSpec, ScenarioSpec, generate
 
 from conftest import make_doc
@@ -956,3 +958,112 @@ def test_duplicate_id_names_the_first_repeat_in_cell_order():
     for build in (ingest, census):
         with pytest.raises(DuplicateId, match="^duplicate document id 'r1'$"):
             build(records)
+
+
+# Texts glued from pieces: the query tokens, a token that holds one as a
+# substring only ("aab"), other letter cases, a single letter and a single
+# digit, the separator ingest tries first, and non-ASCII text, among it "İ",
+# whose .lower() is one character longer. A phrase may be split by a single
+# letter, "_" or punctuation, or glued into one token.
+_PIECES = ("aa", "bb", "7", "42", "aab", "AA", "b", "termflowdocsep0", "İaa", "éé", "ΣΑΣ")
+_GLUE = (" ", "_", ", ", " b ", " 7 ", "")
+_query_texts = st.lists(
+    st.tuples(st.sampled_from(_GLUE), st.sampled_from(_PIECES)), max_size=6
+).map(lambda parts: "".join(glue + piece for glue, piece in parts))
+_QUERY_TOKENS = ("aa", "bb", "7", "42", "aab", "termflowdocsep0", "éé", "σας")
+_query_lists = st.lists(
+    st.builds(
+        TermQuery,
+        st.lists(st.sampled_from(_QUERY_TOKENS), min_size=1, max_size=3).map(tuple),
+        st.frozensets(st.sampled_from(_QUERY_TOKENS), max_size=2),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _query_records(draw):
+    """Records over a few year cells; in a quarter of the draws an id repeats."""
+    pool = ("r0", None, None) if draw(st.integers(0, 3)) == 0 else (None,)
+    docs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("x", "y")),
+                st.integers(min_value=1990, max_value=1995),
+                _query_texts,
+                _query_texts,
+                st.sampled_from(pool),
+            ),
+            max_size=12,
+        )
+    )
+    return [
+        DocumentRecord(rec_id or f"d{i}", disc, year, title, abstract)
+        for i, (disc, year, title, abstract, rec_id) in enumerate(docs)
+    ]
+
+
+def _count_outcome(call, *args):
+    """What ``call(*args)`` returns, or the class and message of what it raises."""
+    try:
+        return call(*args)
+    except TermflowError as exc:
+        return type(exc), str(exc)
+
+
+@given(_query_records(), _query_lists, st.integers(1, 3), st.none() | st.integers(1985, 1997))
+@example(  # a phrase split by a single letter, by "_", and by a single digit
+    [DocumentRecord("d0", "x", 1990, "AA b bb", ""), DocumentRecord("d1", "x", 1990, "aa_bb", ""),
+     DocumentRecord("d2", "x", 1991, "aa 7 bb", "")],
+    [TermQuery(("aa", "bb"))],
+    1,
+    None,
+)
+@example(  # a co-term only inside a longer token, and the phrase only glued to one
+    [DocumentRecord("d0", "x", 1990, "aa", "aab"), DocumentRecord("d1", "x", 1990, "aa", "aabb"),
+     DocumentRecord("d2", "x", 1991, "aabb", "")],
+    [TermQuery(("aa",), frozenset({"aab"})), TermQuery(("aa",), frozenset({"bb"}))],
+    2,
+    1990,
+)
+@settings(max_examples=150, deadline=None)
+def test_query_counts_equal_count_matches_on_ingest(records, queries, width, anchor):
+    def counted(records, width, anchor):
+        return query_counts(records, queries, width, anchor)
+
+    # the same layout and the same DuplicateId as census and ingest
+    layout = _layout_or_error(counted, records, width, anchor)
+    assert layout == _layout_or_error(ingest, records, width, anchor)
+    if isinstance(layout, str):
+        return
+    index = ingest(records, width, anchor)
+    counts = query_counts(iter(records), queries, width, anchor)
+    # every (discipline, bin), and an unknown discipline and bin start
+    for query in queries:
+        for disc in (*index.disciplines, "w"):
+            for start in (*(b.start_year for b in index.bins), 1980):
+                counted = _count_outcome(count_matches, counts, query, disc, start)
+                expected = _count_outcome(count_matches, index, query, disc, start)
+                assert counted == expected, (query, disc, start)
+
+
+def test_query_counts_tokenize_only_the_documents_that_hold_every_query_token():
+    records = [
+        DocumentRecord("d0", "x", 1990, "strange attractor", "nonlinear"),
+        DocumentRecord("d1", "x", 1990, "strange", "attractors"),
+        DocumentRecord("d2", "x", 1991, "attractor", ""),
+        DocumentRecord("d3", "y", 1990, "chaos", ""),
+    ]
+    phrase, chaos = TermQuery(("strange", "attractor")), TermQuery(("chaos",))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        counts = query_counts(records, [phrase, chaos, phrase])
+    # d1 holds "attractor" only inside "attractors": it is tokenized, and does not match
+    assert calls == ["strange attractor nonlinear", "strange attractors", "chaos "]
+    assert list(counts.flags) == [phrase, chaos]
+    assert counts.flags[phrase].tolist() == [True, False, False, False]
+    assert counts.flags[chaos].tolist() == [False, False, False, True]
+    with pytest.raises(corpus.InvalidQuery, match="no counts were taken for query 'attractor'"):
+        count_matches(counts, TermQuery(("attractor",)), "x", 1990)
