@@ -17,7 +17,6 @@ from .corpus import (
     TimeBin,
     UnknownBin,
     UnknownDiscipline,
-    census,
     count_matches,
     ingest,
     query_counts,

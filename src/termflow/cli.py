@@ -59,20 +59,18 @@ def _parse_query(text: str) -> corpus.TermQuery:
     return corpus.TermQuery.parse(parts[0], coterms=parts[1:])
 
 
-def _read_corpus(args: argparse.Namespace, build=None) -> corpus.CellCounts:
+def _read_corpus(args: argparse.Namespace, build) -> corpus.CellCounts:
     """``build`` over the records of ``--corpus``, with ``--bin-width`` and
-    ``--anchor-year``; by default ``corpus.ingest``, looked up at each call,
-    which builds a :class:`corpus.CorpusIndex`. ``corpus.census`` and
-    ``corpus.query_counts`` check every record and id too, but tokenize no
-    text or only the documents that could match a query."""
+    ``--anchor-year``: ``corpus.ingest`` builds a :class:`corpus.CorpusIndex`,
+    and ``corpus.query_counts`` checks every record and id too, but tokenizes
+    only the documents that could match a query."""
     reader = corpus.read_csv_records if args.csv else corpus.read_jsonl_records
-    return (build or corpus.ingest)(
-        reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year
-    )
+    return build(reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year)
 
 
 def _read_counting(args: argparse.Namespace, texts: list[str]) -> corpus.QueryCounts:
-    """The ``corpus.query_counts`` of ``--corpus`` for the query ``texts``.
+    """The ``corpus.query_counts`` of ``--corpus`` for the query ``texts``;
+    with no texts, the layout alone, for which no text is tokenized.
 
     Texts are parsed in order up to the first that does not parse. The
     command parses each text again where it reads it, so that one raises
@@ -181,7 +179,7 @@ def _add_trend_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args, corpus.census)
+    index = _read_counting(args, [])
     starts = [b.start_year for b in index.bins]
     if args.format == "json":
         payload = {
@@ -203,7 +201,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 
 def cmd_rank(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
+    index = _read_corpus(args, corpus.ingest)
     dictionary = (
         rank.load_dictionary(args.dictionary, args.discipline)
         if args.dictionary
@@ -216,8 +214,9 @@ def cmd_rank(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 
 def cmd_mdelta(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
-    index = _read_corpus(args)
-    disciplines = args.discipline or list(index.disciplines)
+    index = _read_corpus(args, corpus.ingest)
+    # a discipline named twice is reported once, in first-seen order
+    disciplines = list(dict.fromkeys(args.discipline or index.disciplines))
     paths = []  # (discipline, dictionary path), all checked before any is opened
     for spec in args.dictionary or []:
         if "=" in spec:

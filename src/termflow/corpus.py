@@ -383,20 +383,6 @@ def ingest(
     return _build(bin_width, offset, terms, groups)
 
 
-def census(
-    records: Iterable[DocumentRecord],
-    bin_width: int = 2,
-    anchor_year: Optional[int] = None,
-) -> CellCounts:
-    """The :class:`CellCounts` of a stream of records, as :func:`ingest`
-    lays them out and with its id check, without tokenizing any text."""
-    offset = _grid_offset(bin_width, anchor_year)
-    cells: defaultdict[Cell, list[str]] = defaultdict(list)
-    for rec_id, discipline, year, _, _ in records:
-        cells[discipline, year].append(rec_id)
-    return CellCounts(**_layout(bin_width, offset, sorted(cells.items())))
-
-
 @dataclass(frozen=True, eq=False)
 class QueryCounts(CellCounts):
     """The :class:`CellCounts` layout plus, for each query it was taken for,
@@ -423,9 +409,11 @@ def query_counts(
     bin_width: int = 2,
     anchor_year: Optional[int] = None,
 ) -> QueryCounts:
-    """The :class:`CellCounts` of a stream of records, as :func:`census`
-    takes them, plus which documents match each of ``queries``, by
-    :func:`count_matches`' rule, without building a token index.
+    """The :class:`CellCounts` of a stream of records, as :func:`ingest`
+    lays them out and with its id check, plus which documents match each of
+    ``queries``, by :func:`count_matches`' rule, without building a token
+    index. With no queries, no text is looked at, and the counts are the
+    layout alone.
 
     Only a document whose lowered ``title + " " + abstract`` holds every
     phrase and co-term token of a query is tokenized: every token
@@ -443,18 +431,19 @@ def query_counts(
     )
     for rec_id, discipline, year, title, abstract in records:
         doc_ids, hits = cells[discipline, year]
-        text = title + " " + abstract
-        lowered = text.lower()
-        tokens = None
-        for (needle, phrase, coterms), hit in zip(needles, hits):
-            for n in needle:
-                if n not in lowered:
-                    break
-            else:
-                if tokens is None:
-                    tokens = tokenize(text)
-                if _holds(tokens, phrase, coterms):
-                    hit.append(len(doc_ids))
+        if needles:
+            text = title + " " + abstract
+            lowered = text.lower()
+            tokens = None
+            for (needle, phrase, coterms), hit in zip(needles, hits):
+                for n in needle:
+                    if n not in lowered:
+                        break
+                else:
+                    if tokens is None:
+                        tokens = tokenize(text)
+                    if _holds(tokens, phrase, coterms):
+                        hit.append(len(doc_ids))
         doc_ids.append(rec_id)
     ordered = sorted(cells.items())
     layout = _layout(bin_width, offset, [(cell, ids) for cell, (ids, _) in ordered])

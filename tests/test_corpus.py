@@ -20,7 +20,6 @@ from termflow.corpus import (
     TermQuery,
     UnknownBin,
     UnknownDiscipline,
-    census,
     count_matches,
     ingest,
     query_counts,
@@ -285,7 +284,7 @@ def test_duplicating_tokens_never_changes_counts(token_lists, dup_factor):
 def test_index_is_immutable(small_index):
     with pytest.raises(Exception):
         small_index.n_documents = 99
-    counted = census([make_doc("math", 1974, "chaos")])
+    counted = query_counts([make_doc("math", 1974, "chaos")], ())
     for layout in (small_index, counted):
         with pytest.raises(TypeError):
             layout.discipline_totals["math"] = 1000
@@ -894,7 +893,7 @@ def test_ingest_holds_one_copy_of_the_token_stream_while_it_builds_it():
 
 
 @st.composite
-def _census_records(draw):
+def _cell_records(draw):
     """Records over a few year cells; in half the draws some ids come from a
     pool of two, so that ids repeat across cells in any order."""
     pool = ("r0", "r1", None) if draw(st.booleans()) else (None,)
@@ -915,6 +914,11 @@ def _census_records(draw):
     ]
 
 
+def _layout_only(records, bin_width=2, anchor_year=None):
+    """The counts that ``termflow ingest`` reports: a read with no queries."""
+    return query_counts(records, (), bin_width, anchor_year)
+
+
 def _layout_or_error(build, records, width, anchor):
     try:
         layout = build(iter(records), width, anchor)
@@ -927,7 +931,7 @@ def _layout_or_error(build, records, width, anchor):
     }
 
 
-@given(_census_records(), st.integers(1, 3), st.none() | st.integers(1985, 1997))
+@given(_cell_records(), st.integers(1, 3), st.none() | st.integers(1985, 1997))
 @example([], 2, None)
 @example(  # the repeat of r0 comes first in the file, the cell of r1 first in cell order
     [DocumentRecord("r0", "y", 1990, "", ""), DocumentRecord("r1", "x", 1991, "", ""),
@@ -939,8 +943,8 @@ def _layout_or_error(build, records, width, anchor):
 def test_census_equals_the_layout_of_ingest(records, width, anchor):
     indexed = _layout_or_error(ingest, records, width, anchor)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "tokenize", None)  # census never tokenizes
-        counted = _layout_or_error(census, records, width, anchor)
+        patch.setattr(corpus, "tokenize", None)  # a read with no queries never tokenizes
+        counted = _layout_or_error(_layout_only, records, width, anchor)
     if isinstance(indexed, str):
         assert counted == indexed
     else:
@@ -955,7 +959,7 @@ def test_duplicate_id_names_the_first_repeat_in_cell_order():
         DocumentRecord("r0", "y", 1991, "", ""),
         DocumentRecord("r1", "x", 1991, "", ""),
     ]
-    for build in (ingest, census):
+    for build in (ingest, _layout_only):
         with pytest.raises(DuplicateId, match="^duplicate document id 'r1'$"):
             build(records)
 
@@ -1032,7 +1036,7 @@ def test_query_counts_equal_count_matches_on_ingest(records, queries, width, anc
     def counted(records, width, anchor):
         return query_counts(records, queries, width, anchor)
 
-    # the same layout and the same DuplicateId as census and ingest
+    # the same layout and the same DuplicateId as ingest
     layout = _layout_or_error(counted, records, width, anchor)
     assert layout == _layout_or_error(ingest, records, width, anchor)
     if isinstance(layout, str):
