@@ -72,8 +72,6 @@ _ASCII_LETTERS = frozenset(map(chr, range(ord("a"), ord("z") + 1)))
 _SEPARATOR = "termflowdocsep{}"
 DOC_SEPARATOR = _SEPARATOR.format(0)
 BATCH_CHARS = 1 << 18
-# term_counts sorts one int64 key per token of a run of year cells up to this size
-COUNT_TOKENS = 1 << 15
 
 
 def tokenize(text: str) -> list[str]:
@@ -278,6 +276,13 @@ class CorpusIndex(CellCounts):
             matched &= holding
         return int(np.count_nonzero(matched))
 
+    def _bin_term_counts(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """``(column, bin start, term ids, counts)`` of each bin of each
+        discipline, by :meth:`_term_counts`, in ``disciplines`` × ``bins`` order."""
+        for col, d in enumerate(self.disciplines):
+            for b in self.bins:
+                yield col, b.start_year, *self._term_counts(*self.documents(d, b.start_year))
+
     @functools.cached_property
     def postings(self) -> Mapping[str, Mapping[Cell, int]]:
         """Read-only ``{term: {cell: documents}}`` view, cells ascending.
@@ -285,11 +290,9 @@ class CorpusIndex(CellCounts):
         Built from the token stream on first use; the analyses do not read it.
         """
         by_term: list[dict[Cell, int]] = [{} for _ in self.vocabulary]
-        for d in self.disciplines:
-            for b in self.bins:
-                terms, counts = self._term_counts(*self.documents(d, b.start_year))
-                for t, n in zip(terms.tolist(), counts.tolist()):
-                    by_term[t][d, b.start_year] = n
+        for col, start, terms, counts in self._bin_term_counts():
+            for t, n in zip(terms.tolist(), counts.tolist()):
+                by_term[t][self.disciplines[col], start] = n
         return MappingProxyType(dict(zip(self.vocabulary, map(MappingProxyType, by_term))))
 
     @functools.cached_property
@@ -297,22 +300,14 @@ class CorpusIndex(CellCounts):
         """Sorted terms, and a read-only int32 matrix of their document counts.
 
         Row i counts the documents of each discipline (columns in
-        ``disciplines`` order) that contain term i. Built from the token
-        stream on first use, one run of a discipline's consecutive year cells
-        at a time, each run ending before it would pass ``COUNT_TOKENS``
-        tokens (a run holds at least one cell).
+        ``disciplines`` order) that contain term i: the sum of its counts in
+        the discipline's bins, which are counted from the token stream one
+        at a time on first use. The sum is exact, since every year cell lies
+        in one bin.
         """
         table = np.zeros((len(self.vocabulary), len(self.disciplines)), np.int32)
-        # token offset of each year cell's first document, and of the end
-        cell_starts = self.doc_offsets[self.cell_offsets].tolist()
-        first = 0
-        for c, (disc, _) in enumerate(self.cells, start=1):
-            if c == len(self.cells) or self.cells[c][0] != disc or (
-                cell_starts[c + 1] - cell_starts[first] > COUNT_TOKENS
-            ):
-                terms, counts = self._term_counts(*self.cell_offsets[[first, c]])
-                table[terms, self.disciplines.index(disc)] += counts
-                first = c
+        for col, _, terms, counts in self._bin_term_counts():
+            table[terms, col] += counts
         table.flags.writeable = False
         return self.vocabulary, table
 
@@ -338,7 +333,7 @@ def ingest(
     tokenized once more with the next candidate, which none of its tokens is.
     """
     offset = _grid_offset(bin_width, anchor_year)
-    # term ids in order of first appearance; _build sorts them
+    # term ids in order of first appearance, sorted once every record is read
     term_ids = defaultdict(itertools.count().__next__)
     # flushed groups (year cell, document ids, token ids, per-document token counts)
     groups: list[tuple[Cell, Sequence[str], np.ndarray, np.ndarray]] = []
@@ -379,8 +374,27 @@ def ingest(
     flush()
 
     terms = list(term_ids)
-    del term_ids  # the interning dict goes before _build allocates the stream
-    return _build(bin_width, offset, terms, groups)
+    del term_ids  # the interning dict goes before the stream is allocated
+    # one year cell may span several flushes: lay the groups out by year cell, stably
+    groups.sort(key=operator.itemgetter(0))
+    layout = _layout(bin_width, offset, [(cell, ids) for cell, ids, _, _ in groups])
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    sorted_id = np.empty(len(terms), np.int32)
+    sorted_id[order] = np.arange(len(terms), dtype=np.int32)
+    # the stream is allocated once, and each group's ids are written into their slice
+    tokens = np.empty(sum(len(ids) for _, _, ids, _ in groups), np.int32)
+    end = 0
+    for _, _, ids, _ in groups:
+        start, end = end, end + len(ids)
+        np.take(sorted_id, ids, out=tokens[start:end])
+    doc_offsets = _offsets(np.concatenate([np.zeros(0, np.int64)] + [n for *_, n in groups]))
+    tokens.flags.writeable = doc_offsets.flags.writeable = False
+    return CorpusIndex(
+        **layout,
+        vocabulary=tuple(map(terms.__getitem__, order)),
+        tokens=tokens,
+        doc_offsets=doc_offsets,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,10 +494,6 @@ def _grid_offset(bin_width: int, anchor_year: Optional[int]) -> int:
     return 0 if anchor_year is None else anchor_year % bin_width
 
 
-def _concat(arrays: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
-
-
 def _offsets(lengths: np.ndarray) -> np.ndarray:
     out = np.zeros(len(lengths) + 1, np.int64)
     np.cumsum(lengths, out=out[1:])
@@ -533,47 +543,6 @@ def _layout(
         n_documents=len(doc_ids),
         cells=tuple(cell_counts),
         cell_offsets=cell_offsets,
-    )
-
-
-def _build(
-    bin_width: int,
-    offset: int,
-    terms: Sequence[str],
-    groups: Iterable[tuple[Cell, Sequence[str], np.ndarray, np.ndarray]],
-) -> CorpusIndex:
-    """Assemble an index on the grid (``bin_width``, ``offset``) from the
-    groups :func:`ingest` flushed.
-
-    Each group ``(year_cell, doc_ids, term_ids, lengths)`` holds
-    ``len(lengths)`` documents in order: document d has id ``doc_ids[d]``
-    and holds the next ``lengths[d]`` ids of ``term_ids``, and term id i
-    stands for ``terms[i]``. Groups come in flush order and are laid out by
-    year cell, stably, since one year cell may span several flushes; the
-    layout and its id check are :func:`_layout`'s.
-
-    The token stream is allocated once and written in place: each group's
-    ids go into their slice through the map from first-appearance ids to
-    sorted ids, so no concatenated or remapped copy of it is made.
-    """
-    groups = sorted(groups, key=operator.itemgetter(0))
-    layout = _layout(bin_width, offset, [(cell, ids) for cell, ids, _, _ in groups])
-
-    order = sorted(range(len(terms)), key=terms.__getitem__)
-    sorted_id = np.empty(len(terms), np.int32)
-    sorted_id[order] = np.arange(len(terms), dtype=np.int32)
-    tokens = np.empty(sum(len(ids) for _, _, ids, _ in groups), np.int32)
-    end = 0
-    for _, _, ids, _ in groups:
-        start, end = end, end + len(ids)
-        np.take(sorted_id, ids, out=tokens[start:end])
-    doc_offsets = _offsets(_concat([lengths for _, _, _, lengths in groups], np.int64))
-    tokens.flags.writeable = doc_offsets.flags.writeable = False
-    return CorpusIndex(
-        **layout,
-        vocabulary=tuple(map(terms.__getitem__, order)),
-        tokens=tokens,
-        doc_offsets=doc_offsets,
     )
 
 

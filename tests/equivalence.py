@@ -129,6 +129,8 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
         ("rank_csv", ["rank", *csv_corpus, "--discipline", target, "--out", "rank.csv"]),
         ("rank_dictionary", ["rank", *c, "--discipline", target, "--dictionary",
                              "dictionary.txt", "--out", "rank.csv"]),
+        ("rank_bin3", ["rank", *c, "--discipline", target, "--bin-width", "3",
+                       "--anchor-year", "1975", "--out", "rank.csv"]),
         ("mdelta", ["mdelta", *c, "--annotations", "annotations.csv", "--smooth",
                     "--out", "mdelta.csv"]),
         ("mdelta_dictionary", ["mdelta", *c, "--annotations", "annotations.csv",
@@ -137,6 +139,8 @@ def cases(query: str, target: str, labels: list[str]) -> list[tuple[str, list[st
         ("mdelta_dictionary_disc", ["mdelta", *c, "--annotations", "annotations.csv",
                                     "--dictionary", f"{target}=dictionary.txt",
                                     "--smooth", "--out", "mdelta.csv"]),
+        ("mdelta_bin1", ["mdelta", *c, "--annotations", "annotations.csv", "--bin-width", "1",
+                         "--smooth", "--out", "mdelta.csv"]),
         ("trend", ["trend", *c, *g, "--out", "trend.csv"]),
         ("trend_csv", ["trend", *csv_corpus, *g, "--out", "trend.csv"]),
         ("trend_bin1", ["trend", *c, *g, "--bin-width", "1", "--out", "trend.csv"]),

@@ -1303,8 +1303,10 @@ def test_any_scenario_file_follows_cli_contract(text, tmp_path_factory):
 
 
 # Metamorphic relations of the corpus commands: the same records give the same
-# artifacts whether they are read as JSON lines or as CSV, and in any order.
-# Texts may split a phrase between title and abstract, and hold CSV specials.
+# artifacts whether they are read as JSON lines or as CSV, and in any order;
+# two adjacent one-year bins count what their two-year bin counts; and every
+# record repeated doubles a query's counts. Texts may split a phrase between
+# title and abstract, and hold CSV specials.
 _METAMORPHIC_TEXTS = st.sampled_from(
     ["", "chaos", "Strange", "attractor", "strange attractor", 'a "chaos", b', "x\ny"]
 )
@@ -1324,12 +1326,40 @@ def _metamorphic_corpus(draw):
     return records, draw(st.permutations(records)), traced
 
 
+def _write_corpus(records, path: Path) -> list[str]:
+    with open(path, "w", encoding="utf-8") as handle:
+        write_jsonl_records(records, handle)
+    return ["--corpus", str(path)]
+
+
+def _outcome(argv, out: Path):
+    """Exit code of ``argv`` writing to ``out``, and its artifact's payload or
+    its error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out)])
+    outcome = (code, _payload(out)) if code == 0 else (code, err.getvalue())
+    out.unlink(missing_ok=True)
+    return outcome
+
+
+def _csv_rows(outcome) -> list[dict]:
+    """The rows of a ``# config`` CSV artifact that :func:`_outcome` read."""
+    code, (_, body) = outcome
+    assert code == 0
+    return list(csv.DictReader(io.StringIO(body, newline="")))
+
+
 def _payload(path: Path):
     """An artifact with the ``corpus`` and ``csv`` keys dropped from its config."""
     text = path.read_text(encoding="utf-8")
     if text.startswith("{"):
         data = json.loads(text)
         cfg, body = data.pop("config"), data
+    elif text.startswith("<svg"):
+        metadata = ET.fromstring(text).find("{http://www.w3.org/2000/svg}metadata")
+        cfg = json.loads(metadata.text)
+        body = re.sub(r"<metadata>.*?</metadata>", "", text, flags=re.S)
     else:
         head, _, body = text.partition("\n")
         cfg = json.loads(head.removeprefix("# config "))
@@ -1337,7 +1367,23 @@ def _payload(path: Path):
     return cfg, body
 
 
+# "chaos" spreads through three documents a year of math from 1990, and of art
+# from 1992: a corpus on which every corpus command writes its artifact
+_SPREAD = [
+    DocumentRecord(f"{disc}{year}-{j}", disc, year, "chaos" if j < held else "", "")
+    for disc, onset in (("math", 1990), ("art", 1992))
+    for year in range(1990, 1995)
+    for held in [min(3, max(0, year - onset + 1))]
+    for j in range(3)
+]
+# growth options that neither mask nor smooth the growth of a few documents
+_UNMASKED = ["--support-threshold", "1", "--smoothing-window", "1"]
+
+
 @settings(max_examples=30, deadline=None)
+@example(corpus=(_SPREAD, _SPREAD[::-1], "math"), term="chaos", width=1, extra="migrate")
+@example(corpus=(_SPREAD, _SPREAD[::-1], "math"), term="chaos", width=1, extra="fit")
+@example(corpus=(_SPREAD, _SPREAD[::-1], "math"), term="chaos", width=1, extra="plot")
 @example(  # ids in record order are not ids in cell order; a phrase spans title and abstract
     corpus=([DocumentRecord("d0", "math", 1990, "strange", "attractor"),
              DocumentRecord("d1", "art", 1991, "chaos", "")],
@@ -1346,29 +1392,71 @@ def _payload(path: Path):
             "math"),
     term="strange attractor",
     width=1,
+    extra="rank",
 )
 @given(corpus=_metamorphic_corpus(), term=st.sampled_from(["chaos", "strange attractor"]),
-       width=st.integers(1, 3))
-def test_corpus_commands_ignore_record_format_and_order(corpus, term, width, tmp_path_factory):
+       width=st.integers(1, 3), extra=st.sampled_from(["rank", "migrate", "fit", "plot"]))
+def test_corpus_commands_ignore_record_format_and_order(
+    corpus, term, width, extra, tmp_path_factory
+):
     records, shuffled, traced = corpus
     work = tmp_path_factory.mktemp("metamorphic")
-    with open(work / "corpus.jsonl", "w", encoding="utf-8") as handle:
-        write_jsonl_records(records, handle)
     with open(work / "corpus.csv", "w", encoding="utf-8", newline="") as handle:
         corpus_mod.write_csv(handle, corpus_mod.RECORD_FIELDS, records)
-    with open(work / "shuffled.jsonl", "w", encoding="utf-8") as handle:
-        write_jsonl_records(shuffled, handle)
-    sources = {"jsonl": ["--corpus", str(work / "corpus.jsonl")],
+    sources = {"jsonl": _write_corpus(records, work / "corpus.jsonl"),
                "csv": ["--corpus", str(work / "corpus.csv"), "--csv"],
-               "shuffled": ["--corpus", str(work / "shuffled.jsonl")]}
+               "shuffled": _write_corpus(shuffled, work / "shuffled.jsonl")}
+    # every example runs ingest and trend, and one of the other commands, drawn:
+    # fit costs more than the rest together
+    extra_commands = {"rank": ["rank", "--discipline", traced],
+                      "migrate": ["migrate", "--term", term, *_UNMASKED],
+                      "fit": ["fit", "--term", term, "--discipline", traced],
+                      "plot": ["plot", "--series", f"{term}@{traced}", *_UNMASKED]}
     commands = [["ingest", "--format", "csv"], ["ingest", "--format", "json"],
-                ["trend", "--term", term, "--discipline", traced]]
+                ["trend", "--term", term, "--discipline", traced], extra_commands[extra]]
     for command in commands:
-        outcomes = {}
-        for name, source in sources.items():
-            out, err = work / f"{name}.out", io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([*command, *source, "--bin-width", str(width), "--out", str(out)])
-            outcomes[name] = (code, _payload(out)) if code == 0 else (code, err.getvalue())
-            out.unlink(missing_ok=True)
+        outcomes = {
+            name: _outcome([*command, *source, "--bin-width", str(width)], work / f"{name}.out")
+            for name, source in sources.items()
+        }
         assert outcomes["csv"] == outcomes["jsonl"] == outcomes["shuffled"], command
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpus=_metamorphic_corpus(), anchor=st.integers(1988, 1991))
+def test_ingest_counts_two_year_bins_as_their_two_one_year_bins(corpus, anchor, tmp_path_factory):
+    records = corpus[0]
+    work = tmp_path_factory.mktemp("grid")
+    source = _write_corpus(records, work / "corpus.jsonl")
+    counts = {}
+    for width in (1, 2):
+        argv = ["ingest", *source, "--bin-width", str(width), "--anchor-year", str(anchor)]
+        counts[width] = Counter()
+        for row in _csv_rows(_outcome(argv, work / "counts.csv")):
+            year = int(row["bin_start"])
+            # the two-year bin that holds this year on the grid anchored at anchor
+            counts[width][row["discipline"], year - (year - anchor) % 2] += int(row["documents"])
+    # the width-2 rows hold every bin, zeros too, as the width-1 rows hold every year
+    assert list(counts[1].items()) == list(counts[2].items())
+
+
+@settings(max_examples=30, deadline=None)
+@example(corpus=(_SPREAD, _SPREAD, "art"), term="chaos", width=1)
+@given(corpus=_metamorphic_corpus(), term=st.sampled_from(["chaos", "strange attractor"]),
+       width=st.integers(1, 3))
+def test_repeating_every_record_doubles_trend_counts(corpus, term, width, tmp_path_factory):
+    records, _, traced = corpus
+    repeated = records + [r._replace(id="repeat-" + r.id) for r in records]
+    work = tmp_path_factory.mktemp("repeats")
+    outcomes = [
+        _outcome(["trend", "--term", term, "--discipline", traced, "--bin-width", str(width),
+                  *_write_corpus(recs, work / f"{name}.jsonl")], work / "series.csv")
+        for name, recs in (("once", records), ("twice", repeated))
+    ]
+    if outcomes[0][0]:  # no records or one bin: the same error either way
+        assert outcomes[0] == outcomes[1]
+        return
+    once, twice = map(_csv_rows, outcomes)
+    assert [r["bin_start"] for r in twice] == [r["bin_start"] for r in once]
+    for a, b in zip(once, twice):
+        assert (int(b["n"]), int(b["N"]), b["f"]) == (2 * int(a["n"]), 2 * int(a["N"]), a["f"])

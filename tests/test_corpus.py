@@ -688,24 +688,21 @@ def test_count_matches_equals_a_document_scan(records, query_parts, grid):
             expected = [_reference_count(records, query, disc, b) for b in index.bins]
             assert [cells.get((disc, b.start_year), 0) for b in index.bins] == expected
             assert table[t, col] == sum(expected), (term, disc)
-    # term_counts reads runs of year cells cut at any token budget to the same
-    # table, and only a run of one year cell passes the budget
-    one_cell = set(zip(index.cell_offsets[:-1].tolist(), index.cell_offsets[1:].tolist()))
+    # term_counts and postings each count every bin of every discipline once,
+    # in disciplines x bins order, and no other slice of the stream
+    per_bin = [index.documents(d, b.start_year) for d in index.disciplines for b in index.bins]
     real_term_counts = corpus.CorpusIndex._term_counts
-    for budget in (0, 3, 10):
-        runs = []
+    for name in ("term_counts", "postings"):
+        calls = []
 
         def recording(self, first, last):
-            runs.append((int(first), int(last)))
+            calls.append((first, last))
             return real_term_counts(self, first, last)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(corpus, "COUNT_TOKENS", budget)
             patch.setattr(corpus.CorpusIndex, "_term_counts", recording)
-            assert np.array_equal(ingest(records, *grid).term_counts[1], table), budget
-        for first, last in runs:
-            tokens = index.doc_offsets[last] - index.doc_offsets[first]
-            assert tokens <= budget or (first, last) in one_cell, (budget, first, last)
+            assert getattr(ingest(records, *grid), name) is not None
+        assert calls == per_bin, name
 
 
 def _cell_documents(index):
@@ -733,8 +730,8 @@ def test_ingest_in_any_record_order_and_flushing_equals_ingest_of_the_whole(
     records, permutation, grid, batch_chars, query_parts
 ):
     shuffled = [records[i] for i in permutation if i < len(records)]
-    # flushes after a few records, so that _build gets one year cell's groups
-    # split and out of year-cell order
+    # flushes after a few records, so that ingest lays out one year cell's
+    # groups split and out of year-cell order
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus, "BATCH_CHARS", batch_chars)
         flushed = ingest(shuffled, *grid)
@@ -890,6 +887,32 @@ def test_ingest_holds_one_copy_of_the_token_stream_while_it_builds_it():
     # what ingest allocated and freed again, in token streams: the per-group
     # chunks beside the stream fit, one more whole copy of the stream does not
     assert peak - current <= 1.75 * index.tokens.nbytes
+
+
+def test_term_counts_sorts_one_bin_of_the_token_stream_at_a_time():
+    # the corpus of the test above: 120,000 tokens over ten two-year bins
+    spec = ScenarioSpec(
+        disciplines=(DisciplineSpec("a", 75), DisciplineSpec("b", 75)),
+        year_range=(1990, 2009),
+        background=BackgroundVocabulary(size=2000, tokens_per_doc=80),
+        seed=3,
+    )
+    index = ingest(generate(spec)[0])
+    largest_bin = max(
+        index.doc_offsets[last] - index.doc_offsets[first]
+        for first, last in (index.documents(d, b.start_year)
+                            for d in index.disciplines for b in index.bins)
+    )
+    tracemalloc.start()
+    try:
+        _, table = index.term_counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.sum() > 0
+    # besides the table, a few int64 arrays of one bin's tokens; a sort of a
+    # whole discipline's keys at once does not fit
+    assert peak - table.nbytes <= 4 * 8 * largest_bin, (peak, largest_bin)
 
 
 @st.composite
