@@ -12,7 +12,6 @@ from .corpus import (
     DocumentRecord,
     DuplicateId,
     MalformedRecord,
-    QueryCounts,
     TermQuery,
     TimeBin,
     UnknownBin,

@@ -61,14 +61,14 @@ def _parse_query(text: str) -> corpus.TermQuery:
 
 def _read_corpus(args: argparse.Namespace, build) -> corpus.CellCounts:
     """``build`` over the records of ``--corpus``, with ``--bin-width`` and
-    ``--anchor-year``: ``corpus.ingest`` builds a :class:`corpus.CorpusIndex`,
-    and ``corpus.query_counts`` checks every record and id too, but tokenizes
-    only the documents that could match a query."""
+    ``--anchor-year``. Both ``corpus.ingest``, whose index flags any query,
+    and ``corpus.query_counts``, which flags only its queries and tokenizes
+    only the documents that could match one, check every record and id."""
     reader = corpus.read_csv_records if args.csv else corpus.read_jsonl_records
     return build(reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year)
 
 
-def _read_counting(args: argparse.Namespace, texts: list[str]) -> corpus.QueryCounts:
+def _read_counting(args: argparse.Namespace, texts: list[str]) -> corpus.CellCounts:
     """The ``corpus.query_counts`` of ``--corpus`` for the query ``texts``;
     with no texts, the layout alone, for which no text is tokenized.
 
@@ -324,8 +324,20 @@ def cmd_plot(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     return [(svg, args.out)]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses ``--opt=--``, which Python 3.11 stores as ``[]`` (``[[]]`` for
+    an appending option), as a usage error."""
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]):
+        # an option's arguments hold "--" only as the text after its "="
+        if action.option_strings and "--" in arg_strings:
+            self.error(f"argument {'/'.join(action.option_strings)}: '--' is not a value")
+        return super()._get_values(action, arg_strings)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="termflow",
         description="Term-trend analytics over discipline-tagged corpora.",
     )

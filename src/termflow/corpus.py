@@ -188,6 +188,7 @@ class CellCounts:
     ``cell_offsets[c]`` to ``cell_offsets[c + 1] - 1``. A bin of the grid
     (``bin_width``, ``anchor_offset``) is read as the contiguous run of its
     year cells, which is exact because each document has one year.
+    ``flags[query]`` is a read-only array: whether each document matches.
     """
 
     bin_width: int
@@ -198,6 +199,7 @@ class CellCounts:
     n_documents: int
     cells: tuple[Cell, ...] = field(repr=False)
     cell_offsets: np.ndarray = field(repr=False)
+    flags: Mapping[TermQuery, np.ndarray] = field(repr=False)
 
     def documents(self, discipline: str, start: int) -> tuple[int, int]:
         """Documents ``first`` to ``last - 1`` of the bin of ``discipline`` at
@@ -212,6 +214,14 @@ class CellCounts:
         first, last = self.documents(discipline, start)
         return last - first
 
+    def matches(self, query: TermQuery, first: int, last: int) -> int:
+        """Documents ``first`` to ``last - 1`` that match ``query``."""
+        try:
+            flags = self.flags[query]
+        except KeyError:
+            raise InvalidQuery(f"no counts were taken for query {query.label()!r}") from None
+        return int(np.count_nonzero(flags[first:last]))
+
 
 @dataclass(frozen=True, eq=False)
 class CorpusIndex(CellCounts):
@@ -222,17 +232,12 @@ class CorpusIndex(CellCounts):
     array is read-only. ``tokens`` holds the int32 term ids of every
     document in order, documents grouped by year cell: document d is
     ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``. Every count and query is
-    evaluated from this stream.
+    evaluated from this stream, each query's ``flags`` once, on first read.
     """
 
     vocabulary: tuple[str, ...] = field(repr=False)
     tokens: np.ndarray = field(repr=False)
     doc_offsets: np.ndarray = field(repr=False)
-
-    def term_id(self, term: str) -> int:
-        """Position of ``term`` in ``vocabulary``, or -1 if no document has it."""
-        i = bisect_left(self.vocabulary, term)
-        return i if i < len(self.vocabulary) and self.vocabulary[i] == term else -1
 
     def _term_counts(self, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
         """Distinct term ids of documents ``first`` to ``last - 1``, ascending,
@@ -246,35 +251,6 @@ class CorpusIndex(CellCounts):
         terms = keys[_run_starts(keys)] // n_docs
         first_of = _run_starts(terms)
         return terms[first_of], np.diff(np.append(np.flatnonzero(first_of), len(terms)))
-
-    def matches(self, query: TermQuery, first: int, last: int) -> int:
-        """Documents ``first`` to ``last - 1`` that match ``query``, counted
-        by a scan of their slice of the token stream."""
-        phrase = [self.term_id(t) for t in query.term]
-        coterms = [self.term_id(t) for t in query.required_coterms]
-        if first == last or min(phrase + coterms) < 0:
-            return 0
-        # the documents' slice of the token stream, and their bounds within it
-        base = self.doc_offsets[first]
-        bounds = self.doc_offsets[first : last + 1] - base
-        stream = self.tokens[base : self.doc_offsets[last]]
-
-        span = len(stream) - len(phrase) + 1
-        if span <= 0:
-            return 0
-        at = stream[:span] == phrase[0]
-        for i, t in enumerate(phrase[1:], start=1):
-            at &= stream[i : i + span] == t
-        pos = np.flatnonzero(at)
-        doc = np.searchsorted(bounds, pos, side="right") - 1
-        matched = np.zeros(last - first, bool)
-        # a phrase counts only where it ends inside the document it starts in
-        matched[doc[pos + len(phrase) <= bounds[doc + 1]]] = True
-        for t in coterms:
-            holding = np.zeros_like(matched)
-            holding[np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1] = True
-            matched &= holding
-        return int(np.count_nonzero(matched))
 
     def _bin_term_counts(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """``(column, bin start, term ids, counts)`` of each bin of each
@@ -310,6 +286,34 @@ class CorpusIndex(CellCounts):
             table[terms, col] += counts
         table.flags.writeable = False
         return self.vocabulary, table
+
+
+class _StreamFlags(dict):
+    """A :class:`CorpusIndex`'s ``flags``: a missing query is scanned from the stream, once."""
+
+    def __init__(self, vocabulary: tuple[str, ...], stream: np.ndarray, bounds: np.ndarray):
+        self._stream = vocabulary, stream, bounds
+
+    def __missing__(self, query: TermQuery) -> np.ndarray:
+        vocabulary, stream, bounds = self._stream
+        # a term no document has takes the id -1, which no token equals
+        ids = {t: bisect_left(vocabulary, t) for t in (*query.term, *query.required_coterms)}
+        ids = {t: i if vocabulary[i : i + 1] == (t,) else -1 for t, i in ids.items()}
+        phrase = [ids[t] for t in query.term]
+        at = stream[: max(len(stream) - len(phrase) + 1, 0)] == phrase[0]
+        for i, t in enumerate(phrase[1:], start=1):
+            at &= stream[i : i + len(at)] == t
+        pos = np.flatnonzero(at)
+        doc = np.searchsorted(bounds, pos, side="right") - 1
+        # a phrase counts only where it ends inside the document it starts in
+        doc = doc[pos + len(phrase) <= bounds[doc + 1]]
+        matched = np.bincount(doc, minlength=len(bounds) - 1) > 0
+        for t in query.required_coterms:
+            holders = np.searchsorted(bounds, np.flatnonzero(stream == ids[t]), side="right") - 1
+            matched &= np.bincount(holders, minlength=len(matched)) > 0
+        matched.flags.writeable = False
+        self[query] = matched
+        return matched
 
 
 def ingest(
@@ -389,32 +393,14 @@ def ingest(
         np.take(sorted_id, ids, out=tokens[start:end])
     doc_offsets = _offsets(np.concatenate([np.zeros(0, np.int64)] + [n for *_, n in groups]))
     tokens.flags.writeable = doc_offsets.flags.writeable = False
+    vocabulary = tuple(map(terms.__getitem__, order))
     return CorpusIndex(
         **layout,
-        vocabulary=tuple(map(terms.__getitem__, order)),
+        flags=MappingProxyType(_StreamFlags(vocabulary, tokens, doc_offsets)),
+        vocabulary=vocabulary,
         tokens=tokens,
         doc_offsets=doc_offsets,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class QueryCounts(CellCounts):
-    """The :class:`CellCounts` layout plus, for each query it was taken for,
-    which documents match it: ``flags[query][d]`` is document d's flag, in
-    layout order, and every flag array is read-only."""
-
-    flags: Mapping[TermQuery, np.ndarray] = field(repr=False)
-
-    def matches(self, query: TermQuery, first: int, last: int) -> int:
-        """Documents ``first`` to ``last - 1`` that match ``query``, one of the
-        queries these counts were taken for."""
-        if query not in self.flags:
-            raise InvalidQuery(f"no counts were taken for query {query.label()!r}")
-        return int(np.count_nonzero(self.flags[query][first:last]))
-
-
-# what count_matches reads a bin's matches from
-MatchCounts = Union[CorpusIndex, QueryCounts]
 
 
 def query_counts(
@@ -422,9 +408,9 @@ def query_counts(
     queries: Iterable[TermQuery],
     bin_width: int = 2,
     anchor_year: Optional[int] = None,
-) -> QueryCounts:
+) -> CellCounts:
     """The :class:`CellCounts` of a stream of records, as :func:`ingest`
-    lays them out and with its id check, plus which documents match each of
+    lays them out and with its id check, with the ``flags`` of each of
     ``queries``, by :func:`count_matches`' rule, without building a token
     index. With no queries, no text is looked at, and the counts are the
     layout alone.
@@ -468,7 +454,7 @@ def query_counts(
             matched[[start + h for h in hits[j]]] = True
         matched.flags.writeable = False
         flags[query] = matched
-    return QueryCounts(**layout, flags=MappingProxyType(flags))
+    return CellCounts(**layout, flags=MappingProxyType(flags))
 
 
 def _holds(tokens: list[str], phrase: list[str], coterms: frozenset[str]) -> bool:
@@ -547,7 +533,7 @@ def _layout(
 
 
 def count_matches(
-    index: MatchCounts,
+    index: CellCounts,
     query: TermQuery,
     discipline: str,
     time_bin: int,

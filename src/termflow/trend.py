@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import IO, Optional, Sequence
 
 from .corpus import (
-    MatchCounts,
+    CellCounts,
     TermQuery,
     TimeBin,
     UnknownDiscipline,
@@ -84,14 +84,14 @@ class GrowthSeries:
 
 
 def frequency_series(
-    index: MatchCounts, query: TermQuery, discipline: str
+    index: CellCounts, query: TermQuery, discipline: str
 ) -> FrequencySeries:
     """Normalized per-bin frequency of ``query`` in one discipline.
 
-    ``index`` is any counts :func:`count_matches` reads: a
-    :class:`CorpusIndex`, or :class:`QueryCounts` taken for ``query``. Bins
-    with no documents at all get an undefined frequency rather than a
-    fabricated zero.
+    A bin's count is its slice of ``index.flags[query]``: an index scans
+    its token stream once per query, and :func:`query_counts` takes the
+    flags of ``query`` while reading. Bins with no documents at all get an
+    undefined frequency rather than a fabricated zero.
     """
     if discipline not in index.discipline_totals:
         raise UnknownDiscipline(f"unknown discipline {discipline!r}")
@@ -192,7 +192,7 @@ def apply_support_filter(
 
 
 def growth_pipeline(
-    index: MatchCounts,
+    index: CellCounts,
     query: TermQuery,
     discipline: str,
     smoothing_window: int = DEFAULT_SMOOTHING_WINDOW,

@@ -459,6 +459,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_migrate_disciplines_with_no_values_reports_every_discipline(corpus_path, capsys):
+    payloads = []
+    for extra in ([], ["--disciplines"]):
+        code, out, _ = run_cli(["migrate", "--corpus", corpus_path, "--term", "chaos", *extra],
+                               capsys)
+        assert code == 0
+        payload = json.loads(out)
+        del payload["config"]["disciplines"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["donor"]["discipline"] == "math"
+
+
 CORPUS, SPEC = object(), object()
 # a JSONL line holding byte 0xff; a corpus whose discipline is a lone surrogate;
 # the artifact path, which must not exist after a failed run
@@ -772,6 +785,8 @@ def _cli_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @example(argv=["plot", "--series=chaos@math", "--title=\ud800"])
+@example(argv=["trend", "--term=--", "--discipline=math"])
+@example(argv=["mdelta", f"--annotations={GOLDEN_ANNOTATIONS}", "--discipline=--"])
 @example(argv=["mdelta", f"--annotations={GOLDEN_ANNOTATIONS}", "--discipline=math",
                "--dictionary=DICTIONARY", "--csv"])
 @given(argv=_cli_argv())
@@ -812,6 +827,26 @@ def test_argv_property_draws_every_option():
         for action in subparser._actions:
             for option in action.option_strings:
                 assert option in drawn | _PATH_OPTIONS, (name, option)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trend", "--term=--", "--discipline=math"],
+    ["trend", "--term=chaos", "--discipline=--"],
+    ["rank", "--discipline=--"],
+    ["mdelta", "--annotations", GOLDEN_ANNOTATIONS, "--discipline=--"],
+    ["migrate", "--term=--"],
+    ["migrate", "--term=chaos", "--disciplines=--"],
+    ["plot", "--series=--"],
+    ["ingest", "--format=--"],
+])
+def test_an_option_given_as_dashes_is_a_usage_error(argv, corpus_path, tmp_path, capsys):
+    # Python 3.11's argparse reads --opt=-- as no value at all
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--corpus", corpus_path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: termflow ") and err.endswith("'--' is not a value\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_infinite_normal_threshold_ranks_every_term_exactly(corpus_path, capsys):
@@ -1420,6 +1455,25 @@ def test_corpus_commands_ignore_record_format_and_order(
             for name, source in sources.items()
         }
         assert outcomes["csv"] == outcomes["jsonl"] == outcomes["shuffled"], command
+        if command[0] == "trend" and outcomes["jsonl"][0] == 0:
+            # oracle: each bin's n and N from a scan of each document, written here
+            for row in _csv_rows(outcomes["jsonl"]):
+                start = int(row["bin_start"])
+                held = [r for r in records
+                        if r.discipline == traced and start <= r.year < start + width]
+                n = sum(_holds_phrase(f"{r.title} {r.abstract}", term) for r in held)
+                assert (int(row["n"]), int(row["N"])) == (n, len(held)), row
+
+
+def _holds_phrase(text: str, phrase: str) -> bool:
+    """Whether ``text`` holds the words of ``phrase`` adjacent, by the README's
+    rule: lowercase, split on anything but a letter or digit, drop single
+    letters."""
+    def words(t):
+        return [w for w in re.findall(r"[^\W_]+", t.lower()) if len(w) > 1 or w.isdigit()]
+
+    tokens, wanted = words(text), words(phrase)
+    return any(tokens[i : i + len(wanted)] == wanted for i in range(len(tokens)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -31,6 +31,7 @@ from termflow.corpus import (
 )
 from termflow.errors import TermflowError
 from termflow.synth import BackgroundVocabulary, DisciplineSpec, ScenarioSpec, generate
+from termflow.trend import frequency_series
 
 from conftest import make_doc
 
@@ -284,11 +285,20 @@ def test_duplicating_tokens_never_changes_counts(token_lists, dup_factor):
 def test_index_is_immutable(small_index):
     with pytest.raises(Exception):
         small_index.n_documents = 99
-    counted = query_counts([make_doc("math", 1974, "chaos")], ())
+    query = TermQuery.parse("chaos")
+    counted = query_counts([make_doc("math", 1974, "chaos")], [query])
     for layout in (small_index, counted):
         with pytest.raises(TypeError):
             layout.discipline_totals["math"] = 1000
+        # neither the flags mapping nor a flag array, read or not, can be written
+        with pytest.raises(TypeError):
+            layout.flags[TermQuery.parse("theory")] = np.ones(layout.n_documents, bool)
+        with pytest.raises(ValueError):
+            layout.flags[query][0] = not layout.flags[query][0]
     assert (small_index.discipline_totals["math"], counted.discipline_totals["math"]) == (4, 1)
+    # documents in year-cell order: education 1974 and 1976, then math 1974-1977
+    assert small_index.flags[query].tolist() == [False, True, True, True, False, True]
+    assert counted.flags[query].tolist() == [True]
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -947,10 +957,12 @@ def _layout_or_error(build, records, width, anchor):
         layout = build(iter(records), width, anchor)
     except DuplicateId as exc:
         return str(exc)
+    # every field but the flags, which an index and query_counts hold for different queries
     return {
         f.name: getattr(layout, f.name).tolist() if f.name == "cell_offsets"
         else getattr(layout, f.name)
         for f in dataclasses.fields(corpus.CellCounts)
+        if f.name != "flags"
     }
 
 
@@ -1073,6 +1085,38 @@ def test_query_counts_equal_count_matches_on_ingest(records, queries, width, anc
                 counted = _count_outcome(count_matches, counts, query, disc, start)
                 expected = _count_outcome(count_matches, index, query, disc, start)
                 assert counted == expected, (query, disc, start)
+    # the counts are slices of one flag array per query, the same on both carriers
+    for query in queries:
+        assert index.flags[query].dtype == counts.flags[query].dtype == bool
+        assert index.flags[query].tolist() == counts.flags[query].tolist(), query
+
+
+def test_frequency_series_scans_the_stream_once_per_query():
+    spec = ScenarioSpec(
+        disciplines=(DisciplineSpec("a", 20), DisciplineSpec("b", 20)),
+        year_range=(1990, 1999),
+        background=BackgroundVocabulary(size=20, tokens_per_doc=12),
+        seed=5,
+    )
+    records = generate(spec)[0]
+    index = ingest(records)
+    queries = [TermQuery(("bg006",)), TermQuery(("bg001", "bg000"), frozenset({"bg002"}))]
+    real_scan = corpus._StreamFlags.__missing__
+    scanned = []
+
+    def recording(self, query):
+        scanned.append(query)
+        return real_scan(self, query)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus._StreamFlags, "__missing__", recording)
+        series = [frequency_series(index, q, d) for q in queries for d in index.disciplines]
+    # five bins in each of two disciplines, and each query's stream read once
+    assert len(index.bins) == 5
+    assert scanned == queries
+    assert all(0 < sum(s.n) < sum(s.N) for s in series)
+    for s in series:
+        assert s.n == tuple(_reference_count(records, s.query, s.discipline, b) for b in index.bins)
 
 
 def test_query_counts_tokenize_only_the_documents_that_hold_every_query_token():

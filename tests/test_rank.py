@@ -124,8 +124,8 @@ def poisson_percentile(index, term, target_discipline, normal_switch=NORMAL_SWIT
     """
     if len(index.disciplines) < 2:
         raise SingleDisciplineCorpus("percentile ranking needs at least two disciplines")
-    t = index.term_id(term)
-    row = index.term_counts[1][t].tolist() if t >= 0 else [0] * len(index.disciplines)
+    terms, table = index.term_counts
+    row = table[terms.index(term)].tolist() if term in terms else [0] * len(index.disciplines)
     k = row[index.disciplines.index(target_discipline)]
     bg_docs = sum(
         n for disc, n in index.discipline_totals.items() if disc != target_discipline
