@@ -55,7 +55,6 @@ from .migration import (
 )
 from .plotting import growth_chart_svg
 from .rank import (
-    Dictionary,
     PoissonRank,
     Ranking,
     bottom_terms,

@@ -202,11 +202,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
 
 def cmd_rank(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
     index = _read_corpus(args, corpus.ingest)
-    dictionary = (
-        rank.load_dictionary(args.dictionary, args.discipline)
-        if args.dictionary
-        else None
-    )
+    dictionary = rank.load_dictionary(args.dictionary) if args.dictionary else None
     ranking = rank.rank_terms(
         index, args.discipline, dictionary, normal_switch=args.normal_threshold
     )
@@ -228,7 +224,7 @@ def cmd_mdelta(args: argparse.Namespace, cfg: dict) -> list[tuple[str, str]]:
         if disc not in disciplines:
             raise TermflowError(f"--dictionary {spec!r} names no reported discipline")
         paths.append((disc, path))
-    dictionaries = {disc: rank.load_dictionary(path, disc) for disc, path in paths}
+    dictionaries = {disc: rank.load_dictionary(path) for disc, path in paths}
 
     n = args.list_length
     lists = []  # (top terms, bottom terms, discipline)

@@ -214,14 +214,6 @@ class CellCounts:
         first, last = self.documents(discipline, start)
         return last - first
 
-    def matches(self, query: TermQuery, first: int, last: int) -> int:
-        """Documents ``first`` to ``last - 1`` that match ``query``."""
-        try:
-            flags = self.flags[query]
-        except KeyError:
-            raise InvalidQuery(f"no counts were taken for query {query.label()!r}") from None
-        return int(np.count_nonzero(flags[first:last]))
-
 
 @dataclass(frozen=True, eq=False)
 class CorpusIndex(CellCounts):
@@ -232,7 +224,7 @@ class CorpusIndex(CellCounts):
     array is read-only. ``tokens`` holds the int32 term ids of every
     document in order, documents grouped by year cell: document d is
     ``tokens[doc_offsets[d]:doc_offsets[d + 1]]``. Every count and query is
-    evaluated from this stream, each query's ``flags`` once, on first read.
+    evaluated from this stream; ``flags`` keeps the last query it scanned.
     """
 
     vocabulary: tuple[str, ...] = field(repr=False)
@@ -289,7 +281,8 @@ class CorpusIndex(CellCounts):
 
 
 class _StreamFlags(dict):
-    """A :class:`CorpusIndex`'s ``flags``: a missing query is scanned from the stream, once."""
+    """A :class:`CorpusIndex`'s ``flags``: a missing query is scanned from the
+    stream, and only the query scanned last is kept."""
 
     def __init__(self, vocabulary: tuple[str, ...], stream: np.ndarray, bounds: np.ndarray):
         self._stream = vocabulary, stream, bounds
@@ -312,6 +305,7 @@ class _StreamFlags(dict):
             holders = np.searchsorted(bounds, np.flatnonzero(stream == ids[t]), side="right") - 1
             matched &= np.bincount(holders, minlength=len(matched)) > 0
         matched.flags.writeable = False
+        self.clear()
         self[query] = matched
         return matched
 
@@ -543,7 +537,12 @@ def count_matches(
         raise UnknownDiscipline(f"unknown discipline {discipline!r}")
     if not any(b.start_year == time_bin for b in index.bins):
         raise UnknownBin(f"no bin starting at year {time_bin}")
-    return index.matches(query, *index.documents(discipline, time_bin))
+    try:
+        flags = index.flags[query]
+    except KeyError:
+        raise InvalidQuery(f"no counts were taken for query {query.label()!r}") from None
+    first, last = index.documents(discipline, time_bin)
+    return int(np.count_nonzero(flags[first:last]))
 
 
 # ---------------------------------------------------------------------------

@@ -124,16 +124,9 @@ class PoissonRank:
     method: str  # "poisson" | "normal"
 
 
-@dataclass(frozen=True)
-class Dictionary:
-    """Controlled vocabulary for one discipline, used to filter selections."""
-
-    discipline: str
-    terms: frozenset[str]
-
-
-def load_dictionary(path: str, discipline: str = "") -> Dictionary:
-    """Read a dictionary file: one normalized term per line, '#' comments."""
+def load_dictionary(path: str) -> frozenset[str]:
+    """The terms of a dictionary file: one normalized term per line, '#'
+    comments. A dictionary filters a ranking's selections to its terms."""
     terms: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -143,7 +136,7 @@ def load_dictionary(path: str, discipline: str = "") -> Dictionary:
             line = line.split("#", 1)[0].strip()
             if line:
                 terms.add(line.lower())
-    return Dictionary(discipline=discipline, terms=frozenset(terms))
+    return frozenset(terms)
 
 
 def _percentile(
@@ -201,7 +194,7 @@ class Ranking:
 def rank_terms(
     index: CorpusIndex,
     target_discipline: str,
-    dictionary: Optional[Dictionary] = None,
+    dictionary: Optional[frozenset[str]] = None,
     normal_switch: float = NORMAL_SWITCH_LAMBDA,
 ) -> Ranking:
     """All terms seen in the target, ranked by percentile descending.
@@ -212,7 +205,7 @@ def rank_terms(
     Terms share their percentile computation when they share the target
     count and the background hits, so each distinct pair is evaluated once.
     """
-    if dictionary is not None and not dictionary.terms:
+    if dictionary is not None and not dictionary:
         raise EmptyDictionary("dictionary has no terms; cannot filter")
     if target_discipline not in index.discipline_totals:
         raise UnknownDiscipline(f"unknown discipline {target_discipline!r}")
@@ -221,7 +214,7 @@ def rank_terms(
     k = table[:, index.disciplines.index(target_discipline)]
     keep = k > 0
     if dictionary is not None:
-        keep &= np.fromiter(map(dictionary.terms.__contains__, terms), bool, len(terms))
+        keep &= np.fromiter(map(dictionary.__contains__, terms), bool, len(terms))
     rows = np.flatnonzero(keep)
     if rows.size and len(index.disciplines) < 2:
         raise SingleDisciplineCorpus(

@@ -60,7 +60,6 @@ class GrowthSeries:
     r: tuple[Optional[float], ...]
     mask: tuple[Optional[str], ...]
     smoothing_window: int
-    support_threshold: Optional[int] = None
 
     @cached_property
     def smoothed_r(self) -> tuple[Optional[float], ...]:
@@ -188,7 +187,7 @@ def apply_support_filter(
     for i in range(len(growth.r)):
         if mask[i] is None and n[i] + n[i + 1] < threshold:
             mask[i] = LOW_SUPPORT
-    return replace(growth, mask=tuple(mask), support_threshold=threshold)
+    return replace(growth, mask=tuple(mask))
 
 
 def growth_pipeline(

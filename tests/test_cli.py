@@ -1073,6 +1073,96 @@ def test_any_csv_corpus_follows_cli_contract(data, tmp_path_factory):
     )
 
 
+# JSON-lines corpus contents, made by mutating valid records: a field dropped,
+# added, repeated or given a value of another type; a line cut short or holding
+# a stray character; NaN, a BOM, NUL, a lone surrogate, 5,000 digits or deep
+# nesting as a value; and lines that are blank, not an object or behind a BOM.
+# Lines end in "\n" or "\r\n", and some files hold a byte that is not UTF-8
+_DEEP = "[" * 100_000
+_JSONL_VALUES = st.sampled_from(
+    ["5", "1.5", "true", "null", '"x"', '""', "[]", "{}", '"1990"', "1990.0", "NaN",
+     "-Infinity", '"\\ufeffchaos"', '"\\u0000"', '"\\ud800"', '"chaos \\udfff"', "9" * 5000,
+     _DEEP, _DEEP + "]" * 100_000]
+)
+_JSONL_LINES = st.sampled_from(["", "  ", "[]", "5", "null", '"x"', "{}", _DEEP])
+_FIELD_AT = st.sampled_from(range(5))
+_MUTATIONS = st.sampled_from(["drop", "add", "retype", "cut", "stray", "line", "bom"])
+
+
+@st.composite
+def _jsonl_line(draw, number: int, how: str | None) -> str:
+    fields = [
+        ("id", f'"d{number}"'),
+        ("discipline", draw(st.sampled_from(['"math"', '"phys"']))),
+        ("year", str(draw(st.integers(1990, 1993)))),
+        ("title", draw(st.sampled_from(['""', '"Chaos"']))),
+        ("abstract", draw(st.sampled_from(['""', '"chaos theory"', '"strange attractor"']))),
+    ]
+    if how == "drop":
+        del fields[draw(_FIELD_AT)]
+    elif how == "add":
+        name = draw(st.sampled_from(["extra", *corpus_mod.RECORD_FIELDS]))
+        fields.insert(draw(st.integers(0, 5)), (name, draw(_JSONL_VALUES)))
+    elif how == "retype":
+        at = draw(_FIELD_AT)
+        fields[at] = (fields[at][0], draw(_JSONL_VALUES))
+    elif how == "line":
+        return draw(_JSONL_LINES)
+    line = "{" + ", ".join(f'"{name}": {value}' for name, value in fields) + "}"
+    if how == "cut":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif how == "stray":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(["{", "}", ",", '"', ":", "\x00"])) + line[at:]
+    elif how == "bom":
+        line = "\ufeff" + line
+    return line
+
+
+@st.composite
+def _jsonl_corpus(draw):
+    count = draw(st.integers(1, 6))
+    # half the files hold only valid records, so that some runs exit 0; in the
+    # others one or two lines are mutated, and any line can be the first bad one
+    mutated = set()
+    if draw(st.booleans()):
+        mutated = draw(st.sets(st.sampled_from(range(count)), min_size=1, max_size=2))
+    ends = st.sampled_from(["\n", "\r\n"])
+    lines = [
+        draw(_jsonl_line(i, draw(_MUTATIONS) if i in mutated else None)) + draw(ends)
+        for i in range(count)
+    ]
+    return _with_rare_bytes(draw, "".join(lines).encode())
+
+
+_JSONL_VALID = "".join(
+    f'{{"id": "d{i}", "discipline": "{d}", "year": {y}, "title": "", "abstract": "chaos"}}\n'
+    for i, (d, y) in enumerate([("math", 1990), ("math", 1992), ("phys", 1991)])
+).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@example(data=_JSONL_VALID)
+@example(data=_JSONL_VALID + b'{"id": "d9", "discipline": "\\ud800", "year": 1990, '
+                             b'"title": "", "abstract": ""}\n')
+@example(data=_JSONL_VALID.replace(b'"year": 1992', b'"year": NaN'))
+@example(data=_JSONL_VALID.replace(b'"year": 1992', b'"year": ' + b"9" * 5000))
+@example(data=_JSONL_VALID + _DEEP.encode() + b"\n")
+@example(data=_JSONL_VALID + b"[]\n")
+@given(data=_jsonl_corpus())
+def test_any_jsonl_corpus_follows_cli_contract(data, tmp_path_factory):
+    work = tmp_path_factory.mktemp("jsonl")
+    path = work / "corpus.jsonl"
+    path.write_bytes(data)
+    for i, command in enumerate([
+        ["ingest"],
+        ["trend", "--term", "chaos", "--discipline", "math"],
+        ["rank", "--discipline", "math"],
+    ]):
+        out = work / f"artifact{i}"
+        _run_within_contract([*command, "--corpus", str(path), "--out", str(out)], out)
+
+
 # Annotation file contents, for mdelta on the golden corpus at --discipline math
 # --list-length 1, which reads the pairs (chaos, math) and (bg026, math): header
 # names repeated or missing; ragged rows; stray quotes, NUL and a BOM in fields;

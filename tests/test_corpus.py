@@ -1119,6 +1119,18 @@ def test_frequency_series_scans_the_stream_once_per_query():
         assert s.n == tuple(_reference_count(records, s.query, s.discipline, b) for b in index.bins)
 
 
+def test_an_index_keeps_the_flags_of_its_last_query_only():
+    records = [make_doc("a", 1990 + i % 4, f"w{i} w{i + 1}", f"d{i}") for i in range(50)]
+    index = ingest(records)
+    queries = [TermQuery((f"w{i}",)) for i in range(50)]
+    counts = [count_matches(index, q, "a", 1990) for q in queries]
+    assert len(index.flags) <= 1
+    # a query read again is scanned again, to the same counts
+    assert [count_matches(index, q, "a", 1990) for q in queries] == counts
+    assert counts == [_reference_count(records, q, "a", index.bins[0]) for q in queries]
+    assert 0 in counts and 2 in counts
+
+
 def test_query_counts_tokenize_only_the_documents_that_hold_every_query_token():
     records = [
         DocumentRecord("d0", "x", 1990, "strange attractor", "nonlinear"),

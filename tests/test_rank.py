@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from termflow.corpus import TermQuery, ingest, write_csv
 from termflow.rank import (
     NORMAL_SWITCH_LAMBDA,
-    Dictionary,
     EmptyDictionary,
     InvalidListLength,
     NegativeLambda,
@@ -214,7 +213,7 @@ def test_rank_excludes_terms_absent_from_target():
 
 def test_dictionary_filters_selection():
     index = _two_discipline_index()
-    dictionary = Dictionary("math", frozenset({"chaos", "common"}))
+    dictionary = frozenset({"chaos", "common"})
     ranking = rank_terms(index, "math", dictionary)
     assert {r.term for r in ranking} == {"chaos", "common"}
     assert top_terms(ranking, 2) == ["chaos", "common"]
@@ -232,14 +231,14 @@ def test_list_length_below_one_rejected(select, k):
 def test_empty_dictionary_rejected():
     index = _two_discipline_index()
     with pytest.raises(EmptyDictionary):
-        rank_terms(index, "math", Dictionary("math", frozenset()))
+        rank_terms(index, "math", frozenset())
 
 
 def test_rank_single_discipline_raises_only_when_terms_remain():
     index = ingest([make_doc("only", 1990, "word list")])
     with pytest.raises(SingleDisciplineCorpus):
         rank_terms(index, "only")
-    assert list(rank_terms(index, "only", Dictionary("only", frozenset({"absent"})))) == []
+    assert list(rank_terms(index, "only", frozenset({"absent"}))) == []
 
 
 VOCAB = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
@@ -266,16 +265,13 @@ def test_rank_terms_matches_per_term_oracle(corpus, data):
     labels, index = corpus
     target = data.draw(st.sampled_from(labels))
     dictionary = data.draw(
-        st.none()
-        | st.frozensets(st.sampled_from(VOCAB + ("absent",)), min_size=1).map(
-            lambda terms: Dictionary(target, terms)
-        )
+        st.none() | st.frozensets(st.sampled_from(VOCAB + ("absent",)), min_size=1)
     )
     seen = [
         term
         for term, cells in index.postings.items()
         if any(disc == target for disc, _ in cells)
-        and (dictionary is None or term in dictionary.terms)
+        and (dictionary is None or term in dictionary)
     ]
     for switch in (0.0, 50.0, math.inf):
         if seen and len(labels) < 2:
@@ -332,8 +328,7 @@ def test_ranking_columns_agree_with_its_rows(corpus, data):
 def test_load_dictionary(tmp_path):
     path = tmp_path / "dict.txt"
     path.write_text("# comment\nchaos\nentropy  # technical\n\nQuark\n")
-    d = load_dictionary(str(path), "phys")
-    assert d.terms == frozenset({"chaos", "entropy", "quark"})
+    assert load_dictionary(str(path)) == frozenset({"chaos", "entropy", "quark"})
 
 
 def test_ranking_csv_shape(tmp_path):

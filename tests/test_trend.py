@@ -103,7 +103,6 @@ def test_support_filter_boundary():
     assert g.mask[0] == LOW_SUPPORT
     assert g.mask[1] is None
     assert g.mask[2] is None
-    assert g.support_threshold == 8
 
 
 def test_support_filter_no_masking_when_ample():
