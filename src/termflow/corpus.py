@@ -8,6 +8,8 @@ immutable; everything downstream is a pure read.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import functools
 import itertools
@@ -550,12 +552,57 @@ def count_matches(
 # ---------------------------------------------------------------------------
 
 
-def _open_read(path: Union[str, IO[str]], newline: Optional[str] = None):
+@contextlib.contextmanager
+def _open_read(
+    path: Union[str, IO[str]], error: type[TermflowError], newline: Optional[str] = None
+) -> Iterator[IO[str]]:
+    """A text handle on ``path``: a handle as it is, standard input for "-",
+    or the file at ``path`` read as UTF-8 and closed on exit. A byte of that
+    file that is not UTF-8 raises ``error``, naming its line and offset."""
     if hasattr(path, "read"):
-        return path, False
-    if path == "-":
-        return sys.stdin, False
-    return open(path, "r", encoding="utf-8", newline=newline), True
+        yield path
+    elif path == "-":
+        yield sys.stdin
+    else:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            try:
+                yield handle
+            except UnicodeDecodeError as exc:
+                where = _first_undecodable(path)
+                if where is None:
+                    raise
+                raise error(where) from exc
+
+
+def _first_undecodable(path: str) -> Optional[str]:
+    r"""``line N: not UTF-8 (byte 0xNN at offset M)`` for the first byte of
+    the file at ``path`` that does not decode as UTF-8, read again in chunks;
+    None if every byte decodes. Lines end at "\n", "\r" or "\r\n", as the
+    readers count them, and ``M`` counts bytes from 0."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line, offset = 1, 0
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(1 << 16)
+            if chunk.endswith(b"\r"):  # a chunk never splits "\r\n"
+                chunk += handle.read(1)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the incomplete character the decoder held back, then chunk
+                at = exc.start - (len(exc.object) - len(chunk))
+                line += _line_ends(chunk[: max(at, 0)])
+                byte = exc.object[exc.start]
+                return f"line {line}: not UTF-8 (byte {byte:#04x} at offset {offset + at})"
+            if not chunk:
+                return None
+            line += _line_ends(chunk)
+            offset += len(chunk)
+
+
+def _line_ends(data: bytes) -> int:
+    r"""How many "\n", "\r" and "\r\n" line ends ``data`` holds."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
@@ -563,8 +610,7 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
 
     A line that is one JSON value and then JSON whitespace is decoded by the
     scanner alone; any other line takes ``json.loads``, which words every error."""
-    handle, owned = _open_read(path)
-    try:
+    with _open_read(path, MalformedRecord) as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
                 obj, end = _scan_json(line, 0)
@@ -586,9 +632,6 @@ def read_jsonl_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
                     f"line {lineno}: expected exactly the fields {', '.join(RECORD_FIELDS)}"
                 )
             yield DocumentRecord(*_field_values(obj))
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_csv_rows(
@@ -603,27 +646,24 @@ def read_csv_rows(
     ``csv.Error`` raises ``error``, numbered by physical line.
     """
     # newline="" keeps a quoted "\r" or "\r\n" in a field as it was written
-    handle, owned = _open_read(path, newline="")
-    reader = csv.reader(handle)
-    try:
-        header = next(reader, [])
-        if set(header) != set(fields):
-            raise error(f"CSV header must be exactly {', '.join(fields)}")
-        column = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(*map(column.__getitem__, fields))
-        width = len(header)
-        for row in filter(None, reader):
-            if len(row) != width:
-                raise error(
-                    f"line {reader.line_num}: expected exactly the fields {', '.join(fields)}"
-                )
-            yield reader.line_num, pick(row)
-    # a field past csv's size limit, e.g. one opened by a quote that never closes
-    except csv.Error as exc:
-        raise error(f"line {reader.line_num}: invalid CSV ({exc})") from exc
-    finally:
-        if owned:
-            handle.close()
+    with _open_read(path, error, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            if set(header) != set(fields):
+                raise error(f"CSV header must be exactly {', '.join(fields)}")
+            column = {name: i for i, name in enumerate(header)}
+            pick = operator.itemgetter(*map(column.__getitem__, fields))
+            width = len(header)
+            for row in filter(None, reader):
+                if len(row) != width:
+                    raise error(
+                        f"line {reader.line_num}: expected exactly the fields {', '.join(fields)}"
+                    )
+                yield reader.line_num, pick(row)
+        # a field past csv's size limit, e.g. one opened by a quote that never closes
+        except csv.Error as exc:
+            raise error(f"line {reader.line_num}: invalid CSV ({exc})") from exc
 
 
 def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
@@ -639,6 +679,10 @@ def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
         except ValueError as exc:
             raise MalformedRecord(f"line {line}: unparsable year {year!r}") from exc
         yield DocumentRecord(id_, discipline, number, title, abstract)
+
+
+# rows write_csv joins, or hands to csv.writer, at a time: it holds one chunk's text
+_CSV_CHUNK = 2048
 
 
 class _RowEnds:
@@ -666,12 +710,35 @@ def write_csv(
     Rows end in "\n". The writer itself is told "\r\n" so that it quotes
     every field holding "\r" or "\n"; with a "\n" terminator Python 3.11
     leaves a field with a bare "\r" unquoted, which readers split.
+
+    The header and rows go out in chunks of ``_CSV_CHUNK`` rows. A chunk
+    whose fields are all ``str`` and need no quoting is joined by "," and
+    "\n" in one piece; any other goes through ``csv.writer``. The bytes are
+    the same either way.
     """
     if config_line is not None:
         handle.write(f"# {config_line}\n")
     writer = csv.writer(_RowEnds(handle), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    rows = itertools.chain((header,), rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+        try:
+            text = "\n".join(map(",".join, chunk)) + "\n"
+        except TypeError:  # a field that is not a str
+            writer.writerows(chunk)
+            continue
+        # csv.writer quotes a field holding ",", '"', "\r" or "\n", and a row
+        # of one empty field; a row of none it writes as an empty line
+        if (
+            '"' in text
+            or "\r" in text
+            or text.startswith("\n")
+            or "\n\n" in text
+            or text.count("\n") != len(chunk)
+            or text.count(",") != sum(map(len, chunk)) - len(chunk)
+        ):
+            writer.writerows(chunk)
+        else:
+            handle.write(text)
 
 
 def write_jsonl_records(records: Iterable[DocumentRecord], handle: IO[str]) -> None:

@@ -66,11 +66,14 @@ def load_annotations(
     """
     flags: dict[tuple[str, str], bool] = {}
     fields = ("term", "discipline", "technical")
+    # a row whose term no pair holds is skipped before its pair is built
+    terms = None if pairs is None else {term for term, _ in pairs}
     for line, (term, discipline, value) in read_csv_rows(path, fields, MalformedAnnotation):
-        value = value.strip()
-        if value not in ("0", "1"):
-            raise MalformedAnnotation(f"line {line}: technical must be 0 or 1, got {value!r}")
-        if pairs is None or (term, discipline) in pairs:
+        if value != "0" and value != "1":
+            value = value.strip()
+            if value not in ("0", "1"):
+                raise MalformedAnnotation(f"line {line}: technical must be 0 or 1, got {value!r}")
+        if terms is None or term in terms and (term, discipline) in pairs:
             flags[(term, discipline)] = value == "1"
     return AnnotationSet(flags=flags)
 

@@ -176,7 +176,8 @@ class Ranking:
         return len(self.rows)
 
     def __iter__(self):
-        for term, k, lam, percentile in self._values():
+        columns = self.k.tolist(), self.lam.tolist(), self.percentile.tolist()
+        for term, k, lam, percentile in zip(self.term_list(), *columns):
             yield PoissonRank(term, self.target_discipline, k, lam, percentile, self.method(lam))
 
     def term_list(self, start: Optional[int] = None, stop: Optional[int] = None) -> list[str]:
@@ -185,10 +186,6 @@ class Ranking:
 
     def method(self, lam: float) -> str:
         return "normal" if lam > self.normal_switch else "poisson"
-
-    def _values(self):
-        """(term, k, lam, percentile) of each position, as Python values."""
-        return zip(self.term_list(), self.k.tolist(), self.lam.tolist(), self.percentile.tolist())
 
 
 def rank_terms(
@@ -260,8 +257,21 @@ def write_ranking_csv(
     handle: IO[str],
     config_line: Optional[str] = None,
 ) -> None:
-    rows = (
-        (term, k, f"{lam:.12g}", f"{percentile:.12g}", ranking.method(lam))
-        for term, k, lam, percentile in ranking._values()
+    rows = zip(
+        ranking.term_list(),
+        _formatted(ranking.k, ""),
+        _formatted(ranking.lam, ".12g"),
+        _formatted(ranking.percentile, ".12g"),
+        np.where(ranking.lam > ranking.normal_switch, "normal", "poisson").tolist(),
     )
     write_csv(handle, ("term", "k", "lambda", "percentile", "method"), rows, config_line)
+
+
+def _formatted(column: np.ndarray, spec: str) -> list[str]:
+    """``format(x, spec)`` of each value of ``column``, an int64 or float64
+    array, formatting each distinct value once: a ranking's columns hold far
+    fewer distinct values than rows."""
+    # distinct bit patterns, so that -0.0 and 0.0 stay apart
+    bits, at = np.unique(column.view(np.int64), return_inverse=True)
+    text = [format(x, spec) for x in bits.view(column.dtype).tolist()]
+    return list(map(text.__getitem__, at.tolist()))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 
 import pytest
@@ -18,6 +20,18 @@ def make_doc(discipline: str, year: int, text: str, title: str = "") -> Document
         title=title,
         abstract=text,
     )
+
+
+def csv_writer_text(rows, config_line=None) -> str:
+    r"""What ``write_csv`` must write for ``rows``, its header first: the
+    comment line, then each row as ``csv.writer`` writes it when told "\r\n",
+    with that ending turned into "\n"."""
+    out = [] if config_line is None else [f"# {config_line}\n"]
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
 
 
 @pytest.fixture

@@ -127,6 +127,49 @@ def test_a_late_malformed_line_is_reported_before_a_repeated_id(command, tmp_pat
     assert err.startswith('error code=corpus.MalformedRecord msg="line 3: invalid JSON'), err
 
 
+@pytest.mark.parametrize("kind", ["jsonl", "csv", "annotations"])
+def test_a_byte_that_is_not_utf8_is_reported_with_its_line(
+    kind, corpus_path, csv_corpus_path, tmp_path, capsys
+):
+    # 2,000 valid lines, past the text layer's first decoded chunk, then line
+    # 2001 holds byte 0xff; the CSV files end their lines in "\r\n"
+    if kind == "jsonl":
+        lines = Path(corpus_path).read_bytes().splitlines(keepends=True)[:2000]
+        bad = b'{"id": "z", "discipline": "math", "year": 1990, "title": "\xff", "abstract": ""}\n'
+    elif kind == "csv":
+        lines = [l.rstrip(b"\n") + b"\r\n"
+                 for l in Path(csv_corpus_path).read_bytes().splitlines(keepends=True)[:2000]]
+        bad = b"z,math,1990,a\xffb,\r\n"
+    else:
+        lines = [b"term,discipline,technical\r\n"]
+        lines += [b"bg%03d,math,%d\r\n" % (i % 60, i % 2) for i in range(1999)]
+        bad = b"a\xffb,math,1\r\n"
+    path = tmp_path / "data"
+    path.write_bytes(b"".join(lines) + bad + lines[-1])
+    offset = len(b"".join(lines)) + bad.index(b"\xff")
+    argv = {"jsonl": ["ingest", "--corpus", str(path)],
+            "csv": ["ingest", "--csv", "--corpus", str(path)],
+            "annotations": ["mdelta", "--corpus", corpus_path, "--annotations", str(path),
+                            "--smooth"]}[kind]
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+    error = "measure.MalformedAnnotation" if kind == "annotations" else "corpus.MalformedRecord"
+    assert code == 1
+    assert err == (
+        f'error code={error} msg="line 2001: not UTF-8 (byte 0xff at offset {offset})"\n'
+    ), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_byte_that_is_not_utf8_on_standard_input_keeps_the_decoder_message(
+    tmp_path, capsys, monkeypatch
+):
+    record = b'{"id": "a", "discipline": "math", "year": 1990, "title": "\xff", "abstract": ""}\n'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(record), encoding="utf-8"))
+    code, _, err = run_cli(["ingest", "--corpus", "-", "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith("error code=io.UnicodeDecodeError msg=\"'utf-8' codec can't decode"), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["trend", "--term", "!!", "--discipline", "math"], ["migrate", "--term", "!!"],

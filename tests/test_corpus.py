@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from collections import Counter
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from termflow.errors import TermflowError
 from termflow.synth import BackgroundVocabulary, DisciplineSpec, ScenarioSpec, generate
 from termflow.trend import frequency_series
 
-from conftest import make_doc
+from conftest import csv_writer_text, make_doc
 
 
 def test_tokenize_acronyms_survive():
@@ -418,6 +419,78 @@ def test_csv_round_trip(tmp_path_factory, records):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         write_csv(handle, corpus.RECORD_FIELDS, records)
     assert list(read_csv_records(str(path))) == records
+
+
+# write_csv's fields: plain text, which it joins, text with the characters
+# csv.writer quotes, and the ints, floats and None only csv.writer takes
+_CSV_FIELD = st.one_of(
+    st.text(alphabet="ab ", max_size=3),
+    st.sampled_from(["", '"', "a,b", "\r", "a\rb", "\n", "a\nb", "\r\n"]),
+    _CSV_TEXT,
+    st.integers(),
+    st.floats(),
+    st.none(),
+)
+_CSV_ROW = st.one_of(
+    st.lists(st.text(alphabet="ab ", max_size=3), max_size=4),
+    st.lists(_CSV_FIELD, max_size=4),
+    st.sampled_from([[], [""], ["", ""]]),
+)
+
+
+@given(
+    header=st.lists(st.text(alphabet="ab", max_size=3), max_size=3),
+    rows=st.lists(_CSV_ROW, max_size=12),
+    chunk=st.sampled_from([1, 2, 3, corpus._CSV_CHUNK]),
+    config_line=st.sampled_from([None, "config {}"]),
+)
+# more than one chunk at the real size, and a field to quote only in the last
+@example(
+    header=["term", "k"],
+    rows=[["a", "1"]] * (2 * corpus._CSV_CHUNK) + [["a,b", "1"]],
+    chunk=corpus._CSV_CHUNK,
+    config_line=None,
+)
+@settings(max_examples=300, deadline=None)
+def test_write_csv_writes_what_csv_writer_writes(header, rows, chunk, config_line):
+    # the chunk size is a module constant; smaller ones put more chunks in a run
+    buf = io.StringIO()
+    with mock.patch.object(corpus, "_CSV_CHUNK", chunk):
+        write_csv(buf, header, rows, config_line)
+    assert buf.getvalue() == csv_writer_text([header, *rows], config_line)
+
+
+def _undecodable_reference(data: bytes):
+    """Where ``data`` first fails to decode as UTF-8, as the readers number
+    lines, found by decoding it whole with surrogateescape."""
+    text = data.decode("utf-8", "surrogateescape")
+    offset = 0
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
+        for i, char in enumerate(line):
+            if "\udc80" <= char <= "\udcff":
+                at = offset + len(line[:i].encode("utf-8", "surrogateescape"))
+                return f"line {lineno}: not UTF-8 (byte {ord(char) - 0xDC00:#04x} at offset {at})"
+        offset += len(line.encode("utf-8", "surrogateescape"))
+    return None
+
+
+# 65,520 bytes of lines, so that drawn bytes cross the first 64 KiB read
+_LONG_PREFIX = (b"x" * 89 + b"\n") * 728
+_BYTE_PARTS = st.sampled_from(
+    [b"a", b"a" * 9, b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80",
+     b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+)
+
+
+@given(parts=st.lists(_BYTE_PARTS, max_size=40), long=st.booleans())
+# a "\r\n" across the first 64 KiB read, counted as one line end
+@example(parts=[b"a" * 9, *[b"a"] * 6, b"\r\n", b"\xff"], long=True)
+@settings(max_examples=150, deadline=None)
+def test_first_undecodable_byte_is_named_by_line_and_offset(parts, long, tmp_path_factory):
+    data = (_LONG_PREFIX if long else b"") + b"".join(parts)
+    path = tmp_path_factory.mktemp("bytes") / "data"
+    path.write_bytes(data)
+    assert corpus._first_undecodable(str(path)) == _undecodable_reference(data)
 
 
 def test_csv_unparsable_year(tmp_path):

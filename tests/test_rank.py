@@ -1,11 +1,12 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from termflow.corpus import TermQuery, ingest, write_csv
+from termflow.corpus import TermQuery, ingest
 from termflow.rank import (
     NORMAL_SWITCH_LAMBDA,
     EmptyDictionary,
@@ -20,10 +21,11 @@ from termflow.rank import (
     poisson_cdf,
     rank_terms,
     top_terms,
+    _formatted,
     write_ranking_csv,
 )
 
-from conftest import make_doc
+from conftest import csv_writer_text, make_doc
 
 
 def cdf_oracle(k: int, lam: float) -> float:
@@ -286,15 +288,14 @@ def test_rank_terms_matches_per_term_oracle(corpus, data):
 
 
 def reference_ranking_csv(rows, config_line):
-    """The per-object ranking writer, kept as the reference for the columnar one."""
-    buf = io.StringIO()
-    write_csv(
-        buf,
-        ("term", "k", "lambda", "percentile", "method"),
-        ((r.term, r.observed_k, f"{r.lam:.12g}", f"{r.percentile:.12g}", r.method) for r in rows),
+    """The per-object ranking writer, through ``csv.writer`` itself, kept as
+    the reference for the columnar one."""
+    return csv_writer_text(
+        [("term", "k", "lambda", "percentile", "method"),
+         *((r.term, r.observed_k, f"{r.lam:.12g}", f"{r.percentile:.12g}", r.method)
+           for r in rows)],
         config_line,
     )
-    return buf.getvalue()
 
 
 @given(small_corpora(), st.data())
@@ -323,6 +324,28 @@ def test_ranking_columns_agree_with_its_rows(corpus, data):
             float(percentile[i]),
             ranking.method(lam[i]),
         )
+
+
+# 0, 1, the signed zeros, subnormals, infinities and NaN, as well as any float
+_COLUMN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, math.inf, -math.inf,
+                     math.nan, 0.1, 1 / 3]),
+    st.floats(0, 1),
+    st.floats(),
+)
+
+
+@given(st.lists(_COLUMN_VALUES, min_size=1, max_size=8), st.data())
+@example([0.0, -0.0], None)
+@settings(max_examples=200, deadline=None)
+def test_each_distinct_value_formatted_once_equals_per_row_format(pool, data):
+    # a column draws its values from a small pool, so that most rows tie
+    rows = st.lists(st.sampled_from(pool), max_size=40)
+    column = [0.0, -0.0, -0.0, 0.0] if data is None else data.draw(rows)
+    assert _formatted(np.array(column, np.float64), ".12g") == [f"{x:.12g}" for x in column]
+    # and a count column with the same ties
+    counts = [int(x) % 1000 if math.isfinite(x) else 7 for x in column]
+    assert _formatted(np.array(counts, np.int64), "") == list(map(str, counts))
 
 
 def test_load_dictionary(tmp_path):
