@@ -62,15 +62,17 @@ def _parse_query(text: str) -> corpus.TermQuery:
 def _read_corpus(args: argparse.Namespace, build) -> corpus.CellCounts:
     """``build`` over the records of ``--corpus``, with ``--bin-width`` and
     ``--anchor-year``. Both ``corpus.ingest``, whose index flags any query,
-    and ``corpus.query_counts``, which flags only its queries and tokenizes
-    only the documents that could match one, check every record and id."""
+    and ``corpus.query_counts``, which flags only its queries and splits
+    into tokens only the documents that could match one, check every
+    record and id."""
     reader = corpus.read_csv_records if args.csv else corpus.read_jsonl_records
     return build(reader(args.corpus), bin_width=args.bin_width, anchor_year=args.anchor_year)
 
 
 def _read_counting(args: argparse.Namespace, texts: list[str]) -> corpus.CellCounts:
-    """The ``corpus.query_counts`` of ``--corpus`` for the query ``texts``;
-    with no texts, the layout alone, for which no text is tokenized.
+    """The ``corpus.query_counts`` of ``--corpus`` for the query ``texts``,
+    whose candidate documents are split into tokens in one byte pass per
+    flush; with no texts, the layout alone, for which no text is tokenized.
 
     Texts are parsed in order up to the first that does not parse. The
     command parses each text again where it reads it, so that one raises

@@ -67,6 +67,8 @@ _ASCII_TABLE = "".join(
 )
 # the only one-character tokens that translate table leaves and tokenize drops
 _ASCII_LETTERS = frozenset(map(chr, range(ord("a"), ord("z") + 1)))
+# the same table for UTF-8 bytes; a byte past ASCII stays as it is
+_TOKEN_BYTES = _ASCII_TABLE.encode("ascii") + bytes(range(128, 256))
 
 # ingest joins the texts of a (discipline, year) group with the first of
 # termflowdocsep0, termflowdocsep1, ... that is no term yet, a token tokenize
@@ -294,22 +296,31 @@ class _StreamFlags(dict):
         # a term no document has takes the id -1, which no token equals
         ids = {t: bisect_left(vocabulary, t) for t in (*query.term, *query.required_coterms)}
         ids = {t: i if vocabulary[i : i + 1] == (t,) else -1 for t, i in ids.items()}
-        phrase = [ids[t] for t in query.term]
-        at = stream[: max(len(stream) - len(phrase) + 1, 0)] == phrase[0]
-        for i, t in enumerate(phrase[1:], start=1):
-            at &= stream[i : i + len(at)] == t
-        pos = np.flatnonzero(at)
-        doc = np.searchsorted(bounds, pos, side="right") - 1
-        # a phrase counts only where it ends inside the document it starts in
-        doc = doc[pos + len(phrase) <= bounds[doc + 1]]
-        matched = np.bincount(doc, minlength=len(bounds) - 1) > 0
-        for t in query.required_coterms:
-            holders = np.searchsorted(bounds, np.flatnonzero(stream == ids[t]), side="right") - 1
-            matched &= np.bincount(holders, minlength=len(matched)) > 0
+        matched = _matches(
+            [ids[t] for t in query.term], [ids[t] for t in query.required_coterms], stream, bounds
+        )
         matched.flags.writeable = False
         self.clear()
         self[query] = matched
         return matched
+
+
+def _matches(phrase: Sequence[int], coterms: Iterable[int], stream, bounds) -> np.ndarray:
+    """Whether each document of a token id ``stream`` holds the ids
+    ``phrase`` as adjacent tokens and every id of ``coterms``; document d
+    is ``stream[bounds[d]:bounds[d + 1]]``."""
+    at = stream[: max(len(stream) - len(phrase) + 1, 0)] == phrase[0]
+    for i, t in enumerate(phrase[1:], start=1):
+        at &= stream[i : i + len(at)] == t
+    pos = np.flatnonzero(at)
+    doc = np.searchsorted(bounds, pos, side="right") - 1
+    # a phrase counts only where it ends inside the document it starts in
+    doc = doc[pos + len(phrase) <= bounds[doc + 1]]
+    matched = np.bincount(doc, minlength=len(bounds) - 1) > 0
+    for t in coterms:
+        holders = np.searchsorted(bounds, np.flatnonzero(stream == t), side="right") - 1
+        matched &= np.bincount(holders, minlength=len(matched)) > 0
+    return matched
 
 
 def ingest(
@@ -412,35 +423,56 @@ def query_counts(
     layout alone.
 
     Only a document whose lowered ``title + " " + abstract`` holds every
-    phrase and co-term token of a query is tokenized: every token
+    phrase and co-term token of some query is a candidate: every token
     :func:`tokenize` returns is a substring of that text, so no other
-    document can match. A tokenized document matches if its tokens hold the
-    phrase as adjacent tokens and every co-term.
+    document can match. Candidates are flushed once ``BATCH_CHARS``
+    characters are buffered. A flush splits them into tokens in one byte
+    pass, each query token taking an id of its own and every other token
+    one more, and scans each query over those ids as an index scans its
+    stream.
     """
     offset = _grid_offset(bin_width, anchor_year)
     queries = tuple(dict.fromkeys(queries))
-    needles = [(q.term + tuple(q.required_coterms), list(q.term), q.required_coterms)
-               for q in queries]
+    needles = [q.term + tuple(q.required_coterms) for q in queries]
+    words = {t: i for i, t in enumerate(dict.fromkeys(t for n in needles for t in n))}
+    scans = [([words[t] for t in q.term], [words[t] for t in q.required_coterms])
+             for q in queries]
     # (discipline, year) -> the ids, and for each query the positions of its matches
     cells: defaultdict[Cell, tuple[list[str], list[list[int]]]] = defaultdict(
         lambda: ([], [[] for _ in queries])
     )
+    # the buffered candidate texts, and each one's year cell match lists and position there
+    texts, where, buffered = [], [], 0
+
+    def flush() -> None:
+        data, starts, lengths, bounds = _byte_tokens(texts)
+        stream = _word_ids(data, starts, lengths, words)
+        for j, (phrase, coterms) in enumerate(scans):
+            for i in np.flatnonzero(_matches(phrase, coterms, stream, bounds)).tolist():
+                hits, position = where[i]
+                hits[j].append(position)
+        texts.clear()
+        where.clear()
+
     for rec_id, discipline, year, title, abstract in records:
         doc_ids, hits = cells[discipline, year]
         if needles:
             text = title + " " + abstract
             lowered = text.lower()
-            tokens = None
-            for (needle, phrase, coterms), hit in zip(needles, hits):
+            for needle in needles:
                 for n in needle:
                     if n not in lowered:
                         break
                 else:
-                    if tokens is None:
-                        tokens = tokenize(text)
-                    if _holds(tokens, phrase, coterms):
-                        hit.append(len(doc_ids))
+                    texts.append(text)
+                    where.append((hits, len(doc_ids)))
+                    buffered += len(text)
+                    if buffered > BATCH_CHARS:
+                        flush()
+                        buffered = 0
+                    break
         doc_ids.append(rec_id)
+    flush()
     ordered = sorted(cells.items())
     layout = _layout(bin_width, offset, [(cell, ids) for cell, (ids, _) in ordered])
     flags = {}
@@ -453,20 +485,41 @@ def query_counts(
     return CellCounts(**layout, flags=MappingProxyType(flags))
 
 
-def _holds(tokens: list[str], phrase: list[str], coterms: frozenset[str]) -> bool:
-    """Whether a document's ``tokens`` hold ``phrase`` as adjacent tokens and
-    every one of ``coterms``."""
-    for t in coterms:
-        if t not in tokens:
-            return False
-    i = -1
-    try:
-        while True:
-            i = tokens.index(phrase[0], i + 1)
-            if tokens[i : i + len(phrase)] == phrase:
-                return True
-    except ValueError:
-        return False
+def _byte_tokens(texts: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``texts`` joined by " " as UTF-8 bytes, an ASCII text translated
+    as :func:`tokenize` translates it and any other text replaced by its
+    tokens joined by " "; the start and length in those bytes of each token
+    tokenize keeps; and the token bounds: text i holds tokens ``bounds[i]``
+    to ``bounds[i + 1] - 1``."""
+    texts = [t if t.isascii() else " ".join(tokenize(t)) for t in texts]
+    # text i starts at byte text_starts[i], so its first token is the first to start there
+    sizes = (len(t) if t.isascii() else len(t.encode()) for t in texts)
+    text_starts = _offsets(np.fromiter(sizes, np.int64, len(texts)) + 1)
+    data = " ".join(texts).encode().translate(_TOKEN_BYTES)
+    chars = np.frombuffer(data, np.uint8)
+    edges = np.flatnonzero(np.diff(chars != ord(" "), prepend=False, append=False))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    # single letters go, single digits stay
+    keep = (lengths > 1) | (chars[starts] < ord("a"))
+    starts, lengths = starts[keep], lengths[keep]
+    return data, starts, lengths, np.searchsorted(starts, text_starts)
+
+
+def _word_ids(data: bytes, starts, lengths, words: Mapping[str, int]) -> np.ndarray:
+    """The id in ``words`` of each token of :func:`_byte_tokens`, and
+    ``len(words)`` for a token that is none of them."""
+    ids = np.full(len(starts), len(words), np.int32)
+    # the 8 bytes from each offset as one big-endian integer; 8 bytes pad the end
+    keys = np.ndarray((len(data),), ">u8", data + bytes(8), 0, (1,))
+    for word, i in words.items():
+        word_bytes = word.encode()
+        at = np.flatnonzero(lengths == len(word_bytes))
+        for k in range(0, len(word_bytes), 8):
+            piece = word_bytes[k : k + 8]
+            shift = 8 * (8 - len(piece))
+            at = at[keys[starts[at] + k] >> shift == int.from_bytes(piece, "big")]
+        ids[at] = i
+    return ids
 
 
 def _grid_offset(bin_width: int, anchor_year: Optional[int]) -> int:
@@ -564,14 +617,21 @@ def _open_read(
     elif path == "-":
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8", newline=newline) as handle:
-            try:
-                yield handle
-            except UnicodeDecodeError as exc:
-                where = _first_undecodable(path)
-                if where is None:
-                    raise
-                raise error(where) from exc
+        with open(path, "r", encoding="utf-8", newline=newline) as handle, _decoding(path, error):
+            yield handle
+
+
+@contextlib.contextmanager
+def _decoding(path: str, error: type[TermflowError]) -> Iterator[None]:
+    """Turn a ``UnicodeDecodeError`` into ``error``, naming the line and
+    offset of the first byte of the file at ``path`` that does not decode."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        where = _first_undecodable(path)
+        if where is None:
+            raise
+        raise error(where) from exc
 
 
 def _first_undecodable(path: str) -> Optional[str]:

@@ -16,7 +16,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .corpus import CorpusIndex, UnknownDiscipline, write_csv
+from .corpus import CorpusIndex, UnknownDiscipline, _decoding, write_csv
 from .errors import TermflowError
 
 
@@ -128,7 +128,8 @@ def load_dictionary(path: str) -> frozenset[str]:
     """The terms of a dictionary file: one normalized term per line, '#'
     comments. A dictionary filters a ranking's selections to its terms."""
     terms: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    # "-" names a file, as every other path does
+    with open(path, "r", encoding="utf-8") as handle, _decoding(path, MalformedDictionary):
         for lineno, line in enumerate(handle, start=1):
             # the mark would stay on the first term, which then matches nothing
             if lineno == 1 and line.startswith("\ufeff"):

@@ -105,7 +105,8 @@ def test_commands_read_and_tokenize_through_the_corpus_module(
     # ingest reads with no queries: no document is tokenized
     assert main(["ingest", *argv]) == 0
     assert calls == {"read_jsonl_records": 1, "query_counts": 1}, calls
-    # the query commands tokenize only the documents that hold "chaos"
+    # the query commands split into tokens only the documents that hold
+    # "chaos", in one byte pass per flush, and build no token index
     for command in (["trend", "--term", "chaos", "--discipline", "math"],
                     ["migrate", "--term", "chaos"],
                     ["fit", "--term", "chaos", "--discipline", "math"],
@@ -127,7 +128,7 @@ def test_a_late_malformed_line_is_reported_before_a_repeated_id(command, tmp_pat
     assert err.startswith('error code=corpus.MalformedRecord msg="line 3: invalid JSON'), err
 
 
-@pytest.mark.parametrize("kind", ["jsonl", "csv", "annotations"])
+@pytest.mark.parametrize("kind", ["jsonl", "csv", "annotations", "dictionary"])
 def test_a_byte_that_is_not_utf8_is_reported_with_its_line(
     kind, corpus_path, csv_corpus_path, tmp_path, capsys
 ):
@@ -140,19 +141,25 @@ def test_a_byte_that_is_not_utf8_is_reported_with_its_line(
         lines = [l.rstrip(b"\n") + b"\r\n"
                  for l in Path(csv_corpus_path).read_bytes().splitlines(keepends=True)[:2000]]
         bad = b"z,math,1990,a\xffb,\r\n"
-    else:
+    elif kind == "annotations":
         lines = [b"term,discipline,technical\r\n"]
         lines += [b"bg%03d,math,%d\r\n" % (i % 60, i % 2) for i in range(1999)]
         bad = b"a\xffb,math,1\r\n"
+    else:
+        lines = [b"term%05d\n" % i for i in range(2000)]
+        bad = b"ab\xffc\n"
     path = tmp_path / "data"
     path.write_bytes(b"".join(lines) + bad + lines[-1])
     offset = len(b"".join(lines)) + bad.index(b"\xff")
     argv = {"jsonl": ["ingest", "--corpus", str(path)],
             "csv": ["ingest", "--csv", "--corpus", str(path)],
             "annotations": ["mdelta", "--corpus", corpus_path, "--annotations", str(path),
-                            "--smooth"]}[kind]
+                            "--smooth"],
+            "dictionary": ["rank", "--corpus", corpus_path, "--discipline", "math",
+                           "--dictionary", str(path)]}[kind]
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
-    error = "measure.MalformedAnnotation" if kind == "annotations" else "corpus.MalformedRecord"
+    error = {"annotations": "measure.MalformedAnnotation",
+             "dictionary": "rank.MalformedDictionary"}.get(kind, "corpus.MalformedRecord")
     assert code == 1
     assert err == (
         f'error code={error} msg="line 2001: not UTF-8 (byte 0xff at offset {offset})"\n'

@@ -1073,16 +1073,21 @@ def test_duplicate_id_names_the_first_repeat_in_cell_order():
 
 
 # Texts glued from pieces: the query tokens, a token that holds one as a
-# substring only ("aab"), other letter cases, a single letter and a single
-# digit, the separator ingest tries first, and non-ASCII text, among it "İ",
-# whose .lower() is one character longer. A phrase may be split by a single
-# letter, "_" or punctuation, or glued into one token.
-_PIECES = ("aa", "bb", "7", "42", "aab", "AA", "b", "termflowdocsep0", "İaa", "éé", "ΣΑΣ")
+# substring only ("aab"), other letter cases, single letters and single
+# digits, the separator ingest tries first, and non-ASCII text, among it "İ",
+# whose .lower() is one character longer. Tokens at and past the 8 bytes
+# query_counts compares at a time share their first 8 bytes. A phrase may be
+# split by a single letter, "_" or punctuation, or glued into one token.
+_LONG = ("abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq")
+_PIECES = (
+    "aa", "bb", "7", "9", "42", "aab", "AA", "b", "B", "termflowdocsep0", "İaa", "éé", "ΣΑΣ",
+    *_LONG,
+)
 _GLUE = (" ", "_", ", ", " b ", " 7 ", "")
 _query_texts = st.lists(
     st.tuples(st.sampled_from(_GLUE), st.sampled_from(_PIECES)), max_size=6
 ).map(lambda parts: "".join(glue + piece for glue, piece in parts))
-_QUERY_TOKENS = ("aa", "bb", "7", "42", "aab", "termflowdocsep0", "éé", "σας")
+_QUERY_TOKENS = ("aa", "bb", "7", "9", "42", "aab", "termflowdocsep0", "éé", "σας", *_LONG)
 _query_lists = st.lists(
     st.builds(
         TermQuery,
@@ -1124,13 +1129,20 @@ def _count_outcome(call, *args):
         return type(exc), str(exc)
 
 
-@given(_query_records(), _query_lists, st.integers(1, 3), st.none() | st.integers(1985, 1997))
+@given(
+    _query_records(),
+    _query_lists,
+    st.integers(1, 3),
+    st.none() | st.integers(1985, 1997),
+    st.integers(0, 30),
+)
 @example(  # a phrase split by a single letter, by "_", and by a single digit
     [DocumentRecord("d0", "x", 1990, "AA b bb", ""), DocumentRecord("d1", "x", 1990, "aa_bb", ""),
      DocumentRecord("d2", "x", 1991, "aa 7 bb", "")],
     [TermQuery(("aa", "bb"))],
     1,
     None,
+    0,
 )
 @example(  # a co-term only inside a longer token, and the phrase only glued to one
     [DocumentRecord("d0", "x", 1990, "aa", "aab"), DocumentRecord("d1", "x", 1990, "aa", "aabb"),
@@ -1138,9 +1150,18 @@ def _count_outcome(call, *args):
     [TermQuery(("aa",), frozenset({"aab"})), TermQuery(("aa",), frozenset({"bb"}))],
     2,
     1990,
+    4,
+)
+@example(  # tokens that share their first 8 bytes, and their length, with a query token
+    [DocumentRecord("d0", "x", 1990, "abcdefghabcdefgh", "abcdefghijklmnopq"),
+     DocumentRecord("d1", "x", 1990, "abcdefgh9 B", "abcdefghijklmnop 9")],
+    [TermQuery(("abcdefghijklmnop",)), TermQuery(("abcdefghi",)), TermQuery(("9",))],
+    2,
+    None,
+    0,
 )
 @settings(max_examples=150, deadline=None)
-def test_query_counts_equal_count_matches_on_ingest(records, queries, width, anchor):
+def test_query_counts_equal_count_matches_on_ingest(records, queries, width, anchor, batch_chars):
     def counted(records, width, anchor):
         return query_counts(records, queries, width, anchor)
 
@@ -1162,6 +1183,12 @@ def test_query_counts_equal_count_matches_on_ingest(records, queries, width, anc
     for query in queries:
         assert index.flags[query].dtype == counts.flags[query].dtype == bool
         assert index.flags[query].tolist() == counts.flags[query].tolist(), query
+    # candidates flushed after a few characters each are matched the same
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "BATCH_CHARS", batch_chars)
+        flushed = query_counts(records, queries, width, anchor)
+    for query in queries:
+        assert flushed.flags[query].tolist() == counts.flags[query].tolist(), query
 
 
 def test_frequency_series_scans_the_stream_once_per_query():
@@ -1210,16 +1237,55 @@ def test_query_counts_tokenize_only_the_documents_that_hold_every_query_token():
         DocumentRecord("d1", "x", 1990, "strange", "attractors"),
         DocumentRecord("d2", "x", 1991, "attractor", ""),
         DocumentRecord("d3", "y", 1990, "chaos", ""),
+        DocumentRecord("d4", "y", 1990, "Chaos", "é"),
+        DocumentRecord("d5", "y", 1991, "strange", "ça"),
     ]
     phrase, chaos = TermQuery(("strange", "attractor")), TermQuery(("chaos",))
-    calls = []
+    byte_pass, calls = [], []
+    byte_tokens = corpus._byte_tokens
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_byte_tokens", lambda texts: byte_pass.append(list(texts))
+                      or byte_tokens(texts))
         patch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
         counts = query_counts(records, [phrase, chaos, phrase])
-    # d1 holds "attractor" only inside "attractors": it is tokenized, and does not match
-    assert calls == ["strange attractor nonlinear", "strange attractors", "chaos "]
+    # d1 holds "attractor" only inside "attractors": it takes the byte pass, and
+    # does not match; a text that is not ASCII is tokenized there
+    assert byte_pass == [
+        ["strange attractor nonlinear", "strange attractors", "chaos ", "Chaos é"]
+    ]
+    assert calls == ["Chaos é"]
     assert list(counts.flags) == [phrase, chaos]
-    assert counts.flags[phrase].tolist() == [True, False, False, False]
-    assert counts.flags[chaos].tolist() == [False, False, False, True]
+    assert counts.flags[phrase].tolist() == [True, False, False, False, False, False]
+    assert counts.flags[chaos].tolist() == [False, False, False, True, True, False]
     with pytest.raises(corpus.InvalidQuery, match="no counts were taken for query 'attractor'"):
         count_matches(counts, TermQuery(("attractor",)), "x", 1990)
+
+
+# ASCII text over all 128 code points, with "_", spaces, single letters and
+# digits drawn often, long tokens that share their first 8 bytes, and now
+# and then a piece that is not ASCII
+_byte_pass_texts = st.lists(
+    st.text(st.characters(max_codepoint=127) | st.sampled_from("_ aB9"), max_size=8)
+    | st.sampled_from((*_LONG, "éé", "İaa", "ΣΑΣ b")),
+    max_size=5,
+).map("".join)
+
+
+@given(
+    st.lists(_byte_pass_texts, max_size=6),
+    st.lists(st.sampled_from(("9", "aa", "éé", "σας", *_LONG)), unique=True),
+)
+@example(["", "a_b x2", "", "B 9 termflowdocsep0 abcdefghabcdefgh", "_"], ["abcdefghijklmnop"])
+@settings(max_examples=300, deadline=None)
+def test_the_byte_pass_finds_the_tokens_of_tokenize_in_each_text(texts, words):
+    data, starts, lengths, bounds = corpus._byte_tokens(texts)
+    tokens = [data[s : s + n].decode() for s, n in zip(starts.tolist(), lengths.tolist())]
+    assert len(bounds) == len(texts) + 1
+    assert [tokens[bounds[i] : bounds[i + 1]] for i in range(len(texts))] == list(
+        map(tokenize, texts)
+    )
+    # each token takes its word's id, and any other token one more than the last
+    ids = dict(zip(words, range(len(words))))
+    assert corpus._word_ids(data, starts, lengths, ids).tolist() == [
+        ids.get(t, len(ids)) for t in tokens
+    ]
