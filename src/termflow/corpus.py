@@ -15,13 +15,15 @@ import functools
 import itertools
 import json
 import operator
+import os
 import re
+import stat
 import sys
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import IO, Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +57,7 @@ _field_values = operator.itemgetter(*RECORD_FIELDS)
 _scan_json = json.JSONDecoder().scan_once
 # the string escaper json.dumps runs with its default ensure_ascii
 _json_string = json.encoder.encode_basestring_ascii
+_SURROGATE = re.compile("[\ud800-\udfff]")
 YEAR_MIN = 1000
 YEAR_MAX = 3000
 
@@ -486,21 +489,26 @@ def query_counts(
 
 
 def _byte_tokens(texts: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-    """The ``texts`` joined by " " as UTF-8 bytes, an ASCII text translated
-    as :func:`tokenize` translates it and any other text replaced by its
-    tokens joined by " "; the start and length in those bytes of each token
-    tokenize keeps; and the token bounds: text i holds tokens ``bounds[i]``
+    """The ``texts`` joined by " " as UTF-8 bytes, with one " " before and
+    after, an ASCII text translated as :func:`tokenize` translates it and any
+    other text replaced by its tokens joined by " "; the start and length in
+    those bytes of each token tokenize keeps, as int32 where the bytes'
+    length allows; and the token bounds: text i holds tokens ``bounds[i]``
     to ``bounds[i + 1] - 1``."""
     texts = [t if t.isascii() else " ".join(tokenize(t)) for t in texts]
-    # text i starts at byte text_starts[i], so its first token is the first to start there
+    # text i starts past byte text_starts[i], so its first token is the first to start there
     sizes = (len(t) if t.isascii() else len(t.encode()) for t in texts)
     text_starts = _offsets(np.fromiter(sizes, np.int64, len(texts)) + 1)
-    data = " ".join(texts).encode().translate(_TOKEN_BYTES)
-    chars = np.frombuffer(data, np.uint8)
-    edges = np.flatnonzero(np.diff(chars != ord(" "), prepend=False, append=False))
-    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    data = " ".join(["", *texts, ""]).encode().translate(_TOKEN_BYTES)
+    word = np.frombuffer(data, np.uint8) != ord(" ")
+    # with a space at either end, tokens start and end in turn where word and space meet
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    del word
+    index = _index_type(len(data))
+    starts, lengths = (edges[::2] + 1).astype(index), (edges[1::2] - edges[::2]).astype(index)
+    del edges
     # single letters go, single digits stay
-    keep = (lengths > 1) | (chars[starts] < ord("a"))
+    keep = (lengths > 1) | (np.frombuffer(data, np.uint8)[starts] < ord("a"))
     starts, lengths = starts[keep], lengths[keep]
     return data, starts, lengths, np.searchsorted(starts, text_starts)
 
@@ -509,8 +517,7 @@ def _word_ids(data: bytes, starts, lengths, words: Mapping[str, int]) -> np.ndar
     """The id in ``words`` of each token of :func:`_byte_tokens`, and
     ``len(words)`` for a token that is none of them."""
     ids = np.full(len(starts), len(words), np.int32)
-    # the 8 bytes from each offset as one big-endian integer; 8 bytes pad the end
-    keys = np.ndarray((len(data),), ">u8", data + bytes(8), 0, (1,))
+    keys = _byte_keys(data)
     for word, i in words.items():
         word_bytes = word.encode()
         at = np.flatnonzero(lengths == len(word_bytes))
@@ -520,6 +527,17 @@ def _word_ids(data: bytes, starts, lengths, words: Mapping[str, int]) -> np.ndar
             at = at[keys[starts[at] + k] >> shift == int.from_bytes(piece, "big")]
         ids[at] = i
     return ids
+
+
+def _byte_keys(data: bytes) -> np.ndarray:
+    """The 8 bytes from each offset of ``data`` as one big-endian integer;
+    8 zero bytes pad the end."""
+    return np.ndarray((len(data),), ">u8", data + bytes(8), 0, (1,))
+
+
+def _index_type(size: int) -> type:
+    """int32 for offsets into ``size`` bytes where they fit, else int64."""
+    return np.int32 if size < 1 << 31 else np.int64
 
 
 def _grid_offset(bin_width: int, anchor_year: Optional[int]) -> int:
@@ -726,6 +744,96 @@ def read_csv_rows(
             raise error(f"line {reader.line_num}: invalid CSV ({exc})") from exc
 
 
+def _plain_csv_rows(
+    path: Union[str, IO[str]], fields: Sequence[str], keep: Collection[str], bits: str
+) -> Optional[list[tuple[str, ...]]]:
+    r"""The values, in ``fields`` order, of the rows :func:`read_csv_rows`
+    yields whose ``fields[0]`` value may be in ``keep``, if ``path`` names a
+    plain file: a regular file that decodes as UTF-8, holds no '"', no NUL
+    and no "\r" but before "\n" or at its end, passes every check of
+    read_csv_rows and holds only "0" or "1" in its field ``bits``. None for
+    any other file, standard input or a handle, which read_csv_rows reads
+    and words exactly.
+
+    The file is read in chunks of ``BATCH_CHARS`` bytes cut at line ends.
+    numpy finds each chunk's commas and line ends, and checks every row by
+    them. A row is decoded only if a 16-bit hash of the length and first 8
+    bytes of its ``fields[0]`` value is that of a kept value: every row
+    whose value is kept, and a few others, which the caller checks.
+    """
+    if hasattr(path, "read") or path == "-":
+        return None
+    wanted = [value.encode("utf-8", "surrogatepass") for value in keep]
+    hashed = np.zeros(1 << 16, bool)
+    hashed[_prefix_hash([int.from_bytes(w[:8], "big") for w in wanted], [*map(len, wanted)])] = True
+    limit = csv.field_size_limit()
+    rows = []
+    with open(path, "rb") as handle:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            return None  # a pipe could not be read again
+        header = handle.readline()
+        if not _plain(header):
+            return None
+        header = header.decode().removesuffix("\n").removesuffix("\r").split(",")
+        if set(header) != set(fields) or max(map(len, header)) > limit:
+            return None
+        column = {name: i for i, name in enumerate(header)}
+        picks, first, flag = [column[f] for f in fields], column[fields[0]], column[bits]
+        while data := handle.read(BATCH_CHARS):
+            data += handle.readline()
+            if not _plain(data):
+                return None
+            data += b"" if data.endswith(b"\n") else b"\n"
+            chars = np.frombuffer(data, np.uint8)
+            # a field ends at a comma or a line end, less the "\r" of a "\r\n"
+            ends = chars == ord(",")
+            ends |= chars == ord("\n")
+            ends = np.flatnonzero(ends).astype(_index_type(len(data)))
+            line_ends = np.flatnonzero(chars[ends] == ord("\n"))
+            starts = np.roll(ends + 1, 1)
+            starts[0] = 0
+            crlf = chars[ends - 1] == ord("\r")
+            ends -= crlf
+            # a blank line is one empty field; every other line must be a full row
+            n_fields = np.diff(line_ends, prepend=-1)
+            blank = (n_fields == 1) & (starts[line_ends] == ends[line_ends])
+            if not np.all((n_fields == len(header)) | blank) or np.count_nonzero(
+                chars == ord("\r")
+            ) != np.count_nonzero(crlf[line_ends]):
+                return None
+            starts = np.delete(starts, line_ends[blank]).reshape(-1, len(header))
+            sizes = np.delete(ends, line_ends[blank]).reshape(-1, len(header)) - starts
+            bit = chars[starts[:, flag]]
+            if sizes.max(initial=0) > limit or not np.all(
+                (sizes[:, flag] == 1) & ((bit == ord("0")) | (bit == ord("1")))
+            ):
+                return None
+            n = sizes[:, first]
+            shift = (64 - 8 * np.minimum(n, 8)).astype(np.uint64)
+            heads = _byte_keys(data)[starts[:, first]] >> shift
+            for r in np.flatnonzero(hashed[_prefix_hash(heads, n)]).tolist():
+                at = zip(starts[r, picks].tolist(), sizes[r, picks].tolist())
+                rows.append(tuple(data[s : s + k].decode() for s, k in at))
+    return rows
+
+
+def _prefix_hash(heads, lengths) -> np.ndarray:
+    """A 16-bit Fibonacci hash of each value's first 8 bytes, as a big-endian
+    integer, and its length."""
+    mixed = np.asarray(heads, np.uint64) ^ np.asarray(lengths, np.uint64)
+    return (mixed * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(48)).astype(np.intp)
+
+
+def _plain(data: bytes) -> bool:
+    """Whether ``data`` decodes as UTF-8 and holds no '"' and no NUL."""
+    try:
+        if not data.isascii():
+            data.decode()
+    except UnicodeDecodeError:
+        return False
+    return b'"' not in data and b"\0" not in data
+
+
 def read_csv_records(path: Union[str, IO[str]]) -> Iterator[DocumentRecord]:
     """Yield records from a CSV file with header id,discipline,year,title,abstract."""
     for line, (id_, discipline, year, title, abstract) in read_csv_rows(
@@ -804,10 +912,27 @@ def write_csv(
 def write_jsonl_records(records: Iterable[DocumentRecord], handle: IO[str]) -> None:
     """One ``json.dumps(dict(zip(RECORD_FIELDS, rec)), sort_keys=True)`` line
     per record, byte for byte: the keys in sorted order, each string through
-    json's own escaper and the year as ``int.__repr__``, as json writes it."""
+    json's own escaper and the year as ``int.__repr__``, as json writes it.
+
+    A record whose text holds a surrogate code point raises
+    :class:`MalformedRecord`: JSON writes it as a ``\\uXXXX`` escape, and a
+    lone high one followed by a lone low one would read back as one astral
+    character. Records go out in chunks of ``_CSV_CHUNK``, and only the
+    texts of a chunk that holds a ``\\ud`` escape are looked at again."""
     q = _json_string
-    handle.writelines(
-        f'{{"abstract": {q(abstract)}, "discipline": {q(discipline)}, "id": {q(id_)}, '
-        f'"title": {q(title)}, "year": {int.__repr__(year)}}}\n'
-        for id_, discipline, year, title, abstract in records
-    )
+    records = iter(records)
+    while chunk := list(itertools.islice(records, _CSV_CHUNK)):
+        text = "".join(
+            f'{{"abstract": {q(abstract)}, "discipline": {q(discipline)}, "id": {q(id_)}, '
+            f'"title": {q(title)}, "year": {int.__repr__(year)}}}\n'
+            for id_, discipline, year, title, abstract in chunk
+        )
+        # one memchr for the backslash every escape starts with, before the slower search
+        if "\\" in text and "\\ud" in text:
+            for record in chunk:
+                for name, value in zip(RECORD_FIELDS, record):
+                    if isinstance(value, str) and _SURROGATE.search(value):
+                        raise MalformedRecord(
+                            f"record {record[0]!r} field {name!r} holds a surrogate"
+                        )
+        handle.write(text)

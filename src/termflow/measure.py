@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Collection, Iterable, Mapping, Optional, Sequence
 
-from .corpus import read_csv_rows, write_csv
+from .corpus import _plain_csv_rows, read_csv_rows, write_csv
 from .errors import TermflowError
 
 
@@ -62,12 +62,19 @@ def load_annotations(
 
     Rows come from :func:`corpus.read_csv_rows`, which checks the header and
     each row's width. Every row's flag is checked; with ``pairs``, only the
-    flags of those (term, discipline) pairs are kept.
+    flags of those (term, discipline) pairs are kept, and a plain file is
+    checked in one byte pass that decodes only the rows whose term a pair
+    may hold (see :func:`corpus._plain_csv_rows`). The flags, and every
+    message, are the same either way.
     """
-    flags: dict[tuple[str, str], bool] = {}
     fields = ("term", "discipline", "technical")
     # a row whose term no pair holds is skipped before its pair is built
     terms = None if pairs is None else {term for term, _ in pairs}
+    if terms is not None:
+        rows = _plain_csv_rows(path, fields, terms, "technical")
+        if rows is not None:
+            return AnnotationSet(flags={(t, d): v == "1" for t, d, v in rows if (t, d) in pairs})
+    flags: dict[tuple[str, str], bool] = {}
     for line, (term, discipline, value) in read_csv_rows(path, fields, MalformedAnnotation):
         if value != "0" and value != "1":
             value = value.strip()

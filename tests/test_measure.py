@@ -1,10 +1,12 @@
 import csv
+import io
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from termflow import corpus, measure
 from termflow.measure import (
     BORROWER_LEANING,
     DONOR_LEANING,
@@ -303,3 +305,101 @@ def test_load_annotations_reads_like_dictreader(tmp_path_factory, rows, data):
             pair: flag for pair, flag in reference.items() if pair in keep
         }
         assert _outcome(lambda p: load_annotations(p, keep), str(path)) == expected
+
+
+# terms a pair may want, and terms of 7-17 bytes that share their first 8
+# bytes with one of them, some at the same length
+_WANTED = ("chaos", "abcdefgh", "abcdefghi", "abcdefghijklmnop", "é", "σας", "éééé", "")
+_NEAR = ("abcdefg", "abcdefgi", "abcdefghj", "abcdefghijklmnoq", "abcdefghijklmnopq", "abcdefghé",
+         "ééééé", "éééè")
+_DISCIPLINES = ("math", "phys", "é")
+_NAMES = ("term", "discipline", "technical")
+_SMALL_LIMIT = 10  # the header still fits
+
+
+@st.composite
+def annotation_bytes(draw):
+    """An annotation file's bytes, written by csv.writer or joined by hand, a
+    set of (term, discipline) pairs, and the file's widest field in bytes if
+    it is plain, else None: one flag, ragged rows, an inserted character or
+    a byte that is not UTF-8 may spoil it."""
+    names = draw(st.permutations(_NAMES)) + draw(st.lists(st.sampled_from(_NAMES), max_size=1))
+    rows = draw(st.lists(st.tuples(st.sampled_from(_WANTED + _NEAR), st.sampled_from(_DISCIPLINES),
+                                   st.sampled_from("01")), max_size=8))
+    spoil = draw(st.sampled_from([None, None, "flag", "ragged", "character", "bom", "byte"]))
+    if spoil == "flag" and rows:
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = (*rows[at][:2], draw(st.sampled_from([" 1 ", "2", ""])))
+    lines = [names] + [[dict(zip(_NAMES, row))[name] for name in names] for row in rows]
+    # a short row, a long one, or both, which together hold whole rows of fields
+    for at in draw(st.lists(st.integers(1, len(rows)), min_size=1, max_size=2)
+                   if spoil == "ragged" and rows else st.just([])):
+        lines[at] = lines[at][:-1] if draw(st.booleans()) else lines[at] + ["1"]
+    if draw(st.booleans()):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows(lines)
+        text = buf.getvalue()
+    else:
+        # each line with its own end, blank lines anywhere, maybe no end at the end
+        ends = st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"])
+        blanks = st.sampled_from(["", "", "\n", "\r\n"])
+        text = "".join(",".join(line) + draw(ends) + draw(blanks) for line in lines)
+        if draw(st.booleans()):
+            text = text.rstrip("\r\n")
+    if spoil == "character":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from('"\0\r\n,x\ufeff')) + text[at:]
+    if spoil == "bom":
+        text = "\ufeff" + text
+    data = text.encode()
+    if spoil == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    # pairs the file holds and others, terms no file holds among them, one
+    # of which does not even encode as UTF-8
+    held = [row[:2] for row in rows]
+    any_pair = st.tuples(st.sampled_from(_WANTED + _NEAR + ("absent", "\ud800")),
+                         st.sampled_from(_DISCIPLINES + ("none",)))
+    pairs = draw(st.sets(st.sampled_from(held) | any_pair if held else any_pair, max_size=8))
+    plain = spoil is None and "\r" not in text.replace("\r\n", "")
+    widest = max(len(v.encode()) for line in lines for v in line)
+    return data, pairs, widest if plain else None
+
+
+def _exact_annotations(path, pairs):
+    """load_annotations through corpus.read_csv_rows alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measure, "_plain_csv_rows", lambda *args: None)
+        return load_annotations(path, pairs)
+
+
+@pytest.mark.parametrize("mode", ["whole file", "small field limit", "chunks of a few bytes"])
+@given(file=annotation_bytes(), chunk=st.integers(1, 6))
+# a width error in an early row and a byte that is not UTF-8 later in the same chunk
+@example(
+    file=(b"term,discipline,technical\nchaos,math\nchaos,phys,1\n\xff,math,1\n", set(), None),
+    chunk=1 << 18,
+)
+# a term that shares its length and first 8 bytes with a wanted one
+@example(file=(b"term,discipline,technical\nabcdefghj,math,1\n", {("abcdefghi", "math")}, 9),
+         chunk=4)
+@settings(max_examples=100, deadline=None)
+def test_the_annotation_byte_pass_reads_like_the_csv_reader(tmp_path_factory, mode, file, chunk):
+    content, pairs, widest = file
+    path = tmp_path_factory.mktemp("ann") / "ann.csv"
+    path.write_bytes(content)
+    limit = csv.field_size_limit()
+    if mode == "small field limit":
+        csv.field_size_limit(_SMALL_LIMIT)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            if mode == "chunks of a few bytes":
+                patch.setattr(corpus, "BATCH_CHARS", chunk)
+            expected = _outcome(lambda p: _exact_annotations(p, pairs), str(path))
+            assert _outcome(lambda p: load_annotations(p, pairs), str(path)) == expected
+            # a plain file takes the byte pass
+            if widest is not None and widest <= csv.field_size_limit():
+                terms = {term for term, _ in pairs}
+                assert corpus._plain_csv_rows(str(path), _NAMES, terms, "technical") is not None
+    finally:
+        csv.field_size_limit(limit)
